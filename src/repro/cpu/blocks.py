@@ -30,13 +30,16 @@ their per-instruction closures, so BX targets, software-dispatch
 returns, and checkpoints restored mid-run enter the middle of a block
 correctly.
 
-The fused bodies are generated as Python source and ``exec``-compiled
-once per program; captured objects (register file, run context, memory
+The fused bodies are generated as Python source and ``exec``-ed once
+per program; captured objects (register file, run context, memory
 accessors, flag setters) are bound through default arguments so the hot
-path uses local loads only.
+path uses local loads only.  The source thus names no machine state,
+and :func:`_code_for` compiles each distinct source once per process.
 """
 
 from __future__ import annotations
+
+from types import CodeType
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
@@ -55,6 +58,13 @@ __all__ = ["translate_blocks", "fusible_runs", "block_leaders"]
 
 #: Runs shorter than this are left to the per-instruction closures.
 MIN_RUN = 2
+
+#: Distinct generated sources kept compiled; a full cache starts over.
+CODE_CACHE_SIZE = 1024
+
+#: Process-wide code cache: generated source -> code object.  A code
+#: object depends on its source alone, so sharing it changes no result.
+_CODE_CACHE: dict[str, CodeType] = {}
 
 _BINOP_EXPR = {
     Op.ADD: "({a} + {b})",
@@ -292,6 +302,38 @@ def _emit_block(
     return "\n".join(out)
 
 
+def _code_for(source: str, filename: str) -> CodeType:
+    """``source`` compiled, once per process (blocks and traces)."""
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        if len(_CODE_CACHE) >= CODE_CACHE_SIZE:
+            _CODE_CACHE.clear()
+        code = _CODE_CACHE[source] = compile(source, filename, "exec")
+    return code
+
+
+def _base_env(regs: list[int], ctx: RunContext, flags: Flags,
+             memory: Memory) -> dict[str, object]:
+    """The binding environment shared by fused blocks and traces."""
+    return {
+        "__builtins__": {},
+        "_REGS": regs,
+        "_CTX": ctx,
+        "_LW": memory.load_word,
+        "_SW": memory.store_word,
+        "_LB": memory.load_byte,
+        "_SB": memory.store_byte,
+        "_MFAULT": MemoryFault,
+        "_FSUB": flags.set_from_sub,
+        "_FADD": flags.set_from_add,
+        "_FLOG": flags.set_from_logical,
+        "_LSL": _SHIFTERS[Op.LSL],
+        "_LSR": _SHIFTERS[Op.LSR],
+        "_ASR": _SHIFTERS[Op.ASR],
+        "_ROR": _SHIFTERS[Op.ROR],
+    }
+
+
 def translate_blocks(
     program: list[Instruction],
     ctx: RunContext,
@@ -316,29 +358,13 @@ def translate_blocks(
     runs = fusible_runs(program)
     if not runs:
         return ops
-    env: dict[str, object] = {
-        "__builtins__": {},
-        "_REGS": regs,
-        "_CTX": ctx,
-        "_LW": memory.load_word,
-        "_SW": memory.store_word,
-        "_LB": memory.load_byte,
-        "_SB": memory.store_byte,
-        "_MFAULT": MemoryFault,
-        "_FSUB": flags.set_from_sub,
-        "_FADD": flags.set_from_add,
-        "_FLOG": flags.set_from_logical,
-        "_LSL": _SHIFTERS[Op.LSL],
-        "_LSR": _SHIFTERS[Op.LSR],
-        "_ASR": _SHIFTERS[Op.ASR],
-        "_ROR": _SHIFTERS[Op.ROR],
-    }
+    env = _base_env(regs, ctx, flags, memory)
     parts = []
     for start, end in runs:
         env[f"_SINGLE_{start}"] = ops[start]
         parts.append(_emit_block(program, start, end, config))
     source = "\n\n".join(parts)
-    exec(compile(source, f"<blocks pid={pid}>", "exec"), env)
+    exec(_code_for(source, "<blocks>"), env)
     for start, _end in runs:
         ops[start] = env[f"_block_{start}"]  # type: ignore[assignment]
     return ops

@@ -48,14 +48,16 @@ dispatch-generation guard.  Everything else (SWI, HALT, BX,
 software/faulting CDPs, translation-time raisers) ends the trace at the
 preceding instruction.
 
-**Invalidation.**  Compiled traces are cached per manager keyed by
-``(entry index, dispatch generation)`` — the generation component only
-for traces containing a CDP, since nothing else reads the mapping state.
-When a management call (map/unmap/flush/restore) bumps
-:attr:`~repro.core.dispatch.DispatchUnit.generation`, the embedded guard
-fires on the next execution, evicts the stale trace and re-installs the
-profiling wrapper; if the path re-heats it recompiles against the new
-mappings (ROADMAP: "cache by (program, entry, TLB generation)").
+**Invalidation.**  A trace containing a CDP is valid only for the
+mappings it was recorded against: its guard compares the live
+:attr:`~repro.core.dispatch.DispatchUnit.generation` with ``_eg``, the
+generation at recording, bound per install like the pid.  When a
+management call (map/unmap/flush/restore) bumps the generation, the
+guard drops the stale trace and re-installs the profiling wrapper; a
+re-heat records the path again.  The source names no machine state, so
+the process-wide code cache of :mod:`repro.cpu.blocks` usually already
+holds its code and a re-install costs one ``exec``; a manager keeps
+only the installed trace.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ from __future__ import annotations
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..core.tlb import IDTuple
-from ..errors import MemoryFault
 from .blocks import (
     _ENV_NAMES,
+    _base_env,
+    _code_for,
     _emit_instruction,
     _fusible,
     block_leaders,
@@ -73,13 +76,13 @@ from .blocks import (
 )
 from .isa import CODE_BASE, Cond, Flags, Instruction, Op
 from .memory import Memory
-from .translate import OpClosure, RunContext, _SHIFTERS
+from .translate import OpClosure, RunContext
 
 __all__ = ["translate_traces", "TraceManager", "HOT_THRESHOLD"]
 
 #: Block-leader entries before a trace is recorded.  Low enough that the
-#: short loops in the equivalence suite compile mid-run; recording a
-#: trace that never re-heats costs one ``compile()`` of a small string.
+#: short loops in the equivalence suite compile mid-run; a trace that
+#: never re-heats costs one ``exec`` (and one ``compile()`` if new).
 HOT_THRESHOLD = 4
 
 #: Upper bound on instructions consumed by one trace (runaway guard).
@@ -122,6 +125,8 @@ _TRACE_ENV_NAMES = dict(
     _max="_MAX",
     _fb="_FB",
     _ivd="_IVD",
+    _eg="_EG",
+    _pid="_PID",
 )
 
 
@@ -186,31 +191,12 @@ class TraceManager:
         #: Ops as compiled by the block tier — the fallback every trace
         #: side-exits into, and what a dead entry unwraps back to.
         self._base: list[OpClosure] = list(ops)
-        #: Compiled traces keyed (entry, generation | None); traces
-        #: without a CDP never read mapping state, so their key ignores
-        #: the generation and survives remaps.
-        self._cache: dict[tuple[int, int | None], OpClosure] = {}
-        #: Entries whose path is not worth compiling (no profiler).
-        self._dead: set[int] = set()
         #: Lifetime counters (asserted by the eviction tests).
-        self.compiled = 0
+        self.installed = 0
         self.invalidations = 0
-        self._env: dict[str, object] = {
-            "__builtins__": {},
-            "_REGS": regs,
-            "_CTX": ctx,
-            "_LW": memory.load_word,
-            "_SW": memory.store_word,
-            "_LB": memory.load_byte,
-            "_SB": memory.store_byte,
-            "_MFAULT": MemoryFault,
-            "_FSUB": flags.set_from_sub,
-            "_FADD": flags.set_from_add,
-            "_FLOG": flags.set_from_logical,
-            "_LSL": _SHIFTERS[Op.LSL],
-            "_LSR": _SHIFTERS[Op.LSR],
-            "_ASR": _SHIFTERS[Op.ASR],
-            "_ROR": _SHIFTERS[Op.ROR],
+        self._env = _base_env(regs, ctx, flags, memory)
+        self._env.update({
+            "_PID": pid,
             "_FL": flags,
             "_DSP": self.dispatch,
             "_HWT": self.dispatch.hardware_tlb,
@@ -221,7 +207,7 @@ class TraceManager:
             "_RDO": coprocessor.operand_regs.read_operand,
             "_STO": coprocessor.store_soft_result,
             "_MAX": max,
-        }
+        })
         for leader in block_leaders(program):
             ops[leader] = self._profile(leader)
 
@@ -246,22 +232,16 @@ class TraceManager:
         # A trace that covers no more than one fused stretch buys
         # nothing over the block tier: unwrap and stop profiling.
         if not cyclic and len(components) < 2:
-            self._dead.add(entry)
             self.ops[entry] = inner
             return inner
-        has_cdp = any(kind == "cdp" for kind, *_ in components)
-        key = (entry, self.dispatch.generation if has_cdp else None)
-        fn = self._cache.get(key)
-        if fn is None:
-            fn = self._compile(entry, components, continuation, cyclic)
-            self._cache[key] = fn
-            self.compiled += 1
+        fn = self._compile(entry, components, continuation, cyclic)
+        self.installed += 1
         self.ops[entry] = fn
         return fn
 
     def _invalidate(self, entry: int) -> None:
         """Generation-guard eviction: drop the installed trace and start
-        re-profiling (a re-heat recompiles against the new mappings)."""
+        re-profiling (a re-heat re-records against the new mappings)."""
         self.invalidations += 1
         self.ops[entry] = self._profile(entry)
 
@@ -452,7 +432,7 @@ class TraceManager:
                 _, index, pfu = component
                 instruction = program[index]
                 needs.update(("_dsp", "_hwt", "_dtr", "_exec", "_max",
-                              "_ivd"))
+                              "_ivd", "_eg", "_pid"))
                 issue = config.cdp_issue_cycles
                 body.append(f"_ctx.idx = {index}")
                 body.append("if _u >= _b:")
@@ -462,9 +442,7 @@ class TraceManager:
                 # Mapping-state guard: any management call since the
                 # recording bumped the generation, so this trace's
                 # resolution (and its arithmetic TLB replay) is stale.
-                body.append(
-                    f"if _dsp.generation != {self.dispatch.generation}:"
-                )
+                body.append("if _dsp.generation != _eg:")
                 body += [
                     "    " + line
                     for line in [*spill, flush, "_ivd()", "return _u"]
@@ -474,8 +452,7 @@ class TraceManager:
                 body.append("_hwt.lookups += 1")
                 body.append("_hwt.hits += 1")
                 body.append(
-                    f"_dtr.dispatch_resolved({self.pid}, "
-                    f"{instruction.imm}, 'hit')"
+                    f"_dtr.dispatch_resolved(_pid, {instruction.imm}, 'hit')"
                 )
                 body.append(
                     f"_o = _exec({pfu}, {instruction.rd}, "
@@ -515,13 +492,8 @@ class TraceManager:
         env = dict(self._env)
         env["_FB"] = self._base[entry]
         env["_IVD"] = lambda _entry=entry: self._invalidate(_entry)
-        exec(
-            compile(
-                "\n".join(out), f"<trace pid={self.pid} entry={entry}>",
-                "exec",
-            ),
-            env,
-        )
+        env["_EG"] = self.dispatch.generation
+        exec(_code_for("\n".join(out), "<trace>"), env)
         return env[name]  # type: ignore[return-value]
 
 

@@ -19,6 +19,7 @@ from repro.config import EXEC_TIERS, MachineConfig
 from repro.core.coprocessor import ProteusCoprocessor
 from repro.core.tlb import IDTuple
 from repro.cpu.assembler import assemble
+from repro.cpu import blocks
 from repro.cpu.blocks import block_leaders, fusible_runs
 from repro.cpu.core import CPU, CPUState
 from repro.cpu.isa import CODE_BASE, Instruction, Op, code_address
@@ -547,7 +548,7 @@ class TestTraceCompiler:
         cpu = make_cpu(FIBONACCI, "jit")
         burst_log(cpu, [1 << 20])
         manager = cpu._ops.manager
-        assert manager.compiled >= 1
+        assert manager.installed >= 1
         assert manager.invalidations == 0
         assert tier_state(cpu) == tier_state(reference)
 
@@ -556,7 +557,7 @@ class TestTraceCompiler:
         stays on the block tier (no trace, no profiling residue)."""
         cpu = make_cpu(MIXED, "jit")
         burst_log(cpu, [1 << 20])
-        assert cpu._ops.manager.compiled == 0
+        assert cpu._ops.manager.installed == 0
 
     def test_remap_evicts_hot_trace(self):
         """A hardware->software remap mid-run bumps the dispatch
@@ -575,7 +576,7 @@ class TestTraceCompiler:
             assert not cpu.state.halted
             if tier == "jit":
                 managers[tier] = cpu._ops.manager
-                assert managers[tier].compiled >= 1
+                assert managers[tier].installed >= 1
                 assert managers[tier].invalidations == 0
             cpu.coprocessor.dispatch.map_software(IDTuple(1, 1),
                                                   soft_address)
@@ -591,6 +592,104 @@ class TestTraceCompiler:
         hw, soft = counts["hit"], counts["soft"]
         assert hw >= 4 and soft >= 1 and hw + soft == 12
         assert states["step"]["regs"][5] == 12 * hw + 35 * soft
+
+
+# ---------------------------------------------------------------------------
+# the process-wide code cache (jit and block tiers)
+
+
+def installed_traces(cpu: CPU) -> dict:
+    return {
+        index: fn for index, fn in enumerate(cpu._ops)
+        if fn.__name__.startswith("_trace_")
+    }
+
+
+def retained(manager) -> dict:
+    """Sizes of every container a trace manager holds on to."""
+    return {
+        name: len(value) for name, value in vars(manager).items()
+        if isinstance(value, (list, dict, set))
+    }
+
+
+class TestTraceCodeCache:
+    def test_circuit_swaps_reuse_compiled_traces(self, monkeypatch):
+        """Contended alpha x5 at 1 ms under random replacement swaps
+        circuits under hot traces, so CDP traces are invalidated and
+        re-installed; the re-installs find their source already
+        compiled.  The makespan is the ``step`` tier's."""
+        monkeypatch.setattr(blocks, "_CODE_CACHE", {})
+        filenames = []
+
+        def counting_compile(source, filename, mode):
+            filenames.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(blocks, "compile", counting_compile,
+                            raising=False)
+        spec = ExperimentSpec(workload="alpha", instances=5,
+                              quantum_ms=1.0, policy="random", scale=SCALE)
+        monkeypatch.setenv("REPRO_EXEC_TIER", "jit")
+        machine = Machine.from_spec(spec)
+        machine.spawn_instances()
+        machine.run()
+        managers = [p.cpu._ops.manager for p in machine.processes.values()]
+        installs = sum(manager.installed for manager in managers)
+        assert sum(manager.invalidations for manager in managers) >= 1
+        trace_compiles = filenames.count("<trace>")
+        assert 1 <= trace_compiles < installs
+        # The five instances run one program: its blocks compile once.
+        assert filenames.count("<blocks>") == 1
+
+        monkeypatch.setenv("REPRO_EXEC_TIER", "step")
+        reference = run_experiment(spec)
+        assert machine.outcome().makespan == reference.makespan
+
+    def test_instances_share_trace_code(self):
+        """Neither the pid nor the dispatch generation is part of a
+        trace's source: two instances of a program, under different
+        pids and generations, install distinct functions over one
+        ``__code__``."""
+        cpus = [
+            make_cpu(REMAP_LOOP, "jit", with_circuit=True, pid=pid)
+            for pid in (1, 2)
+        ]
+        # Re-mapping bumps the second dispatch unit's generation.
+        cpus[1].coprocessor.dispatch.map_hardware(IDTuple(2, 1), 0)
+        for cpu in cpus:
+            cpu.run(100)
+        first, second = (installed_traces(cpu) for cpu in cpus)
+        assert first and first.keys() == second.keys()
+        for entry, fn in first.items():
+            assert fn is not second[entry]
+            assert fn.__code__ is second[entry].__code__
+
+    def test_invalidations_retain_nothing(self, monkeypatch):
+        """Every re-map invalidates the hot CDP trace; neither the
+        manager nor the code cache grows with the invalidations, and
+        the run still matches the ``step`` tier burst for burst."""
+        monkeypatch.setattr(blocks, "_CODE_CACHE", {})
+        source = REMAP_LOOP.replace("MOV r3, #12", "MOV r3, #200")
+        logs, states, sizes = {}, {}, []
+        for tier in ("jit", "step"):
+            cpu = make_cpu(source, tier, with_circuit=True)
+            log = []
+            for burst in range(20):
+                log += burst_log(cpu, [300])
+                cpu.coprocessor.dispatch.map_hardware(IDTuple(1, 1), 0)
+                if tier == "jit" and burst in (2, 19):
+                    manager = cpu._ops.manager
+                    sizes.append((manager.invalidations,
+                                  retained(manager),
+                                  len(blocks._CODE_CACHE)))
+            logs[tier], states[tier] = log, tier_state(cpu)
+        (early, kept_early, code_early), (late, kept_late, code_late) = sizes
+        assert late > early >= 1
+        assert kept_late == kept_early
+        assert code_late == code_early
+        assert logs["jit"] == logs["step"]
+        assert states["jit"] == states["step"]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,57 @@ def start_serve(tmp_path: Path, sock: Path, *extra: str) -> subprocess.Popen:
     )
 
 
+#: A ``repro serve`` whose workers hold each finished slice while
+#: ``<gate>/hold`` exists, after writing their pid to
+#: ``<gate>/sliced-<job id>``.
+#: Forked workers inherit the patched module, so the gate needs no
+#: cooperation from the scheduler: a test sees every job mid-flight
+#: for as long as it likes, however fast the simulator runs.
+GATED_SERVE = """
+import os, sys, time
+from pathlib import Path
+from repro.sim import jobs
+from repro.sim.cli import main
+
+gate = Path(sys.argv[1])
+real_slice = jobs._execute_slice
+
+def gated_slice(payload):
+    result = real_slice(payload)
+    (gate / f"sliced-{payload[0]}").write_text(str(os.getpid()))
+    while (gate / "hold").exists():
+        time.sleep(0.01)
+    return result
+
+jobs._execute_slice = gated_slice
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def start_gated_serve(tmp_path: Path, sock: Path,
+                      gate: Path) -> subprocess.Popen:
+    """Like :func:`start_serve`, with every slice held at ``gate``."""
+    gate.mkdir()
+    (gate / "hold").touch()
+    return subprocess.Popen(
+        [sys.executable, "-c", GATED_SERVE, str(gate), "serve",
+         "--workers", "2", "--slice-quanta", "64", "--socket", str(sock)],
+        stderr=subprocess.PIPE,
+        env=serve_env(tmp_path),
+    )
+
+
+def wait_until(predicate, what: str, timeout_s: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting: {what}"
+        time.sleep(0.01)
+
+
+def held_slices(gate: Path) -> int:
+    return len(list(gate.glob("sliced-*")))
+
+
 def await_daemon(sock: Path, proc: subprocess.Popen) -> None:
     deadline = time.monotonic() + 30.0
     while not daemon_available(sock):
@@ -193,15 +244,23 @@ class TestSigtermDrain:
         journal in-flight work, exit cleanly — and a later scheduler
         recovers every unfinished job from the journal."""
         sock = tmp_path / "drain.sock"
-        proc = start_serve(tmp_path, sock)
+        gate = tmp_path / "gate"
+        proc = start_gated_serve(tmp_path, sock, gate)
         points = [spec(instances=i, quantum_ms=10.0) for i in (3, 4)]
         try:
             await_daemon(sock, proc)
             client = ServeClient(sock, reconnect=0)
             submitted = [client.submit(point) for point in points]
             assert len(submitted) == 2
-            time.sleep(0.5)  # let slices get in flight
+            # Both jobs have run a first slice (several remain) and
+            # their workers hold it: the jobs are in flight.
+            wait_until(lambda: held_slices(gate) == 2, "two held slices")
             proc.send_signal(signal.SIGTERM)
+            # The daemon unlinks its socket once SIGTERM has stopped
+            # intake; only then may the held slices return, into the
+            # drain, instead of being dispatched onwards.
+            wait_until(lambda: not sock.exists(), "daemon stops serving")
+            (gate / "hold").unlink()
             stderr = proc.communicate(timeout=60)[1]
             client.close()
         finally:
@@ -244,18 +303,21 @@ class TestKill9Restart:
         re-attach to its journal-recovered job and finish with the
         outcome an undisturbed run produces."""
         sock = tmp_path / "k9.sock"
+        gate = tmp_path / "gate"
         points = [spec(instances=i, quantum_ms=10.0) for i in (2, 3, 4)]
         reference = run_experiment(points[0])
-        proc = start_serve(tmp_path, sock)
+        proc = start_gated_serve(tmp_path, sock, gate)
         try:
             await_daemon(sock, proc)
             client = ServeClient(
                 sock, reconnect=20, backoff_base_s=0.05, backoff_cap_s=0.5
             )
             jobs_ = [client.submit(point) for point in points]
-            time.sleep(0.4)  # let work get in flight
+            # Both workers hold a first slice: work is in flight.
+            wait_until(lambda: held_slices(gate) == 2, "two held slices")
             proc.kill()  # SIGKILL: no cleanup, no goodbye
             proc.wait(timeout=10)
+            (gate / "hold").unlink()  # free the orphaned workers
             proc = start_serve(tmp_path, sock)
             outcomes = [job.result(timeout=120) for job in jobs_]
             assert outcomes[0] == reference
@@ -273,6 +335,13 @@ class TestKill9Restart:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            # The killed daemon's pool workers outlive it, blocked on
+            # a call queue nobody feeds; they wrote their pids.
+            for marker in gate.glob("sliced-*"):
+                try:
+                    os.kill(int(marker.read_text()), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestChaosReport:
