@@ -5,11 +5,26 @@ published anchor points run here on the default ``jit`` tier and on
 ``closure`` (the one-closure-per-instruction tier the compiled tiers
 are checked against).  A simulator-speed change that shifts a single
 cycle anywhere in the kernel, the CIS or the CPU tiers fails here.
+
+The second table pins the *identity* of experiment points: the
+``spec_key()`` digest every result cache, warm-start checkpoint and
+journal record is filed under, and the bytes of the spec codec shared
+by checkpoints and the serve protocol.  A refactor that changes either
+silently orphans every stored result, so these digests never change
+without a deliberate format migration.
 """
+
+import hashlib
+import json
 
 import pytest
 
+from repro.apps.workloads import WorkloadVariant
+from repro.faults import FaultPlan
+from repro.machine import spec_from_dict, spec_to_dict
+from repro.prefetch import PrefetchPlan
 from repro.sim.experiment import ExperimentSpec, run_experiment
+from repro.synth.plan import SynthesisPlan
 
 SCALE = 1 / 8000
 
@@ -39,3 +54,138 @@ def test_alpha_makespan_anchor(point, tier, monkeypatch):
     outcome = run_experiment(spec, verify=True)
     assert outcome.verified
     assert outcome.makespan == ANCHORS[point]
+
+
+FAULT = FaultPlan(
+    seed=9, config_upset_rate=0.05,
+    schedule=((3, "config"), (7, "datapath")), recovery="fallback",
+)
+SYNTH = SynthesisPlan(
+    min_executions=8, max_circuits_per_process=2, trigger_instructions=100,
+)
+PREFETCH = PrefetchPlan(steal_victims=False)
+
+#: Points whose identity is pinned: the fig2 default, the seed
+#: sentinel, each architecture and dispatch knob, each optional plan
+#: alone and all three together.
+GOLDEN_SPECS = {
+    "fig2_default": ExperimentSpec(workload="echo", instances=1),
+    "seed_none": ExperimentSpec(
+        workload="alpha", instances=3, quantum_ms=1.0, scale=SCALE,
+    ),
+    "seed_zero": ExperimentSpec(
+        workload="alpha", instances=3, quantum_ms=1.0, scale=SCALE, seed=0,
+    ),
+    "random_1ms": ExperimentSpec(
+        workload="twofish", instances=5, quantum_ms=1.0, policy="random",
+        scale=SCALE, seed=11,
+    ),
+    "prisc": ExperimentSpec(
+        workload="alpha", instances=2, architecture="prisc", scale=SCALE,
+    ),
+    "memmap": ExperimentSpec(
+        workload="alpha", instances=2, architecture="memmap", scale=SCALE,
+    ),
+    "soft": ExperimentSpec(workload="echo", instances=4, soft=True,
+                           scale=SCALE),
+    "software_variant": ExperimentSpec(
+        workload="alpha", instances=1, variant=WorkloadVariant.SOFTWARE,
+        register_soft=False, scale=SCALE,
+    ),
+    "explicit_items": ExperimentSpec(
+        workload="alpha", instances=2, items=40, scale=SCALE,
+    ),
+    "fault_plan": ExperimentSpec(
+        workload="alpha", instances=3, quantum_ms=1.0, scale=SCALE,
+        fault_plan=FAULT,
+    ),
+    "synthesis": ExperimentSpec(
+        workload="hash", instances=2, scale=SCALE, synthesis=SYNTH,
+    ),
+    "prefetch": ExperimentSpec(
+        workload="phases", instances=5, quantum_ms=1.0, scale=SCALE,
+        prefetch=PREFETCH,
+    ),
+    "all_plans": ExperimentSpec(
+        workload="phases", instances=3, quantum_ms=1.0, scale=SCALE,
+        fault_plan=FAULT, synthesis=SYNTH, prefetch=PREFETCH,
+    ),
+}
+
+#: name -> (spec_key(), sha256 of the sorted-key JSON spec codec).
+GOLDEN_DIGESTS = {
+    "fig2_default": (
+        "168c28b46f98aee5a34c6876ae9b78febf20d2ef053d7b37d7d5c87149ef868d",
+        "c4b370d9f7df97a710214ffdc7274f6fa03b53c4348fec71ced9098928680641",
+    ),
+    "seed_none": (
+        "f49c0c97deff15f76de5f0f4d55c0ce5d43589887c0bd7e5d5cae4151b814c34",
+        "e673ac8f6441a55cbe667b63d9fdff9019bf7b552fd274098f7e932e68f67fbd",
+    ),
+    "seed_zero": (
+        "c0e1a2fde59b287e42d2dc266bf37ae5ae932aafb8277a777bbaa3fd06e25130",
+        "2b0c6c641e3f77b10df92ec0ab54a932f0e29feab3746762a657a05c81fd8952",
+    ),
+    "random_1ms": (
+        "cd44745fa470ac64a03f98bbf741a5ed651fb0d7c87ac692b989f416ee8cb3e2",
+        "74315ee71f045a33c8a9601012055af99e8fa66bbe17d220cdf1cc4b23fdb7a8",
+    ),
+    "prisc": (
+        "974b1cf0f9eebe381e5a4b2c74cf25e540277abcdc637bed0239a8afc223f1b4",
+        "bd94f8af596673ffc2049a50aa577557acef5995d45cdf5caaa50e0d13a56621",
+    ),
+    "memmap": (
+        "9169f07ab8853964e08ce78d37371c3f039de690a1cce12748f958425ec41dba",
+        "f28345cc0ef1b5d3e73ffbbf3e9541fe0c2111fe53cda7061d1341b0257bf4fc",
+    ),
+    "soft": (
+        "bb080435e140a3248d80e903698aba6f25ddb519e7fc0737c0a107b9dd84dad1",
+        "4920566d5b9d6e47e0b1f606cb68db94d89d9df38f51bcbf9c82663e5a81e8a4",
+    ),
+    "software_variant": (
+        "a10b94476bcbcd494bce4f233b8ae9888f4c445b2f0a2839c61e8d0bcec77f47",
+        "6da748eee8a143c04d5569d0043a56dea8775c4bb9939e4c726a1aa93ba55e69",
+    ),
+    "explicit_items": (
+        "dab31439c3ca2a6420699b6d6bccea275fea67838800d0abde40526409488405",
+        "80988619bb470210385bc5e469cdb69badae06ed0a07ee7a9d9d405391c1ad23",
+    ),
+    "fault_plan": (
+        "148cea265554c630c4f54e851a4592da592b1c86ce2b1fdff7f77e41761a50ce",
+        "4f93ae482360532976d356297835bc77488c0deb5f0af86ff5bd79766487c83d",
+    ),
+    "synthesis": (
+        "afd6766086cea47b09b19286b984cc6679326361a24a6f7555ec5cff29ca5484",
+        "c89147c32a935db0452cfb08b4aecfa68d5ba30b823b9f0b80c45712f02e7be7",
+    ),
+    "prefetch": (
+        "efc3ab1e5e5072706f3f3f67e8b0601a194e7c257d19adafd07fb806cacbb31c",
+        "5a24b89af0b75182b791e1a064940734485ed5093e04b7862268f601e2799eb0",
+    ),
+    "all_plans": (
+        "860ed76518a4a9f7b1e020fbd464f1ef643c9a776775e4cb0bb8b6f3713f4e18",
+        "7ce28ab34d8b508afc18bd44093badbdd8a3722420e380d7ffff413c8131ef06",
+    ),
+}
+
+
+def _codec_digest(spec: ExperimentSpec) -> str:
+    blob = json.dumps(spec_to_dict(spec), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_spec_key_golden(name):
+    assert GOLDEN_SPECS[name].spec_key() == GOLDEN_DIGESTS[name][0]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_spec_codec_golden(name):
+    spec = GOLDEN_SPECS[name]
+    assert _codec_digest(spec) == GOLDEN_DIGESTS[name][1]
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+
+def test_golden_keys_are_distinct():
+    keys = [key for key, _ in GOLDEN_DIGESTS.values()]
+    assert len(set(keys)) == len(keys)
