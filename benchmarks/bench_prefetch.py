@@ -17,7 +17,7 @@ from conftest import BENCH_SCALE, SWEEP_INSTANCES, emit
 
 from repro.prefetch import PrefetchPlan
 from repro.sim.experiment import ExperimentSpec, run_experiment
-from repro.sim.figures import prefetch_sweep
+from repro.sim.figures import plan_sweep
 from repro.sim.report import render_figure, render_table
 
 #: The fig2-style knee point: five instances on a four-PFU array.
@@ -25,7 +25,10 @@ KNEE = 5
 
 
 def _regenerate(runner=None):
-    return prefetch_sweep(
+    return plan_sweep(
+        "prefetch",
+        PrefetchPlan(),
+        ("phases", "burst"),
         scale=BENCH_SCALE,
         instances=SWEEP_INSTANCES,
         runner=runner,

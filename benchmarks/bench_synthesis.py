@@ -18,13 +18,16 @@ synthesiser off and on, and checks the reproduction targets:
 from conftest import BENCH_SCALE, SWEEP_INSTANCES, emit
 
 from repro.sim.experiment import ExperimentSpec, run_experiment
-from repro.sim.figures import synthesis_sweep
+from repro.sim.figures import plan_sweep
 from repro.sim.report import render_figure, render_table
 from repro.synth.plan import SynthesisPlan
 
 
 def _regenerate(runner=None):
-    return synthesis_sweep(
+    return plan_sweep(
+        "synthesis",
+        SynthesisPlan(),
+        ("hash",),
         scale=BENCH_SCALE,
         instances=SWEEP_INSTANCES,
         runner=runner,

@@ -39,6 +39,7 @@ from .errors import CheckpointError
 from .kernel.porsche import KernelStats, Porsche
 from .kernel.process import Process, ProcessState
 from .kernel.replacement import ReplacementPolicy, make_policy
+from .plans import decode_plans, encode_plans
 from .trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -60,58 +61,23 @@ CHECKPOINT_VERSION = 1
 CAPTURE_BASE_QUANTA = 64
 
 
-def _spec_to_dict(spec: "ExperimentSpec") -> dict:
-    from .faults import plan_to_dict
-    from .prefetch import plan_to_dict as prefetch_plan_to_dict
-    from .synth.plan import plan_to_dict as synth_plan_to_dict
-
-    payload = asdict(spec)
+def spec_to_dict(spec: "ExperimentSpec") -> dict:
+    """An experiment spec as JSON: the wire format checkpoints, the job
+    journal and the serve protocol share.  Disabled plans are absent
+    (see :mod:`repro.plans`)."""
+    payload = encode_plans(spec)
     payload["variant"] = spec.variant.value
-    if spec.fault_plan is None:
-        # Absent rather than null: checkpoints of injection-free
-        # machines keep their pre-fault-injection byte layout.
-        payload.pop("fault_plan", None)
-    else:
-        payload["fault_plan"] = plan_to_dict(spec.fault_plan)
-    if spec.synthesis is None:
-        # Same discipline: synthesis-free checkpoints keep their
-        # pre-synthesis byte layout.
-        payload.pop("synthesis", None)
-    else:
-        payload["synthesis"] = synth_plan_to_dict(spec.synthesis)
-    if spec.prefetch is None:
-        # Same discipline: prefetch-free checkpoints keep their
-        # pre-prefetch byte layout.
-        payload.pop("prefetch", None)
-    else:
-        payload["prefetch"] = prefetch_plan_to_dict(spec.prefetch)
     return payload
 
 
-def _spec_from_dict(payload: dict) -> "ExperimentSpec":
+def spec_from_dict(payload: dict) -> "ExperimentSpec":
+    """Inverse of :func:`spec_to_dict` (exact)."""
     from .apps.workloads import WorkloadVariant
-    from .faults import plan_from_dict
     from .sim.experiment import ExperimentSpec
 
-    fields = dict(payload)
+    fields = decode_plans(payload)
     fields["variant"] = WorkloadVariant(fields["variant"])
-    if fields.get("fault_plan") is not None:
-        fields["fault_plan"] = plan_from_dict(fields["fault_plan"])
-    if fields.get("synthesis") is not None:
-        from .synth.plan import plan_from_dict as synth_plan_from_dict
-
-        fields["synthesis"] = synth_plan_from_dict(fields["synthesis"])
-    if fields.get("prefetch") is not None:
-        from .prefetch import plan_from_dict as prefetch_plan_from_dict
-
-        fields["prefetch"] = prefetch_plan_from_dict(fields["prefetch"])
     return ExperimentSpec(**fields)
-
-
-#: Public names for the spec codec: checkpoints and the serve protocol
-#: share one wire format for experiment specs.
-spec_to_dict = _spec_to_dict
-spec_from_dict = _spec_from_dict
 
 
 class Machine:
@@ -276,7 +242,7 @@ class Machine:
         return {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
-            "spec": _spec_to_dict(spec),
+            "spec": spec_to_dict(spec),
             "clock": self.kernel.clock,
             "quanta": self.kernel.stats.quanta,
             "kernel": self.kernel.snapshot(),
@@ -301,7 +267,7 @@ class Machine:
                 f"checkpoint version {checkpoint.get('version')!r} not "
                 f"supported (expected {CHECKPOINT_VERSION})"
             )
-        spec = _spec_from_dict(checkpoint["spec"])
+        spec = spec_from_dict(checkpoint["spec"])
         machine = cls.from_spec(spec, sinks=sinks)
         machine.spawn_instances()
         machine.kernel.restore(checkpoint["kernel"])

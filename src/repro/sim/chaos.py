@@ -141,7 +141,9 @@ class ChaosHarness:
         event_log: Path | str | None = None,
         quiet: bool = True,
     ) -> None:
-        self.workdir = Path(workdir)
+        # Absolute: the daemon runs with the workdir as its cwd, so a
+        # relative socket or cache path would name a different file there.
+        self.workdir = Path(workdir).absolute()
         self.seed = seed
         self.scale = scale
         self.max_instances = max_instances

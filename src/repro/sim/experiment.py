@@ -24,9 +24,10 @@ from ..cpu.program import Program
 from ..errors import ExperimentError
 from ..faults import FaultPlan
 from ..kernel.porsche import KernelStats, Porsche
+from ..machine import Machine, spec_from_dict, spec_to_dict
+from ..plans import PLANS, encode_plans
 from ..prefetch import PrefetchPlan
 from ..synth.plan import SynthesisPlan
-from ..machine import Machine, _spec_from_dict
 from .scaling import DEFAULT_SCALE, scaled_config
 
 #: Supported architecture baselines.
@@ -97,30 +98,16 @@ class ExperimentSpec:
         the scale model invalidates cached results even when the spec
         fields themselves are unchanged).  The key is independent of
         process, platform, and ``PYTHONHASHSEED`` — safe to use as an
-        on-disk cache key.
+        on-disk cache key.  Disabled plans are absent from the payload
+        (see :mod:`repro.plans`), so keys predating a plan stay valid.
         """
-        payload = asdict(self)
-        payload["variant"] = self.variant.value
+        payload = spec_to_dict(self)
         payload["items"] = self.resolve_items()
-        payload["config"] = asdict(self.build_config())
+        payload["config"] = encode_plans(self.build_config())
         # The execution tier changes how fast the simulator runs, never
         # what it computes — all tiers are bit-identical — so cached
         # results and warm-start checkpoints are shared across tiers.
         payload["config"].pop("exec_tier", None)
-        # A disabled fault plan leaves the machine bit-identical to a
-        # pre-fault-injection build; dropping the null field keeps the
-        # key (and hence every cached result) bit-identical too.
-        if self.fault_plan is None:
-            payload.pop("fault_plan", None)
-            payload["config"].pop("fault_plan", None)
-        # Same discipline for the synthesis plan: absent when disabled.
-        if self.synthesis is None:
-            payload.pop("synthesis", None)
-            payload["config"].pop("synthesis", None)
-        # And for the prefetch plan: absent when disabled.
-        if self.prefetch is None:
-            payload.pop("prefetch", None)
-            payload["config"].pop("prefetch", None)
         blob = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -136,9 +123,7 @@ class ExperimentSpec:
             # None is the sentinel for "use the default machine seed";
             # an explicit 0 is a real seed and must not be replaced.
             seed=MachineConfig.seed if self.seed is None else self.seed,
-            fault_plan=self.fault_plan,
-            synthesis=self.synthesis,
-            prefetch=self.prefetch,
+            **{name: getattr(self, name) for name in PLANS},
         )
         if self.architecture == "memmap":
             config = memmap_config(config)
@@ -182,8 +167,6 @@ def outcome_to_dict(outcome: RunOutcome) -> dict:
     machine-checkpoint spec codec, stat bags through their dataclass
     fields.  ``outcome_from_dict(outcome_to_dict(o)) == o``.
     """
-    from ..machine import spec_to_dict
-
     payload = {
         "spec": spec_to_dict(outcome.spec),
         "makespan": outcome.makespan,
@@ -203,8 +186,6 @@ def outcome_to_dict(outcome: RunOutcome) -> dict:
 
 def outcome_from_dict(payload: dict) -> RunOutcome:
     """Inverse of :func:`outcome_to_dict` (exact, bit-identical)."""
-    from ..machine import spec_from_dict
-
     return RunOutcome(
         spec=spec_from_dict(payload["spec"]),
         makespan=payload["makespan"],
@@ -275,7 +256,7 @@ def run_experiment_capturing(
     later re-runs of the same point.
     """
     if checkpoint is not None and (
-        _spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
+        spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
     ):
         # A stale or foreign checkpoint never poisons a run — fall back
         # to a cold start.

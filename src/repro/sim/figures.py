@@ -14,8 +14,7 @@ from typing import Callable
 
 from ..apps.registry import get_workload
 from ..apps.workloads import WorkloadVariant
-from ..prefetch import PrefetchPlan
-from ..synth.plan import SynthesisPlan
+from ..plans import PLANS
 from .experiment import ExperimentSpec
 from .runner import SweepRunner
 from .scaling import DEFAULT_SCALE
@@ -31,7 +30,20 @@ def _label(workload: str, policy_text: str, quantum_ms: float) -> str:
     return f"{workload.capitalize()}, {policy_text}, {quantum}"
 
 
+#: Axes of every contention figure: completion over concurrency.
+_CONTENTION_AXES = dict(
+    xlabel="No. concurrent process instances",
+    ylabel="Completion time in clock cycles",
+)
+
 ProgressFn = Callable[[str, int, int], None]
+
+
+def _points(
+    label: str, instances: Iterable[int], **fields
+) -> list[tuple[str, ExperimentSpec]]:
+    """One labelled spec per instance count, every other field equal."""
+    return [(label, ExperimentSpec(instances=n, **fields)) for n in instances]
 
 
 def _adapt_progress(
@@ -99,32 +111,18 @@ def figure2(
     the axes are exactly the paper's: 1-8 concurrent instances of each
     workload under two replacement policies and two quanta.
     """
-    figure = FigureData(
-        name="figure2",
-        title="Basic Scheduling Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
-    )
+    figure = FigureData(name="figure2", title="Basic Scheduling Test",
+                        **_CONTENTION_AXES)
     specs = []
     for workload in workloads:
         for policy in policies:
             for quantum_ms in quanta:
                 label = _label(workload, _POLICY_LABEL[policy], quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy=policy,
-                                soft=False,
-                                scale=scale,
-                                seed=seed,
-                            ),
-                        )
-                    )
+                specs += _points(
+                    label, instances, workload=workload,
+                    quantum_ms=quantum_ms, policy=policy, soft=False,
+                    scale=scale, seed=seed,
+                )
     return _sweep(figure, specs, verify, progress, runner)
 
 
@@ -144,33 +142,19 @@ def figure3(
     defers to the registered software alternative when the array is
     full.  The paper plots echo and alpha (twofish tracks alpha).
     """
-    figure = FigureData(
-        name="figure3",
-        title="Software Dispatch Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
-    )
+    figure = FigureData(name="figure3", title="Software Dispatch Test",
+                        **_CONTENTION_AXES)
     specs = []
     for workload in workloads:
         for quantum_ms in quanta:
             for soft in (False, True):
                 policy_text = "Soft" if soft else "Round Robin"
                 label = _label(workload, policy_text, quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy="round_robin",
-                                soft=soft,
-                                scale=scale,
-                                seed=seed,
-                            ),
-                        )
-                    )
+                specs += _points(
+                    label, instances, workload=workload,
+                    quantum_ms=quantum_ms, policy="round_robin", soft=soft,
+                    scale=scale, seed=seed,
+                )
     return _sweep(figure, specs, verify, progress, runner)
 
 
@@ -228,106 +212,41 @@ def speedup_table(
     return figure
 
 
-def synthesis_sweep(
+def plan_sweep(
+    field: str,
+    plan,
+    workloads: Sequence[str],
     scale: float = DEFAULT_SCALE,
     instances: Iterable[int] = range(1, 9),
-    workloads: Sequence[str] = ("hash",),
     quanta: Sequence[float] = (10.0, 1.0),
-    plan: SynthesisPlan | None = None,
     seed: int | None = None,
     verify: bool = False,
     progress: ProgressFn | None = None,
     runner: SweepRunner | None = None,
 ) -> FigureData:
-    """The §6 "final system" sweep: synthesis off vs. on.
+    """An optional feature plan off vs. on, on Figure 2's axes.
 
-    The baseline series run the circuit-free hash workload as shipped;
-    the synthesis series run the same images with the profiler-driven
-    circuit synthesiser enabled, so the only difference is the mined
-    custom instruction.  Axes match Figure 2 (completion cycles over
-    concurrent instances, two quanta).
+    ``field`` names a :data:`repro.plans.PLANS` entry.  The baseline
+    series run the workloads as shipped; the plan series run the same
+    images with ``plan`` set, so the only difference is the feature —
+    e.g. the §6 "final system" sweep (``"synthesis"`` on the
+    circuit-free hash workload) or the speculative-prefetch sweep
+    (``"prefetch"`` on the phase-changing and bursty workloads).
+    Series labels, figure name and title come from the registry entry.
     """
-    plan = plan if plan is not None else SynthesisPlan()
-    figure = FigureData(
-        name="synthesis",
-        title="Profiler-Driven Synthesis Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
-    )
+    entry = PLANS[field]
+    figure = FigureData(name=entry.figure, title=entry.title,
+                        **_CONTENTION_AXES)
     specs = []
     for workload in workloads:
-        for synthesis in (None, plan):
-            mode_text = "Baseline" if synthesis is None else "Synthesis"
+        for mode_text, value in (("Baseline", None), (entry.label, plan)):
             for quantum_ms in quanta:
                 label = _label(workload, mode_text, quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy="round_robin",
-                                soft=False,
-                                scale=scale,
-                                seed=seed,
-                                synthesis=synthesis,
-                            ),
-                        )
-                    )
-    return _sweep(figure, specs, verify, progress, runner)
-
-
-def prefetch_sweep(
-    scale: float = DEFAULT_SCALE,
-    instances: Iterable[int] = range(1, 9),
-    workloads: Sequence[str] = ("phases", "burst"),
-    quanta: Sequence[float] = (10.0, 1.0),
-    plan: PrefetchPlan | None = None,
-    seed: int | None = None,
-    verify: bool = False,
-    progress: ProgressFn | None = None,
-    runner: SweepRunner | None = None,
-) -> FigureData:
-    """The fig2-style contention sweep: prefetch off vs. on.
-
-    The baseline series run with the purely reactive CIS; the prefetch
-    series run the same images with the predictive layer enabled, so the
-    only difference is speculation.  Defaults to the phase-changing and
-    bursty workloads — the circuit-switching patterns the transition
-    predictor was built for — on the same axes as Figure 2 (completion
-    cycles over concurrent instances, two quanta).
-    """
-    plan = plan if plan is not None else PrefetchPlan()
-    figure = FigureData(
-        name="prefetch",
-        title="Speculative Configuration Prefetch Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
-    )
-    specs = []
-    for workload in workloads:
-        for prefetch in (None, plan):
-            mode_text = "Baseline" if prefetch is None else "Prefetch"
-            for quantum_ms in quanta:
-                label = _label(workload, mode_text, quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy="round_robin",
-                                soft=False,
-                                scale=scale,
-                                seed=seed,
-                                prefetch=prefetch,
-                            ),
-                        )
-                    )
+                specs += _points(
+                    label, instances, workload=workload,
+                    quantum_ms=quantum_ms, policy="round_robin", soft=False,
+                    scale=scale, seed=seed, **{field: value},
+                )
     return _sweep(figure, specs, verify, progress, runner)
 
 

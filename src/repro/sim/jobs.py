@@ -437,10 +437,10 @@ def _execute_slice(payload: tuple) -> tuple:
         )
         return job_id, "done", outcome, captured, pid
 
-    from ..machine import Machine, _spec_from_dict
+    from ..machine import Machine, spec_from_dict
 
     if checkpoint is not None and (
-        _spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
+        spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
     ):
         checkpoint = None  # stale/foreign checkpoint: cold-start instead
     if checkpoint is not None:

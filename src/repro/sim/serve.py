@@ -115,8 +115,8 @@ def daemon_available(socket_path: Path | str | None = None,
         return bool(reply.get("ok")) and bool(reply.get("pong"))
     except ConnectionError:
         # Stale socket: the file exists but nothing accepts on it.
-        # Best-effort cleanup; racing with a daemon that is just now
-        # rebinding the path only costs that daemon a restart.
+        # Best-effort cleanup.  A starting daemon renames its socket
+        # into place only once it listens, so this never removes one.
         try:
             path.unlink()
         except OSError:
@@ -167,13 +167,25 @@ class ServeDaemon:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self.socket_path.unlink()  # stale socket from a dead daemon
-        except OSError:
-            pass
-        server = await asyncio.start_unix_server(
-            self._handle, path=str(self.socket_path)
+        # Bind and listen on a private sibling path, then rename it over
+        # the public one (replacing any stale socket a dead daemon left).
+        # The public path thus only ever names a listening socket: a
+        # daemon_available() probe racing startup cannot mistake it for
+        # a stale file and unlink it from under the daemon.
+        private = self.socket_path.with_name(
+            f".{self.socket_path.name}.{os.getpid()}"
         )
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            private.unlink(missing_ok=True)
+            listener.bind(str(private))
+            listener.listen(100)
+            os.replace(private, self.socket_path)
+        except BaseException:
+            listener.close()
+            private.unlink(missing_ok=True)
+            raise
+        server = await asyncio.start_unix_server(self._handle, sock=listener)
         # Fork-context workers must not inherit the daemon's sockets:
         # a worker's copy would keep connections half-alive after a
         # ``kill -9``, hiding the EOF clients reconnect on.

@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import DaemonLostError, ExperimentError
 from repro.sim import jobs
-from repro.sim.chaos import ChaosReport, render_chaos
+from repro.sim.chaos import ChaosHarness, ChaosReport, render_chaos
 from repro.sim.client import ServeClient
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.journal import Journal
@@ -365,3 +365,16 @@ class TestChaosReport:
         )
         assert "DIFFERS" in render_chaos(bad)
         assert not bad.ok
+
+
+class TestHarnessPaths:
+    def test_relative_workdir_names_the_daemon_socket(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro chaos chaos-work`` (a relative workdir) must probe the
+        socket its daemon binds: the daemon runs inside the workdir, so
+        every path the harness hands it has to be absolute."""
+        monkeypatch.chdir(tmp_path)
+        harness = ChaosHarness("work")
+        assert harness.socket_path == Path.cwd() / "work" / "chaos.sock"
+        assert harness.cache_dir.is_absolute()

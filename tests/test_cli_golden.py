@@ -49,8 +49,8 @@ CASES = {
     ],
 }
 
-#: Cases whose output depends on an earlier case's files.
-RESUME_AFTER = {"resume": ("checkpoint", ["resume", "ckpt.json"])}
+#: Finishes the file the ``checkpoint`` case writes.
+RESUME = ["resume", "ckpt.json"]
 
 
 def _run(argv: list[str], capsys) -> str:
@@ -77,9 +77,8 @@ def test_cli_golden(name, tmp_path, monkeypatch, capsys):
 
 def test_checkpoint_resume_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    before, argv = RESUME_AFTER["resume"]
-    _run(CASES[before], capsys)
-    out = _run(argv, capsys)
+    _run(CASES["checkpoint"], capsys)
+    out = _run(RESUME, capsys)
     assert out == (GOLDEN / "resume.out").read_text()
 
 
@@ -92,9 +91,7 @@ def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        runs = dict(CASES)
-        runs.update({name: argv for name, (_, argv) in RESUME_AFTER.items()})
-        for name, argv in runs.items():
+        for name, argv in {**CASES, "resume": RESUME}.items():
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
                 assert main(argv) == 0

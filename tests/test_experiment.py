@@ -1,9 +1,12 @@
 """Experiment harness: scaling invariants and run outcomes."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.config import PAPER_CONFIG_BYTES, PAPER_CYCLES_PER_MS
+from repro.config import PAPER_CONFIG_BYTES, PAPER_CYCLES_PER_MS, MachineConfig
 from repro.errors import ExperimentError
+from repro.plans import PLANS
 from repro.sim.experiment import ExperimentSpec, build_kernel, run_experiment
 from repro.sim.scaling import scaled_config
 
@@ -75,6 +78,20 @@ class TestSpec:
             workload="alpha", instances=1, architecture="prisc"
         )
         assert isinstance(build_kernel(spec), PriscPorsche)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_registered_plan_rides_spec_and_config(self, name):
+        """Every registry entry is an off-by-default field of both the
+        spec and the config, reaches the config, and round-trips its
+        codec."""
+        for owner in (ExperimentSpec, MachineConfig):
+            (field,) = [f for f in fields(owner) if f.name == name]
+            assert field.default is None
+        entry = PLANS[name]
+        plan = entry.type()
+        spec = ExperimentSpec(workload="alpha", instances=1, **{name: plan})
+        assert getattr(spec.build_config(), name) == plan
+        assert entry.from_dict(entry.to_dict(plan)) == plan
 
 
 class TestRunExperiment:

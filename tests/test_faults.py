@@ -22,7 +22,7 @@ from repro.faults import (
     plan_to_dict,
 )
 from repro.kernel.porsche import Porsche
-from repro.machine import Machine, _spec_from_dict, _spec_to_dict
+from repro.machine import Machine, spec_from_dict, spec_to_dict
 from repro.sim.campaign import (
     CampaignConfig,
     campaign_specs,
@@ -155,15 +155,15 @@ class TestDisabledPlanInvariance:
 
     def test_checkpoint_spec_dict_omits_null_plan(self):
         spec = ExperimentSpec("alpha", 2)
-        payload = _spec_to_dict(spec)
+        payload = spec_to_dict(spec)
         assert "fault_plan" not in payload
-        assert _spec_from_dict(payload) == spec
+        assert spec_from_dict(payload) == spec
 
     def test_spec_dict_roundtrips_plan(self):
         spec = fault_spec(NOISY)
-        payload = json.loads(json.dumps(_spec_to_dict(spec)))
-        assert _spec_from_dict(payload) == spec
-        assert _spec_from_dict(payload).spec_key() == spec.spec_key()
+        payload = json.loads(json.dumps(spec_to_dict(spec)))
+        assert spec_from_dict(payload) == spec
+        assert spec_from_dict(payload).spec_key() == spec.spec_key()
 
     def test_disabled_run_reports_no_fault_metrics(self):
         outcome = run_experiment(

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import ExperimentError
+from repro.prefetch import PrefetchPlan
 from repro.sim.figures import (
     contention_knees,
     figure2,
     figure3,
-    prefetch_sweep,
+    plan_sweep,
     speedup_table,
 )
 from repro.sim.report import render_figure, render_speedup, render_table
@@ -158,10 +159,10 @@ class TestFigure3:
 
 class TestPrefetchSweep:
     def test_baseline_and_prefetch_series(self):
-        figure = prefetch_sweep(
+        figure = plan_sweep(
+            "prefetch", PrefetchPlan(), ("phases",),
             scale=SCALE,
             instances=(1, 3),
-            workloads=("phases",),
             quanta=(1.0,),
         )
         labels = figure.labels()
@@ -173,10 +174,10 @@ class TestPrefetchSweep:
     def test_prefetch_wins_past_the_knee(self):
         """At 5 instances (10 circuits on 4 PFUs) the predictive layer
         must beat the reactive baseline outright."""
-        figure = prefetch_sweep(
+        figure = plan_sweep(
+            "prefetch", PrefetchPlan(), ("burst",),
             scale=SCALE,
             instances=(5,),
-            workloads=("burst",),
             quanta=(1.0,),
         )
         base = figure.series_by_label("Burst, Baseline, 1ms").y_at(5)

@@ -415,17 +415,17 @@ class TestSpecKeyDiscipline:
         """prefetch=None must not appear in the serialised spec, so
         every pre-PR cache entry and checkpoint stays valid
         byte-for-byte."""
-        from repro.machine import _spec_to_dict
+        from repro.machine import spec_to_dict
 
         spec = ExperimentSpec(workload="echo", instances=2, items=64)
-        assert "prefetch" not in _spec_to_dict(spec)
-        assert "prefetch" in _spec_to_dict(replace(spec, prefetch=PLAN))
+        assert "prefetch" not in spec_to_dict(spec)
+        assert "prefetch" in spec_to_dict(replace(spec, prefetch=PLAN))
 
     def test_serialised_spec_roundtrips_plan(self):
-        from repro.machine import _spec_from_dict, _spec_to_dict
+        from repro.machine import spec_from_dict, spec_to_dict
 
         spec = _spec(prefetch=PrefetchPlan(min_confidence_pct=80))
-        assert _spec_from_dict(_spec_to_dict(spec)) == spec
+        assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_spec_key_changes_when_enabled(self):
         base = ExperimentSpec(workload="echo", instances=2, items=64)

@@ -110,6 +110,35 @@ class TestProtocol:
         (outcome,) = runner.run([spec()])
         assert outcome == run_experiment(spec(), verify=False)
 
+    def test_probe_during_startup_keeps_the_socket(
+        self, tmp_path, monkeypatch
+    ):
+        """A probe landing between the daemon's bind and listen (a
+        client polling for a starting daemon) must read "no daemon yet"
+        without unlinking the socket the daemon is about to serve."""
+        path = tmp_path / "race.sock"
+        probes = []
+        real_listen = socket.socket.listen
+
+        def probe_then_listen(sock, *args):
+            if sock.family == socket.AF_UNIX and not probes:
+                probes.append(daemon_available(path))
+            return real_listen(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", probe_then_listen)
+        scheduler = Scheduler(workers=1)
+        server = ServeDaemon(scheduler, path)
+        thread = threading.Thread(target=server.run, daemon=True)
+        thread.start()
+        try:
+            assert server.started.wait(10.0)
+            assert probes == [False]
+            assert daemon_available(path)  # still reachable
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+            scheduler.shutdown(wait=True, cancel_pending=True)
+
 
 class TestRemoteExecution:
     def test_outcome_bit_identical_over_the_wire(self, daemon):

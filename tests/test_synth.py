@@ -214,17 +214,17 @@ class TestSpecKeyDiscipline:
         """synthesis=None must not appear in the serialised spec, so
         every pre-PR cache entry and checkpoint stays valid
         byte-for-byte."""
-        from repro.machine import _spec_to_dict
+        from repro.machine import spec_to_dict
 
         spec = ExperimentSpec(workload="alpha", instances=2, scale=SCALE)
-        assert "synthesis" not in _spec_to_dict(spec)
-        assert "synthesis" in _spec_to_dict(replace(spec, synthesis=PLAN))
+        assert "synthesis" not in spec_to_dict(spec)
+        assert "synthesis" in spec_to_dict(replace(spec, synthesis=PLAN))
 
     def test_serialised_spec_roundtrips_plan(self):
-        from repro.machine import _spec_from_dict, _spec_to_dict
+        from repro.machine import spec_from_dict, spec_to_dict
 
         spec = _spec(synthesis=SynthesisPlan(min_executions=5))
-        assert _spec_from_dict(_spec_to_dict(spec)) == spec
+        assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_spec_key_changes_when_enabled(self):
         base = ExperimentSpec(workload="hash", instances=2, scale=SCALE)
