@@ -15,10 +15,11 @@ Fault repertoire (:data:`DEFAULT_FAULTS`, each seeded and logged):
 * ``client_drop`` — sever the client socket as a network fault would;
   the client reconnects with deterministic backoff and resubmits
   idempotently.
-* ``daemon_kill`` — ``kill -9`` the daemon mid-sweep; before
-  restarting it the harness also *tears the journal tail* (simulating
-  a record half-written at the moment of death) and *corrupts a cache
-  object* (simulating disk rot).  The restarted daemon replays the
+* ``daemon_kill`` — ``kill -9`` the daemon's process group (the
+  daemon and its pool workers) mid-sweep; before restarting it the
+  harness also *tears the journal tail* (simulating a record
+  half-written at the moment of death) and *corrupts a cache object*
+  (simulating disk rot).  The restarted daemon replays the
   journal's longest valid prefix, recovers the interrupted jobs, and
   the reconnected client re-attaches its handles.
 
@@ -156,7 +157,6 @@ class ChaosHarness:
         self.socket_path = self.workdir / "chaos.sock"
         self.cache_dir = self.workdir / "cache"
         self.reference_cache_dir = self.workdir / "reference-cache"
-        self.journal_dir = self.cache_dir / "journal"
         self.events: list[dict] = []
         self._t0 = 0.0
         self._daemon: subprocess.Popen | None = None
@@ -202,18 +202,32 @@ class ChaosHarness:
             stdout=self._daemon_log,
             stderr=self._daemon_log,
             cwd=str(self.workdir),
+            # Its own process group, so one killpg also reaches the
+            # pool workers it forks (see _kill_daemon_group).
+            start_new_session=True,
         )
         deadline = time.monotonic() + _DAEMON_START_TIMEOUT_S
         while time.monotonic() < deadline:
             if daemon_available(self.socket_path):
                 return
             if self._daemon.poll() is not None:
+                self._kill_daemon_group()
                 raise ExperimentError(
                     f"chaos daemon exited rc={self._daemon.returncode} "
                     f"before listening (see {self.workdir}/daemon.log)"
                 )
             time.sleep(0.05)
+        self._kill_daemon_group()
         raise ExperimentError("chaos daemon never started listening")
+
+    def _kill_daemon_group(self) -> None:
+        """SIGKILL the daemon and its pool workers, then reap it: left
+        alone, the workers of a killed daemon outlive the run."""
+        try:
+            os.killpg(self._daemon.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            pass  # the group is already gone
+        self._daemon.wait(timeout=10.0)
 
     # -- individual faults -------------------------------------------------
     def _fault_worker_kill(self, client: ServeClient) -> None:
@@ -246,7 +260,7 @@ class ChaosHarness:
     def _tear_journal(self) -> None:
         """Chop a random number of bytes off the journal tail, leaving
         a torn record for replay to tolerate."""
-        path = self.journal_dir / JOURNAL_NAME
+        path = self.cache_dir / JOURNAL_NAME
         try:
             size = path.stat().st_size
         except OSError:
@@ -279,8 +293,7 @@ class ChaosHarness:
         if daemon is None or daemon.poll() is not None:
             self._record("daemon_kill", skipped="daemon not running")
             return
-        daemon.kill()
-        daemon.wait(timeout=10.0)
+        self._kill_daemon_group()
         self._record("daemon_kill", pid=daemon.pid)
         # While it is down: the two storage faults, so the restart
         # exercises torn-tail replay and corrupt-cache degradation.
@@ -346,10 +359,11 @@ class ChaosHarness:
         self._say("computing undisturbed reference sweep")
         reference_csv = self._reference_run()
         self._say(f"starting daemon on {self.socket_path}")
-        self.start_daemon()
-        client = ServeClient(self.socket_path)
+        client = None
         daemon_stats: dict = {}
         try:
+            self.start_daemon()
+            client = ServeClient(self.socket_path)
             chaos_csv = self._disturbed_run(client)
             try:
                 daemon_stats = client.stats().get("stats", {})
@@ -357,7 +371,8 @@ class ChaosHarness:
                 pass
             client.shutdown_server()
         finally:
-            client.close()
+            if client is not None:
+                client.close()
             self._stop_daemon()
         report = ChaosReport(
             seed=self.seed,
@@ -383,13 +398,14 @@ class ChaosHarness:
 
     def _stop_daemon(self) -> None:
         daemon = self._daemon
-        if daemon is not None and daemon.poll() is None:
-            daemon.terminate()
+        if daemon is not None:
+            daemon.terminate()  # a no-op once it has exited
             try:
                 daemon.wait(timeout=15.0)
             except subprocess.TimeoutExpired:
-                daemon.kill()
-                daemon.wait(timeout=5.0)
+                pass
+            # Whatever of its group survived the graceful stop.
+            self._kill_daemon_group()
         if self._daemon_log is not None:
             self._daemon_log.close()
             self._daemon_log = None

@@ -82,10 +82,10 @@ from .runner import (
     ResultCache,
     SweepRunner,
     default_cache_dir,
-    default_checkpoint_dir,
 )
 from .scaling import DEFAULT_SCALE
 from .serve import ServeDaemon, daemon_available
+from .store import CHECKPOINT, JOB_CHECKPOINT, RESULT, Store
 
 #: Every registered workload, in stable (sorted) order, for argparse.
 WORKLOAD_CHOICES = tuple(sorted(WORKLOADS))
@@ -145,8 +145,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--warm-start", action="store_true",
         help="resume executed points from stored machine checkpoints and "
-             "capture checkpoints for future runs (default store: "
-             f"{default_checkpoint_dir()}); results are bit-identical "
+             "capture checkpoints for future runs (stored beside the "
+             "results in the cache directory); results are bit-identical "
              "either way",
     )
     parser.add_argument(
@@ -202,10 +202,9 @@ def _knobs(args, **fields: str) -> dict:
 
 
 def _make_runner(args) -> SweepRunner:
-    cache = None if args.no_cache else ResultCache(default_cache_dir())
-    checkpoints = (
-        CheckpointStore(default_checkpoint_dir()) if args.warm_start else None
-    )
+    root = default_cache_dir()
+    cache = None if args.no_cache else ResultCache(root)
+    checkpoints = CheckpointStore(root) if args.warm_start else None
     scheduler = None
     if not args.no_daemon and daemon_available(args.socket):
         # A live daemon owns the worker fleet (and the stores): the
@@ -721,8 +720,8 @@ def _args_serve(parser) -> None:
     )
     parser.add_argument(
         "--no-journal", action="store_true",
-        help="disable the crash-safe job journal (on by default under "
-             "<cache-dir>/journal; with it, a killed daemon's jobs are "
+        help="disable the crash-safe job journal (on by default as "
+             "<cache-dir>/journal.log; with it, a killed daemon's jobs are "
              "recovered by the next one)",
     )
     parser.add_argument(
@@ -739,15 +738,11 @@ def _args_serve(parser) -> None:
 
 
 def _cmd_serve(args) -> None:
-    cache = None if args.no_cache else ResultCache(default_cache_dir())
-    checkpoints = (
-        CheckpointStore(default_checkpoint_dir())
-        if args.warm_start else None
-    )
+    root = default_cache_dir()
+    cache = None if args.no_cache else ResultCache(root)
+    checkpoints = CheckpointStore(root) if args.warm_start else None
     journal = (
-        None if args.no_journal
-        else Journal(default_cache_dir() / "journal",
-                     sync=args.journal_sync)
+        None if args.no_journal else Journal(root, sync=args.journal_sync)
     )
     scheduler = Scheduler(
         workers=args.workers,
@@ -763,7 +758,7 @@ def _cmd_serve(args) -> None:
     print(
         f"repro serve: {args.workers} workers | "
         f"slice {args.slice_quanta or 'off'} quanta | "
-        f"journal {'off' if journal is None else journal.root} | "
+        f"journal {'off' if journal is None else journal.path} | "
         f"socket {daemon.socket_path}",
         file=sys.stderr,
     )
@@ -927,27 +922,33 @@ def _args_cache(parser) -> None:
     )
 
 
+#: (label, object kind) of each line of ``repro cache`` output.
+_CACHE_KINDS = (
+    ("results", RESULT),
+    ("checkpoints", CHECKPOINT),
+    ("job ckpts", JOB_CHECKPOINT),
+)
+
+
 def _cmd_cache(args) -> None:
-    cache = ResultCache(default_cache_dir())
-    checkpoints = CheckpointStore(default_checkpoint_dir())
+    disk = Store(default_cache_dir())
     if args.cache_command == "stats":
-        stats = cache.stats()
-        ck = checkpoints.stats()
-        print(f"cache root    : {cache.root}")
-        print(f"results       : {stats['entries']} entries, "
-              f"{stats['bytes']:,} bytes")
-        for ns, refs in sorted(stats["namespaces"].items()):
-            print(f"  tenant {ns:<12}: {refs} refs")
-        print(f"checkpoints   : {ck['entries']} entries, "
-              f"{ck['bytes']:,} bytes")
+        stats = disk.stats()
+        print(f"cache root    : {disk.root}")
+        for label, kind in _CACHE_KINDS:
+            entries, total = stats["kinds"].get(kind, (0, 0))
+            print(f"{label:<14}: {entries} entries, {total:,} bytes")
+            if kind == RESULT:
+                for tenant, refs in sorted(stats["tenants"].items()):
+                    print(f"  tenant {tenant:<12}: {refs} refs")
     else:
-        pruned = cache.prune(args.max_age)
-        ck = checkpoints.prune(args.max_age)
-        print(f"results       : removed {pruned['removed']}, "
-              f"kept {pruned['kept']}, "
-              f"dangling refs {pruned['dangling_refs']}")
-        print(f"checkpoints   : removed {ck['removed']}, "
-              f"kept {ck['kept']}")
+        pruned = disk.prune(args.max_age)
+        for label, kind in _CACHE_KINDS:
+            line = (f"{label:<14}: removed {pruned['removed'][kind]}, "
+                    f"kept {pruned['kept'][kind]}")
+            if kind == RESULT:
+                line += f", dangling refs {pruned['dangling_refs']}"
+            print(line)
 
 
 #: name -> (help line, argument setup, handler).  The handler returns

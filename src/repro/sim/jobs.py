@@ -65,7 +65,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..errors import ExperimentError, ReproError
 from .experiment import (
@@ -73,6 +73,7 @@ from .experiment import (
     RunOutcome,
     run_experiment_capturing,
 )
+from .store import validate_namespace
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -181,6 +182,8 @@ class Job:
         self.preemptions = 0
         #: The job exceeded ``timeout_s`` at a slice boundary.
         self.timed_out = False
+        #: Coalescing identity (``spec_key:verify``), set on submit.
+        self.key = ""
         #: Latest machine checkpoint (None until first preemption).
         self.checkpoint: dict | None = None
         #: Worker pids that executed slices of this job, in order.
@@ -461,10 +464,10 @@ class Scheduler:
     """Multi-tenant job executor over a self-healing worker pool.
 
     ``cache`` / ``checkpoints`` are the sweep engine's stores (duck
-    typed): results land in the submitting tenant's cache namespace,
-    while lookups hit the shared object store — concurrent tenants
-    share hits without clobbering each other.  Identical in-flight
-    submissions coalesce onto one execution.
+    typed): each cache load and store names the submitting tenant,
+    whose ref it records, while lookups hit the shared objects —
+    concurrent tenants share hits without clobbering each other.
+    Identical in-flight submissions coalesce onto one execution.
 
     ``slice_quanta`` bounds how long a job may hold a worker: unset,
     jobs run to completion (the sweep runner's mode); set, every job is
@@ -513,7 +516,6 @@ class Scheduler:
         self.queue = JobQueue(maxsize=queue_size)
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._caches: dict[str, Any] = {}
         self._inflight: dict[str, Job] = {}
         self._jobs: dict[int, Job] = {}
         self._closing = False
@@ -538,25 +540,6 @@ class Scheduler:
                     daemon=True,
                 )
                 self._watchdog.start()
-
-    # -- cache plumbing ----------------------------------------------------
-    def _cache_for(self, tenant: str):
-        if self.cache is None:
-            return None
-        with self._lock:
-            cache = self._caches.get(tenant)
-            if cache is None:
-                # The default tenant *is* the cache we were handed —
-                # whatever namespace it carries; named tenants get their
-                # own namespace view of the same object store.
-                if tenant == DEFAULT_TENANT or (
-                    getattr(self.cache, "namespace", None) == tenant
-                ):
-                    cache = self.cache
-                else:
-                    cache = self.cache.for_namespace(tenant)
-                self._caches[tenant] = cache
-            return cache
 
     # -- submission --------------------------------------------------------
     def submit(
@@ -592,10 +575,11 @@ class Scheduler:
         if self._draining:
             raise ExperimentError("scheduler is draining")
         job = Job(
-            next(self._ids), spec, tenant=tenant, verify=verify,
-            priority=priority, timeout_s=timeout_s,
+            next(self._ids), spec, tenant=validate_namespace(tenant),
+            verify=verify, priority=priority, timeout_s=timeout_s,
             timeout_action=timeout_action,
         )
+        job.key = f"{spec.spec_key()}:verify={int(bool(verify))}"
         job.checkpoint = checkpoint
         self.stats.submitted += 1
         if resubmit:
@@ -610,18 +594,19 @@ class Scheduler:
         # primary or — having claimed the key — is guaranteed to see
         # that primary's result in the cache.  No duplicate execution
         # in either interleaving.
-        key = f"{spec.spec_key()}:verify={int(bool(verify))}"
         with self._lock:
-            primary = self._inflight.get(key)
+            primary = self._inflight.get(job.key)
             if primary is not None and not primary.done():
                 job.coalesced = True
                 self.stats.coalesced += 1
                 primary._followers.append(job)
                 return job
-            self._inflight[key] = job
+            self._inflight[job.key] = job
 
-        cache = self._cache_for(tenant)
-        hit = cache.load(spec, verify) if cache is not None else None
+        hit = (
+            self.cache.load(spec, verify, tenant)
+            if self.cache is not None else None
+        )
         if hit is not None:
             job.cached = True
             self.stats.cache_hits += 1
@@ -686,7 +671,7 @@ class Scheduler:
     def _journal_checkpoint(self, job: Job) -> None:
         if self.journal is None or job.checkpoint is None:
             return
-        ref = self.journal.store_checkpoint(f"job-{job.id}", job.checkpoint)
+        ref = self.journal.store_checkpoint(job.key, job.checkpoint)
         if ref is not None:
             self.journal.append(
                 {"type": "checkpoint", "job": job.id, "ref": ref}
@@ -996,9 +981,8 @@ class Scheduler:
                 self.checkpoints.store(job.spec, keep)
                 job.stored_checkpoint = True
                 self.stats.captured += 1
-        cache = self._cache_for(job.tenant)
-        if cache is not None:
-            cache.store(job.spec, job.verify, outcome)
+        if self.cache is not None:
+            self.cache.store(job.spec, job.verify, outcome, job.tenant)
         self._settle(job, JobState.DONE, outcome=outcome)
 
     def _fail(self, job: Job, error: str) -> None:
@@ -1011,7 +995,6 @@ class Scheduler:
     def _settle(self, job: Job, state: JobState,
                 outcome: RunOutcome | None = None,
                 error: str | None = None) -> None:
-        key = f"{job.spec.spec_key()}:verify={int(bool(job.verify))}"
         # Finish the primary *before* draining followers: submit() only
         # coalesces onto a not-done primary (checked under the same
         # lock), so after this no new follower can attach and the drain
@@ -1019,16 +1002,16 @@ class Scheduler:
         job._finish(state, outcome=outcome, error=error)
         self._journal_state(job, state.value, error=error)
         with self._lock:
-            if self._inflight.get(key) is job:
-                del self._inflight[key]
+            if self._inflight.get(job.key) is job:
+                del self._inflight[job.key]
             followers = list(job._followers)
             job._followers.clear()
         for follower in followers:
             if state is JobState.DONE and outcome is not None:
                 # The follower's tenant gets its own cache reference.
-                cache = self._cache_for(follower.tenant)
-                if cache is not None:
-                    cache.store(follower.spec, follower.verify, outcome)
+                if self.cache is not None:
+                    self.cache.store(follower.spec, follower.verify,
+                                     outcome, follower.tenant)
             follower._finish(state, outcome=outcome, error=error)
             self._journal_state(follower, state.value, error=error)
 

@@ -5,13 +5,14 @@ like any other OS-owned resource; the ROADMAP pushes that one level
 further — the *management layer itself* must survive crashes.  Before
 this module, ``repro serve`` lost every queued and in-flight job the
 moment the daemon died.  Now the scheduler records every job's life in
-an append-only journal under the cache directory:
+an append-only journal, ``journal.log`` in the cache directory:
 
 * ``submitted`` — tenant, serialised spec, verify/priority/timeout;
 * ``state`` — lifecycle transitions (``running`` / ``done`` /
   ``failed`` / ``cancelled``);
-* ``checkpoint`` — a *ref* to the job's latest machine checkpoint,
-  written as a sibling file (the journal itself stays small).
+* ``checkpoint`` — a *ref* to the job's latest machine checkpoint, a
+  ``job.json`` object in the cache's :class:`~repro.sim.store.Store`
+  (the journal itself stays small).
 
 On daemon start :meth:`Journal.replay` reads the log back, tolerating a
 torn tail — a record half-written when the process was killed — by
@@ -35,12 +36,12 @@ can never crash recovery or resurrect garbage.
 Durability is deliberately "flush, not fsync" by default: records
 survive the *process* dying (``kill -9``), which is the failure mode
 the chaos harness injects; pass ``sync=True`` to also survive the
-machine dying.  A journal directory that cannot be written (read-only
+machine dying.  A store root that cannot be written (read-only
 volume, permissions) degrades to a warned in-memory mode — submissions
 keep working, they are just no longer crash-safe.
 
 Journaling is transparent to results: it never touches spec keys,
-cache layout, or checkpoints — it only *references* them.
+results or warm-start checkpoints.
 """
 
 from __future__ import annotations
@@ -48,10 +49,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import threading
 import zlib
+from hashlib import sha256
 from pathlib import Path
+
+from ..machine import CHECKPOINT_VERSION
+from .store import JOB_CHECKPOINT, Store
 
 __all__ = [
     "JOURNAL_NAME",
@@ -60,15 +64,18 @@ __all__ = [
     "recovered_jobs",
 ]
 
-#: File name of the journal inside its directory.
+#: File name of the journal in the store root.
 JOURNAL_NAME = "journal.log"
-
-#: Subdirectory holding the per-job latest-checkpoint files the
-#: ``checkpoint`` records point at.
-CHECKPOINT_DIR = "ckpt"
 
 #: Journal states that end a job's life; anything else is recoverable.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+
+def _decode_checkpoint(data: bytes) -> dict:
+    checkpoint = json.loads(data)
+    if not isinstance(checkpoint, dict):
+        raise ValueError("not a checkpoint object")
+    return checkpoint
 
 
 def _encode(record: dict) -> bytes:
@@ -96,14 +103,16 @@ def _decode(line: bytes) -> dict | None:
 
 
 class Journal:
-    """Append-only, CRC-framed record log with checkpoint side-files.
+    """Append-only, CRC-framed record log; job checkpoints are objects
+    of the :class:`~repro.sim.store.Store` rooted where the log lives.
 
     Thread safe: the scheduler appends from its dispatcher, watchdog
     and worker-callback threads concurrently.
     """
 
     def __init__(self, root: Path | str, sync: bool = False) -> None:
-        self.root = Path(root)
+        self.disk = Store(root)
+        self.root = self.disk.root
         self.path = self.root / JOURNAL_NAME
         self.sync = sync
         self._lock = threading.Lock()
@@ -156,49 +165,39 @@ class Journal:
                     pass
                 self._handle = None
 
-    # -- checkpoint side-files ---------------------------------------------
+    # -- job checkpoints -------------------------------------------------
     def store_checkpoint(self, job_key: str, checkpoint: dict) -> str | None:
         """Write a job's latest checkpoint; returns its journal ref.
 
-        One file per job key, atomically replaced — the journal only
-        ever needs the *latest* checkpoint, so earlier ones are
-        overwritten in place.  Returns ``None`` (and degrades quietly)
-        when the directory cannot be written.
+        ``job_key`` is the job's coalescing key (``spec_key:verify``),
+        so there is one slot per live point, and each write atomically
+        replaces the slot's previous checkpoint: the journal only ever
+        needs the *latest*.  The ref is the object's path relative to
+        :attr:`root`.  Returns ``None`` (and degrades quietly) when the
+        store cannot be written.
         """
-        directory = self.root / CHECKPOINT_DIR
-        path = directory / f"{job_key}.json"
+        blob = f"{job_key}:job:v={CHECKPOINT_VERSION}"
+        key = sha256(blob.encode("utf-8")).hexdigest()
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(checkpoint, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            self.disk.write(key, JOB_CHECKPOINT,
+                            json.dumps(checkpoint).encode("utf-8"))
         except OSError as error:
             self._warn_degraded(error)
             return None
-        return f"{CHECKPOINT_DIR}/{job_key}.json"
+        return self.disk.relpath(key, JOB_CHECKPOINT)
 
     def load_checkpoint(self, ref: str) -> dict | None:
         """Resolve a ``checkpoint`` record's ref; None when unusable.
 
-        A missing or corrupt checkpoint file is not an error — recovery
+        A missing or corrupt checkpoint is not an error — recovery
         simply cold-starts the job, which is bit-identical anyway.
         """
-        if not isinstance(ref, str) or ".." in ref:
+        if not isinstance(ref, str):
             return None
-        try:
-            with open(self.root / ref, "r", encoding="utf-8") as handle:
-                checkpoint = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return checkpoint if isinstance(checkpoint, dict) else None
+        key = ref.rpartition("/")[2].partition(".")[0]
+        if ref != self.disk.relpath(key, JOB_CHECKPOINT):
+            return None  # not a ref this journal wrote
+        return self.disk.read(key, JOB_CHECKPOINT, _decode_checkpoint)
 
     # -- reading -----------------------------------------------------------
     def replay(self, truncate: bool = False) -> list[dict]:
@@ -240,8 +239,8 @@ class Journal:
         """Start a fresh journal (after recovery re-journals live jobs).
 
         The old log is kept as ``journal.log.old`` for post-mortems;
-        checkpoint side-files stay in place (recovered jobs re-ref
-        them as they progress).
+        job checkpoints stay in place (recovered jobs re-ref them as
+        they progress).
         """
         with self._lock:
             if self._handle is not None:

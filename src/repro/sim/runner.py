@@ -18,23 +18,25 @@ its fully-resolved machine configuration — plus the verify flag and
 :data:`RESULTS_VERSION`.  Re-running a sweep only executes points whose
 spec (or the result schema) changed; everything else is a cache hit.
 
-Layout of the cache directory (default ``benchmarks/results/cache/``)::
+Every file in the cache directory (default ``benchmarks/results/cache/``)
+belongs to one :class:`~repro.sim.store.Store`::
 
     cache/
       objects/
         <first two hex digits>/
-          <full sha256 key>.pkl   # pickled RunOutcome (shared, one copy)
+          <key>.pkl        # ResultCache: pickled RunOutcome (one copy)
+          <key>.json       # CheckpointStore: warm-start checkpoint
+          <key>.job.json   # Journal: a live job's latest checkpoint
       ns/
         <tenant>/
-          <full sha256 key>.ref   # this tenant touched that object
-      checkpoints/                # CheckpointStore (content-keyed, shared)
+          <key>.ref        # this tenant touched that result
+      journal.log          # Journal: the scheduler's write-ahead log
 
-Outcomes are pure functions of the spec key, so the object store is
-shared across tenants — concurrent tenants *share hits* — while each
-tenant's ``ns/`` subdirectory records which entries it owns for
-accounting and pruning, so they never clobber each other.  Workers
-never touch the stores: outcomes are marshalled back to the scheduler,
-which is the single writer.
+Outcomes are pure functions of the spec key, so objects are shared
+across tenants — concurrent tenants *share hits* — while each tenant's
+``ns/`` subdirectory records which results it uses, for accounting and
+pruning.  Workers never touch the store: outcomes are marshalled back
+to the scheduler, which is the single writer.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ import json
 import os
 import pickle
 import queue as _queue
-import re
-import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from hashlib import sha256
@@ -56,6 +55,7 @@ from ..errors import DaemonLostError, ExperimentError
 from ..machine import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 from .experiment import ExperimentSpec, RunOutcome
 from .jobs import DEFAULT_TENANT, Job, JobState, Scheduler
+from .store import CHECKPOINT, RESULT, Store, validate_namespace
 
 #: Bump when the semantics of :class:`RunOutcome` (or of running an
 #: experiment point) change in a way that stales previously cached
@@ -66,18 +66,6 @@ RESULTS_VERSION = 1
 #: is the position of the just-finished point in the submitted spec list
 #: and ``cached`` is True when it was served from the result cache.
 SweepProgressFn = Callable[[int, int, int, bool], None]
-
-#: Tenant namespaces become directory names; keep them boring.
-_NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-
-def validate_namespace(namespace: str) -> str:
-    if not _NAMESPACE_RE.match(namespace):
-        raise ExperimentError(
-            f"invalid tenant namespace {namespace!r} (want 1-64 chars "
-            "of letters, digits, '.', '_', '-')"
-        )
-    return namespace
 
 
 def default_cache_dir() -> Path:
@@ -96,240 +84,60 @@ def default_cache_dir() -> Path:
     return Path.cwd() / ".repro-cache"
 
 
-def _evict_corrupt(path: Path, kind: str, error: Exception) -> None:
-    """Delete an unparseable store entry and warn once about it.
-
-    A corrupt file that stays on disk turns every future run of the same
-    point into a silent miss *plus* a doomed re-read; dropping it makes
-    the next store attempt succeed cleanly.
-    """
-    try:
-        os.unlink(path)
-    except OSError:
-        return
-    print(
-        f"repro: dropped corrupt {kind} entry {path.name} "
-        f"({type(error).__name__})",
-        file=sys.stderr,
-    )
-
-
-def _tree_stats(root: Path, suffix: str) -> tuple[int, int]:
-    """(entry count, total bytes) for every ``suffix`` file under root."""
-    entries = 0
-    total = 0
-    if not root.is_dir():
-        return 0, 0
-    for path in root.rglob(f"*{suffix}"):
-        try:
-            total += path.stat().st_size
-        except OSError:
-            continue
-        entries += 1
-    return entries, total
-
-
-def _prune_tree(root: Path, suffix: str, cutoff: float) -> tuple[int, int]:
-    """Delete ``suffix`` files under root older than ``cutoff`` (mtime).
-
-    Returns ``(removed, kept)``.  Missing trees prune to nothing.
-    """
-    removed = 0
-    kept = 0
-    if not root.is_dir():
-        return 0, 0
-    for path in root.rglob(f"*{suffix}"):
-        try:
-            if path.stat().st_mtime < cutoff:
-                os.unlink(path)
-                removed += 1
-            else:
-                kept += 1
-        except OSError:
-            continue
-    return removed, kept
-
-
 class ResultCache:
-    """Content-addressed result store with per-tenant namespaces.
+    """Pickled :class:`RunOutcome` objects with per-tenant refs.
 
-    Objects (pickled outcomes) live once under ``root/objects/`` and
-    are keyed purely by content hash, so every namespace sees every
-    hit; ``root/ns/<namespace>/`` holds zero-byte reference markers
-    recording which tenants use which entries.  Load failures of any
-    kind (missing file, truncated pickle, stale classes) are treated as
-    cache misses — the cache is an accelerator, never a source of
-    errors.  A file that *exists* but cannot be unpickled is deleted
-    (and counted in :attr:`evictions`) so it cannot shadow the slot
-    forever.
+    Objects are keyed purely by content hash, so every tenant sees
+    every hit; each load or store records a ref for the tenant passed
+    with it.  Load failures of any kind (missing file, truncated
+    pickle, stale classes) are cache misses — the cache is an
+    accelerator, never a source of errors.
     """
 
-    def __init__(
-        self,
-        root: Path | str,
-        namespace: str = DEFAULT_TENANT,
-        _evcell: list[int] | None = None,
-    ) -> None:
-        self.root = Path(root)
-        self.namespace = validate_namespace(namespace)
-        #: Corrupt-entry eviction counter, shared across every
-        #: namespace view of the same cache (see :meth:`for_namespace`).
-        self._evcell = _evcell if _evcell is not None else [0]
+    def __init__(self, root: Path | str) -> None:
+        self.disk = Store(root)
 
     @property
     def evictions(self) -> int:
-        """Corrupt entries deleted by :meth:`load` since construction."""
-        return self._evcell[0]
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evcell[0] = value
-
-    def for_namespace(self, namespace: str) -> "ResultCache":
-        """A view of the same store under another tenant namespace."""
-        if namespace == self.namespace:
-            return self
-        return ResultCache(self.root, namespace, _evcell=self._evcell)
+        """Corrupt objects :meth:`load` deleted (see ``Store.evictions``)."""
+        return self.disk.evictions
 
     def key(self, spec: ExperimentSpec, verify: bool) -> str:
         blob = f"{spec.spec_key()}:verify={int(bool(verify))}:v={RESULTS_VERSION}"
         return sha256(blob.encode("utf-8")).hexdigest()
 
     def path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.pkl"
+        return self.disk.path(key, RESULT)
 
-    def ref_path(self, key: str, namespace: str | None = None) -> Path:
-        ns = namespace if namespace is not None else self.namespace
-        return self.root / "ns" / ns / f"{key}.ref"
-
-    def _touch_ref(self, key: str) -> None:
-        ref = self.ref_path(key)
-        try:
-            if ref.exists():
-                # Freshen the marker: prune() keeps a shared object
-                # alive while *any* tenant's reference is recent.
-                os.utime(ref)
-                return
-            ref.parent.mkdir(parents=True, exist_ok=True)
-            ref.touch()
-        except OSError:
-            pass  # accounting only; never fail a load over it
-
-    def load(self, spec: ExperimentSpec, verify: bool) -> RunOutcome | None:
+    def load(self, spec: ExperimentSpec, verify: bool,
+             tenant: str = DEFAULT_TENANT) -> RunOutcome | None:
         key = self.key(spec, verify)
-        path = self.path(key)
-        try:
-            with open(path, "rb") as handle:
-                outcome = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, TypeError) as error:
-            self._evcell[0] += 1
-            _evict_corrupt(path, "result-cache", error)
-            return None
+        outcome = self.disk.read(key, RESULT, pickle.loads)
         # Guard against (astronomically unlikely) key collisions and
         # against keys minted by an older hashing scheme.  These entries
         # are *valid* pickles for some other point, so leave them alone.
         if not isinstance(outcome, RunOutcome) or outcome.spec != spec:
             return None
-        self._touch_ref(key)
-        try:
-            os.utime(path)  # age-based pruning tracks last use
-        except OSError:
-            pass
+        self.disk.touch_ref(key, tenant)
         return outcome
 
-    def store(self, spec: ExperimentSpec, verify: bool,
-              outcome: RunOutcome) -> None:
+    def store(self, spec: ExperimentSpec, verify: bool, outcome: RunOutcome,
+              tenant: str = DEFAULT_TENANT) -> None:
         key = self.key(spec, verify)
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: never leave a truncated pickle for a
-        # concurrent reader (or an interrupted run) to trip over — and
-        # two tenants racing on the same key both land a whole object.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(outcome, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._touch_ref(key)
-
-    # -- accounting / maintenance -----------------------------------------
-    def namespaces(self) -> list[str]:
-        ns_root = self.root / "ns"
-        if not ns_root.is_dir():
-            return []
-        return sorted(p.name for p in ns_root.iterdir() if p.is_dir())
-
-    def stats(self) -> dict:
-        """Entry/byte totals plus a per-namespace reference breakdown."""
-        entries, total = _tree_stats(self.root / "objects", ".pkl")
-        per_namespace = {
-            ns: sum(1 for _ in (self.root / "ns" / ns).glob("*.ref"))
-            for ns in self.namespaces()
-        }
-        return {"entries": entries, "bytes": total,
-                "namespaces": per_namespace}
-
-    def prune(self, max_age_s: float, now: float | None = None) -> dict:
-        """Drop objects unused for ``max_age_s`` seconds (plus any
-        namespace references left dangling).  Returns removal counts.
-
-        Objects are shared across tenants, so "unused" means no use by
-        *anyone*: an object survives while its own mtime (touched on
-        every load) or any tenant's reference marker is newer than the
-        cutoff.  Pruning by object mtime alone would let one tenant's
-        idleness delete an entry another tenant still hits.
-        """
-        cutoff = (now if now is not None else time.time()) - max_age_s
-        newest_ref: dict[str, float] = {}
-        for ns in self.namespaces():
-            for ref in (self.root / "ns" / ns).glob("*.ref"):
-                try:
-                    mtime = ref.stat().st_mtime
-                except OSError:
-                    continue
-                key = ref.stem
-                if mtime > newest_ref.get(key, 0.0):
-                    newest_ref[key] = mtime
-        removed = 0
-        kept = 0
-        objects = self.root / "objects"
-        if objects.is_dir():
-            for path in objects.rglob("*.pkl"):
-                try:
-                    last_used = max(
-                        path.stat().st_mtime, newest_ref.get(path.stem, 0.0)
-                    )
-                    if last_used < cutoff:
-                        os.unlink(path)
-                        removed += 1
-                    else:
-                        kept += 1
-                except OSError:
-                    continue
-        dangling = 0
-        for ns in self.namespaces():
-            for ref in (self.root / "ns" / ns).glob("*.ref"):
-                if not self.path(ref.stem).exists():
-                    try:
-                        os.unlink(ref)
-                        dangling += 1
-                    except OSError:
-                        pass
-        return {"removed": removed, "kept": kept, "dangling_refs": dangling}
+        self.disk.write(
+            key, RESULT,
+            pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        self.disk.touch_ref(key, tenant)
 
 
-def default_checkpoint_dir() -> Path:
-    """Checkpoint store location: a sibling tree inside the cache dir."""
-    return default_cache_dir() / "checkpoints"
+def _decode_checkpoint(data: bytes) -> dict:
+    checkpoint = json.loads(data)
+    if not isinstance(checkpoint, dict) or (
+        checkpoint.get("format") != CHECKPOINT_FORMAT
+    ):
+        raise ValueError("not a machine checkpoint")
+    return checkpoint
 
 
 class CheckpointStore:
@@ -345,61 +153,27 @@ class CheckpointStore:
     """
 
     def __init__(self, root: Path | str) -> None:
-        self.root = Path(root)
-        #: Corrupt entries deleted by :meth:`load` since construction.
-        self.evictions = 0
+        self.disk = Store(root)
+
+    @property
+    def evictions(self) -> int:
+        """Corrupt objects :meth:`load` deleted (see ``Store.evictions``)."""
+        return self.disk.evictions
 
     def key(self, spec: ExperimentSpec) -> str:
         blob = f"{spec.spec_key()}:ckpt:v={CHECKPOINT_VERSION}"
         return sha256(blob.encode("utf-8")).hexdigest()
 
     def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.disk.path(key, CHECKPOINT)
 
     def load(self, spec: ExperimentSpec) -> dict | None:
-        path = self.path(self.key(spec))
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                checkpoint = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as error:
-            self.evictions += 1
-            _evict_corrupt(path, "checkpoint", error)
-            return None
-        if not isinstance(checkpoint, dict) or (
-            checkpoint.get("format") != CHECKPOINT_FORMAT
-        ):
-            self.evictions += 1
-            _evict_corrupt(
-                path, "checkpoint", ValueError("not a machine checkpoint")
-            )
-            return None
-        return checkpoint
+        return self.disk.read(self.key(spec), CHECKPOINT, _decode_checkpoint)
 
     def store(self, spec: ExperimentSpec, checkpoint: dict) -> None:
-        path = self.path(self.key(spec))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(checkpoint, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def stats(self) -> dict:
-        entries, total = _tree_stats(self.root, ".json")
-        return {"entries": entries, "bytes": total}
-
-    def prune(self, max_age_s: float, now: float | None = None) -> dict:
-        cutoff = (now if now is not None else time.time()) - max_age_s
-        removed, kept = _prune_tree(self.root, ".json", cutoff)
-        return {"removed": removed, "kept": kept}
+        self.disk.write(
+            self.key(spec), CHECKPOINT, json.dumps(checkpoint).encode("utf-8")
+        )
 
 
 @dataclass
@@ -551,12 +325,10 @@ class SweepRunner:
         finally:
             if owned:
                 backend.shutdown(wait=True, cancel_pending=True)
-            if self.cache is not None:
-                self.stats.cache_evictions += self.cache.evictions
-                self.cache.evictions = 0
-            if self.checkpoints is not None:
-                self.stats.cache_evictions += self.checkpoints.evictions
-                self.checkpoints.evictions = 0
+            for view in (self.cache, self.checkpoints):
+                if view is not None:
+                    self.stats.cache_evictions += view.disk.evictions
+                    view.disk.evictions = 0
             self.stats.points += total
             self.stats.elapsed += time.perf_counter() - start
 

@@ -11,7 +11,8 @@ The second table pins the *identity* of experiment points: the
 journal record is filed under, and the bytes of the spec codec shared
 by checkpoints and the serve protocol.  A refactor that changes either
 silently orphans every stored result, so these digests never change
-without a deliberate format migration.
+without a deliberate format migration.  For the same reason the last
+table pins where one point's result object lives in the store.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from repro.faults import FaultPlan
 from repro.machine import spec_from_dict, spec_to_dict
 from repro.prefetch import PrefetchPlan
 from repro.sim.experiment import ExperimentSpec, run_experiment
+from repro.sim.runner import ResultCache
 from repro.synth.plan import SynthesisPlan
 
 SCALE = 1 / 8000
@@ -189,3 +191,21 @@ def test_spec_codec_golden(name):
 def test_golden_keys_are_distinct():
     keys = [key for key, _ in GOLDEN_DIGESTS.values()]
     assert len(set(keys)) == len(keys)
+
+
+#: verify flag -> store-relative path of the fig2 default's result
+#: object.  Caches written by earlier versions keep hitting only while
+#: these hold.
+RESULT_PATHS = {
+    False: "objects/f3/f3050953dd7cf3b291f686bc5df27f22d46443024486279f4"
+           "9048d5a27740a3d.pkl",
+    True: "objects/3e/3ea9313e75c02c3efb9688353d7ecdcda54cae635eff3bf146"
+          "6ac74ed2c01142.pkl",
+}
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_result_object_path_golden(verify, tmp_path):
+    cache = ResultCache(tmp_path)
+    path = cache.path(cache.key(GOLDEN_SPECS["fig2_default"], verify))
+    assert path.relative_to(tmp_path).as_posix() == RESULT_PATHS[verify]

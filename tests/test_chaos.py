@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import DaemonLostError, ExperimentError
-from repro.sim import jobs
+from repro.sim import chaos, jobs
 from repro.sim.chaos import ChaosHarness, ChaosReport, render_chaos
 from repro.sim.client import ServeClient
 from repro.sim.experiment import ExperimentSpec, run_experiment
@@ -274,7 +274,7 @@ class TestSigtermDrain:
         # The journal now owns the interrupted jobs: a fresh scheduler
         # recovers and finishes them, results landing in the cache.
         cache_dir = tmp_path / "cache"
-        journal = Journal(cache_dir / "journal")
+        journal = Journal(cache_dir)
         cache = ResultCache(cache_dir)
         scheduler = Scheduler(workers=0, cache=cache, journal=journal)
         try:
@@ -378,3 +378,21 @@ class TestHarnessPaths:
         harness = ChaosHarness("work")
         assert harness.socket_path == Path.cwd() / "work" / "chaos.sock"
         assert harness.cache_dir.is_absolute()
+
+
+class TestHarnessReapsDaemon:
+    def test_daemon_that_never_listens_is_stopped(self, tmp_path, monkeypatch):
+        """A daemon that never answers must not outlive the harness:
+        start_daemon raises only after killing its process group."""
+        monkeypatch.setattr(chaos, "daemon_available", lambda path: False)
+        monkeypatch.setattr(chaos, "_DAEMON_START_TIMEOUT_S", 1.0)
+        harness = ChaosHarness(tmp_path / "work")
+        harness.workdir.mkdir()
+        with pytest.raises(ExperimentError, match="never started"):
+            harness.start_daemon()
+        daemon = harness._daemon
+        assert daemon.poll() is not None
+        # Nothing of its process group is left either.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(daemon.pid, 0)
+        harness._stop_daemon()

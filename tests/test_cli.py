@@ -3,6 +3,10 @@
 import pytest
 
 from repro.sim.cli import main
+from repro.sim.experiment import ExperimentSpec
+from repro.sim.jobs import Scheduler
+from repro.sim.journal import Journal
+from repro.sim.runner import ResultCache, default_cache_dir
 
 SCALE = "0.000125"  # 1/8000
 
@@ -189,6 +193,34 @@ class TestCacheCommand:
         code = main(["cache", "stats"])
         out = capsys.readouterr().out
         assert "results       : 0 entries" in out
+
+    def test_prune_reaches_job_checkpoints(self, capsys):
+        """Job checkpoints a journaled, sliced scheduler leaves behind
+        are store objects: counted by stats, removed by prune."""
+        root = default_cache_dir()
+        journal = Journal(root)
+        scheduler = Scheduler(workers=0, slice_quanta=20,
+                              cache=ResultCache(root), journal=journal)
+        try:
+            jobs = [
+                scheduler.submit(ExperimentSpec(
+                    workload="alpha", instances=n, quantum_ms=1.0,
+                    scale=float(SCALE),
+                ))
+                for n in (2, 3)
+            ]
+            assert all(job.preemptions > 100 for job in jobs)
+        finally:
+            scheduler.shutdown()
+            journal.close()
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "results       : 2 entries" in out
+        assert "job ckpts     : 2 entries" in out
+        assert main(["cache", "prune", "--max-age", "0"]) == 0
+        left = {path.name for path in root.rglob("*") if path.is_file()}
+        assert left <= {"journal.log", "journal.log.old"}
 
     def test_cache_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -206,7 +206,9 @@ class TestCheckpointSideFiles:
     def test_store_and_load(self, tmp_path):
         journal = Journal(tmp_path)
         ref = journal.store_checkpoint("job-7", {"clock": 123})
-        assert ref == "ckpt/job-7.json"
+        # The ref is the store object's path relative to the root.
+        assert ref.startswith("objects/") and ref.endswith(".job.json")
+        assert (tmp_path / ref).is_file()
         assert journal.load_checkpoint(ref) == {"clock": 123}
 
     def test_latest_only(self, tmp_path):

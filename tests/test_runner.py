@@ -19,6 +19,7 @@ from repro.sim.experiment import (
     run_experiment_capturing,
 )
 from repro.sim.figures import figure2
+from repro.sim.jobs import Scheduler
 from repro.sim.runner import (
     RESULTS_VERSION,
     CheckpointStore,
@@ -285,39 +286,47 @@ class TestTenantNamespaces:
     def test_namespaces_share_hits(self, tmp_path):
         """Objects are content-addressed and shared: what one tenant
         computed, another tenant's lookup finds."""
-        alice = ResultCache(tmp_path, namespace="alice")
+        cache = ResultCache(tmp_path)
         point = spec()
-        (outcome,) = SweepRunner(cache=alice).run([point])
-        bob = alice.for_namespace("bob")
-        assert bob.load(point, verify=False) == outcome
+        (outcome,) = SweepRunner(cache=cache, tenant="alice").run([point])
+        assert cache.load(point, False, tenant="bob") == outcome
 
     def test_namespace_refs_track_usage(self, tmp_path):
-        alice = ResultCache(tmp_path, namespace="alice")
+        cache = ResultCache(tmp_path)
         point = spec()
-        SweepRunner(cache=alice).run([point])
-        assert alice.namespaces() == ["alice"]
-        bob = alice.for_namespace("bob")
-        bob.load(point, verify=False)  # cross-tenant hit records a ref
-        assert alice.namespaces() == ["alice", "bob"]
-        stats = alice.stats()
-        assert stats["entries"] == 1
-        assert stats["bytes"] > 0
-        assert stats["namespaces"] == {"alice": 1, "bob": 1}
+        SweepRunner(cache=cache, tenant="alice").run([point])
+        assert cache.disk.tenants() == ["alice"]
+        # A cross-tenant hit records a ref.
+        cache.load(point, False, tenant="bob")
+        assert cache.disk.tenants() == ["alice", "bob"]
+        stats = cache.disk.stats()
+        entries, total = stats["kinds"]["pkl"]
+        assert entries == 1
+        assert total > 0
+        assert stats["tenants"] == {"alice": 1, "bob": 1}
 
-    def test_for_namespace_shares_eviction_counter(self, tmp_path):
-        alice = ResultCache(tmp_path, namespace="alice")
+    def test_tenants_share_eviction_counter(self, tmp_path):
+        cache = ResultCache(tmp_path)
         point = spec()
-        SweepRunner(cache=alice).run([point])
-        bob = alice.for_namespace("bob")
-        alice.path(alice.key(point, verify=False)).write_bytes(b"garbage")
-        assert bob.load(point, verify=False) is None
-        assert alice.evictions == 1 and bob.evictions == 1
+        SweepRunner(cache=cache, tenant="alice").run([point])
+        cache.path(cache.key(point, verify=False)).write_bytes(b"garbage")
+        assert cache.load(point, False, tenant="bob") is None
+        assert cache.evictions == 1
 
     def test_invalid_namespace_rejected(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        point = spec()
+        (outcome,) = SweepRunner(cache=cache).run([point])
         with pytest.raises(ExperimentError):
-            ResultCache(tmp_path, namespace="../escape")
+            cache.store(point, False, outcome, tenant="../escape")
         with pytest.raises(ExperimentError):
             SweepRunner(tenant="bad/slash")
+        scheduler = Scheduler(workers=0, cache=cache)
+        try:
+            with pytest.raises(ExperimentError):
+                scheduler.submit(point, tenant="../escape")
+        finally:
+            scheduler.shutdown()
 
     def test_prune_by_age(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -329,9 +338,9 @@ class TestTenantNamespaces:
         # Both the object and its namespace ref must age out: a fresh
         # ref (anyone's) pins the object.
         os.utime(path, (old, old))
-        os.utime(cache.ref_path(key), (old, old))
-        report = cache.prune(max_age_s=86400)
-        assert report["removed"] == 1 and report["kept"] == 0
+        os.utime(cache.disk.ref_path(key, "default"), (old, old))
+        report = cache.disk.prune(max_age_s=86400)
+        assert report["removed"]["pkl"] == 1 and report["kept"]["pkl"] == 0
         assert not path.exists()
         assert report["dangling_refs"] == 1  # ref followed its object
         assert cache.load(point, verify=False) is None
@@ -341,48 +350,52 @@ class TestTenantNamespaces:
         """An object is only as unused as its *newest* reference: one
         tenant going idle must never prune a shared object another
         tenant's namespace still points at."""
-        alice = ResultCache(tmp_path, namespace="alice")
+        cache = ResultCache(tmp_path)
+        disk = cache.disk
         point = spec()
-        (outcome,) = SweepRunner(cache=alice).run([point])
-        bob = alice.for_namespace("bob")
-        assert bob.load(point, verify=False) == outcome  # bob's ref is fresh
+        (outcome,) = SweepRunner(cache=cache, tenant="alice").run([point])
+        # bob's ref is fresh
+        assert cache.load(point, False, tenant="bob") == outcome
 
-        key = alice.key(point, verify=False)
-        obj = alice.path(key)
+        key = cache.key(point, verify=False)
+        obj = cache.path(key)
         old = time.time() - 10 * 86400
-        os.utime(obj, (old, old))                  # object looks idle ...
-        os.utime(alice.ref_path(key), (old, old))  # ... and alice moved on
-        report = alice.prune(max_age_s=86400)
-        assert report == {"removed": 0, "kept": 1, "dangling_refs": 0}
-        assert bob.load(point, verify=False) == outcome  # bob still hits
+        os.utime(obj, (old, old))                         # object looks idle
+        os.utime(disk.ref_path(key, "alice"), (old, old))  # alice moved on
+        report = disk.prune(max_age_s=86400)
+        assert (report["removed"]["pkl"], report["kept"]["pkl"],
+                report["dangling_refs"]) == (0, 1, 0)
+        # bob still hits
+        assert cache.load(point, False, tenant="bob") == outcome
 
         # Once every namespace's ref has aged out the object goes, and
         # the now-dangling refs are cleaned up with it.
         os.utime(obj, (old, old))  # bob's hit re-freshened it above
-        os.utime(alice.ref_path(key), (old, old))
-        os.utime(bob.ref_path(key), (old, old))
-        report = alice.prune(max_age_s=86400)
-        assert report == {"removed": 1, "kept": 0, "dangling_refs": 2}
-        assert bob.load(point, verify=False) is None
+        os.utime(disk.ref_path(key, "alice"), (old, old))
+        os.utime(disk.ref_path(key, "bob"), (old, old))
+        report = disk.prune(max_age_s=86400)
+        assert (report["removed"]["pkl"], report["kept"]["pkl"],
+                report["dangling_refs"]) == (1, 0, 2)
+        assert cache.load(point, False, tenant="bob") is None
 
     def test_prune_keeps_fresh_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         point = spec()
         (outcome,) = SweepRunner(cache=cache).run([point])
-        report = cache.prune(max_age_s=86400)
-        assert report["removed"] == 0 and report["kept"] == 1
+        report = cache.disk.prune(max_age_s=86400)
+        assert report["removed"]["pkl"] == 0 and report["kept"]["pkl"] == 1
         assert cache.load(point, verify=False) == outcome
 
     def test_checkpoint_store_stats_and_prune(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
         point = spec()
         SweepRunner(checkpoints=store).run([point])
-        stats = store.stats()
-        assert stats["entries"] == 1 and stats["bytes"] > 0
+        entries, total = store.disk.stats()["kinds"]["json"]
+        assert entries == 1 and total > 0
         path = store.path(store.key(point))
         old = time.time() - 10 * 86400
         os.utime(path, (old, old))
-        assert store.prune(max_age_s=86400)["removed"] == 1
+        assert store.disk.prune(max_age_s=86400)["removed"]["json"] == 1
         assert store.load(point) is None
 
 

@@ -170,8 +170,8 @@ class TestRemoteExecution:
             second = bob.submit(point, tenant="bob")
             assert second.cached  # visible straight from the reply
             assert second.result(timeout=120) == outcome
-        cache = daemon.scheduler.cache
-        assert sorted(cache.namespaces()) == ["alice", "bob"]
+        disk = daemon.scheduler.cache.disk
+        assert sorted(disk.tenants()) == ["alice", "bob"]
 
     def test_sweeprunner_rides_the_daemon(self, daemon):
         points = [spec(instances=n) for n in (1, 2)]
