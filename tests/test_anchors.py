@@ -5,6 +5,8 @@ published anchor points run here on the default ``jit`` tier and on
 ``closure`` (the one-closure-per-instruction tier the compiled tiers
 are checked against).  A simulator-speed change that shifts a single
 cycle anywhere in the kernel, the CIS or the CPU tiers fails here.
+The datapath table does the same for the other workloads and adds the
+PFU usage and completion counters at the end of each run.
 
 The second table pins the *identity* of experiment points: the
 ``spec_key()`` digest every result cache, warm-start checkpoint and
@@ -22,7 +24,7 @@ import pytest
 
 from repro.apps.workloads import WorkloadVariant
 from repro.faults import FaultPlan
-from repro.machine import spec_from_dict, spec_to_dict
+from repro.machine import Machine, spec_from_dict, spec_to_dict
 from repro.prefetch import PrefetchPlan
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.runner import ResultCache
@@ -56,6 +58,65 @@ def test_alpha_makespan_anchor(point, tier, monkeypatch):
     outcome = run_experiment(spec, verify=True)
     assert outcome.verified
     assert outcome.makespan == ANCHORS[point]
+
+
+#: (workload, instances, quantum_ms) -> (makespan, per-PFU
+#: (usage_counter, total_busy_cycles, total_completions), per-instance
+#: completions in pid then CID order), all read at the end of the run.
+#: The first four points are round-robin at 10 ms where every circuit
+#: stays resident, so host time is the custom-instruction datapath; the
+#: last is a contended 1 ms point whose CDPs are interrupted and whose
+#: circuits are swapped.  The PFU counters are architectural state that
+#: no outcome field compares, so a datapath change could drift in them
+#: with every makespan intact.
+DATAPATH_ANCHORS = {
+    ("alpha", 4, 10.0): (65903, [(775, 3100, 775)] * 4, [775] * 4),
+    ("twofish", 4, 10.0): (67203, [(1375, 6050, 1375)] * 4, [1375] * 4),
+    ("echo", 2, 10.0): (
+        33565,
+        [(488, 1952, 488), (488, 1464, 488)] * 2,
+        [488] * 4,
+    ),
+    ("phases", 2, 10.0): (
+        22969,
+        [(272, 544, 272), (272, 544, 272), (266, 532, 266), (266, 532, 266)],
+        [272, 266] * 2,
+    ),
+    ("twofish", 5, 1.0): (
+        500575,
+        [(1788, 7563, 1788), (1650, 7563, 1650), (1787, 7562, 1787),
+         (1650, 7562, 1650)],
+        [1375] * 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("tier", ["jit", "closure"])
+@pytest.mark.parametrize("point", sorted(DATAPATH_ANCHORS))
+def test_datapath_anchor(point, tier, monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+    workload, instances, quantum_ms = point
+    spec = ExperimentSpec(
+        workload=workload, instances=instances, quantum_ms=quantum_ms,
+        policy="round_robin", scale=SCALE,
+    )
+    machine = Machine.from_spec(spec)
+    machine.spawn_instances()
+    machine.run()
+    outcome = machine.outcome(verify=True)
+    assert outcome.verified
+    kernel = machine.checkpoint()["kernel"]
+    pfus = [
+        (pfu["usage_counter"], pfu["total_busy_cycles"],
+         pfu["total_completions"])
+        for pfu in kernel["coprocessor"]["pfus"]["pfus"]
+    ]
+    completions = [
+        registration["instance"]["completions"]
+        for pid in sorted(kernel["processes"], key=int)
+        for registration in kernel["processes"][pid]["registrations"]
+    ]
+    assert (outcome.makespan, pfus, completions) == DATAPATH_ANCHORS[point]
 
 
 FAULT = FaultPlan(
