@@ -24,6 +24,7 @@ from typing import Callable, Protocol
 from ..config import MachineConfig
 from ..errors import PFUError
 from ..fabric.bitstream import Bitstream, StateSnapshot, build_bitstream
+from .pfu import PFU
 
 MASK32 = 0xFFFFFFFF
 
@@ -196,17 +197,17 @@ class CircuitInstance:
                 f"spec declares {self.spec.app_state_words}"
             )
 
-    # ---- invocation ---------------------------------------------------------
+    # ---- standalone invocation ----------------------------------------------
+    # The datapath runs an instance through :meth:`PFU.step`; these run
+    # the same primitive on a detached slot, for models and tests that
+    # hold an instance outside any PFU.
     def begin(self, a: int, b: int) -> int:
         """Latch operands for a fresh invocation; returns total latency."""
         if self.busy:
             raise PFUError(
                 f"{self.spec.name}: begin() while an invocation is in flight"
             )
-        self.busy = True
-        self.cycles_done = 0
-        self.latched_a = a & MASK32
-        self.latched_b = b & MASK32
+        self._slot().step(a, b, 0)
         return self.remaining_cycles()
 
     def remaining_cycles(self) -> int:
@@ -226,18 +227,18 @@ class CircuitInstance:
         """
         if cycles < 0:
             raise PFUError("cannot advance by negative cycles")
-        remaining = self.remaining_cycles()
-        if cycles < remaining:
-            self.cycles_done += cycles
-            return None
-        self.cycles_done += remaining
-        result = self.spec.behaviour.compute(
-            self.latched_a, self.latched_b, self.state
+        if not self.busy:
+            raise PFUError(f"{self.spec.name}: no invocation in flight")
+        return self._slot().step(0, 0, cycles)[1]
+
+    def _slot(self) -> PFU:
+        """A PFU holding only this instance, its status set to match."""
+        return PFU(
+            index=-1,
+            clb_capacity=self.spec.clb_count,
+            instance=self,
+            status=0 if self.busy else 1,
         )
-        self.busy = False
-        self.cycles_done = 0
-        self.completions += 1
-        return result & MASK32
 
     # ---- state movement (eviction / restore) -----------------------------
     def capture_words(self) -> list[int]:

@@ -37,15 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class ExecuteOutcome:
-    """Result of clocking a PFU for one CDP issue."""
-
-    cycles: int
-    completed: bool
-    result: int | None = None
-
-
-@dataclass
 class ProteusCoprocessor:
     """The complete FPL function unit."""
 
@@ -84,43 +75,39 @@ class ProteusCoprocessor:
 
     def execute(
         self, pfu_index: int, fd: int, fn: int, fm: int, max_cycles: int
-    ) -> ExecuteOutcome:
+    ) -> tuple[int, int | None]:
         """Issue/continue a custom instruction on a PFU.
 
         Clocks the PFU for at most ``max_cycles``.  On completion the
         result is written to FPL register ``fd``.  If the budget runs out
         first, the invocation context stays latched in the PFU's circuit
         (status register low) and re-executing the same instruction later
-        continues transparently.
+        continues transparently.  Returns ``(cycles, result)``, with
+        ``result`` ``None`` when the instruction was interrupted.
         """
         if max_cycles <= 0:
-            return ExecuteOutcome(cycles=0, completed=False)
-        pfu = self.pfus.pfu(pfu_index)
-        pfu.issue(self.regfile.read(fn), self.regfile.read(fm))
-        injector = self.injector
-        if injector is not None:
-            needed = pfu.instance.remaining_cycles()
-            if needed <= max_cycles:
-                effect = injector.completion_effect(pfu_index)
-                if effect is not None:
-                    return self._faulted_completion(
-                        pfu, fd, needed, max_cycles, effect
-                    )
-        cycles, result = pfu.clock(max_cycles)
-        if result is None:
-            return ExecuteOutcome(cycles=cycles, completed=False)
-        self.regfile.write(fd, result)
-        return ExecuteOutcome(cycles=cycles, completed=True, result=result)
+            return 0, None
+        pfus = self.pfus.pfus
+        regfile = self.regfile
+        size = regfile.size
+        # One range check for the PFU and all three registers; the slow
+        # path names the first bad index.
+        if not (0 <= pfu_index < len(pfus) and 0 <= fn < size
+                and 0 <= fm < size and 0 <= fd < size):
+            self.pfus.pfu(pfu_index)
+            for index in (fn, fm, fd):
+                regfile.check(index)
+        words = regfile.words
+        outcome = pfus[pfu_index].step(
+            words[fn], words[fm], max_cycles,
+            None if self.injector is None else self._faulted_completion,
+        )
+        if outcome[1] is not None:
+            words[fd] = outcome[1]
+        return outcome
 
-    def _faulted_completion(
-        self,
-        pfu: PFU,
-        fd: int,
-        needed: int,
-        max_cycles: int,
-        effect: tuple[str, int],
-    ) -> ExecuteOutcome:
-        """Complete an issue whose result a live fault corrupts.
+    def _faulted_completion(self, pfu: PFU, needed: int) -> int:
+        """XOR mask a live fault puts on the result completing on ``pfu``.
 
         The result port's parity tree catches odd-weight corruption at
         the completion cycle: the invocation is left one cycle short of
@@ -132,11 +119,14 @@ class ProteusCoprocessor:
         """
         from ..cpu.exceptions import FabricFault  # circular at module level
 
-        kind, mask = effect
         injector = self.injector
+        effect = injector.completion_effect(pfu.index)
+        if effect is None:
+            return 0
+        kind, mask = effect
         if injector.plan.parity_check and parity32(mask):
             if needed > 1:
-                pfu.clock(needed - 1)
+                pfu.step(0, 0, needed - 1)
             self.trace.fault_detected(
                 pfu.instance.pid, kind, pfu.index, "parity"
             )
@@ -145,11 +135,8 @@ class ProteusCoprocessor:
                 kind=kind,
                 charge_cycles=self.config.cdp_issue_cycles + needed,
             )
-        cycles, result = pfu.clock(max_cycles)
-        corrupted = (result ^ mask) & 0xFFFFFFFF
         injector.silent_corruptions += 1
-        self.regfile.write(fd, corrupted)
-        return ExecuteOutcome(cycles=cycles, completed=True, result=corrupted)
+        return mask
 
     def capture_operands(self, fd: int, fn: int, fm: int) -> None:
         """Latch the special-purpose registers for software dispatch."""

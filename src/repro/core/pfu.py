@@ -19,9 +19,14 @@ policies such as LRU and second chance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import PFUError
-from .circuit import CircuitInstance
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .circuit import CircuitInstance
+
+MASK32 = 0xFFFFFFFF
 
 
 def parity32(value: int) -> int:
@@ -86,42 +91,87 @@ class PFU:
         return instance
 
     # ---- datapath side ----------------------------------------------------
-    def issue(self, a: int, b: int) -> None:
-        """Drive the PFU with an invocation instruction.
+    def step(
+        self,
+        a: int,
+        b: int,
+        max_cycles: int,
+        fault: Callable[[PFU, int], int] | None = None,
+    ) -> tuple[int, int | None]:
+        """Run one custom instruction on this PFU for at most
+        ``max_cycles`` (>= 0): the whole datapath work of one CDP issue.
 
         With status 1 this is a fresh start (init pulses high and the
-        operands latch); with status 0 it is a transparent continuation of
-        an interrupted instruction and the operands are ignored, because
-        the latched values are part of the preserved CLB state.
+        operands latch); with status 0 it is a transparent continuation
+        of an interrupted instruction and the operands are ignored,
+        because the latched values are part of the preserved CLB state.
+        The circuit's latency is evaluated once.  If the budget runs out
+        first the instruction is interrupted (its context stays in the
+        instance); otherwise it completes: the result is computed, the
+        status register goes high and the usage counter counts it.
+
+        ``fault``, if given, is called as ``fault(pfu, needed)`` just
+        before a completion computes; it returns an XOR mask for the
+        result (0 for none) or raises, in which case nothing completes.
+
+        Returns ``(cycles_consumed, result)`` where ``result`` is
+        ``None`` if the instruction did not complete.
         """
-        instance = self._require_instance()
-        if self.status == 1:
-            instance.begin(a, b)
+        instance = self.instance
+        if instance is None:
+            raise PFUError(f"PFU {self.index} has no circuit loaded")
+        if self.status:
+            a &= MASK32
+            b &= MASK32
+            instance.latched_a = a
+            instance.latched_b = b
+            instance.busy = True
+            instance.cycles_done = done = 0
             self.status = 0
-        elif not instance.busy:
+        elif instance.busy:
+            a = instance.latched_a
+            b = instance.latched_b
+            done = instance.cycles_done
+        else:
             raise PFUError(
                 f"PFU {self.index}: status low but no invocation in flight"
             )
+        behaviour = instance.spec.behaviour
+        state = instance.state
+        needed = behaviour.latency(a, b, state) - done
+        if max_cycles < needed:
+            instance.cycles_done = done + max_cycles
+            self.total_busy_cycles += max_cycles
+            return max_cycles, None
+        if needed < 0:
+            needed = 0
+        if fault is None:
+            result = behaviour.compute(a, b, state) & MASK32
+        else:
+            mask = fault(self, needed)
+            result = (behaviour.compute(a, b, state) ^ mask) & MASK32
+        instance.busy = False
+        instance.cycles_done = 0
+        instance.completions += 1
+        self.status = 1
+        self.usage_counter += 1
+        self.total_busy_cycles += needed
+        self.total_completions += 1
+        return needed, result
+
+    def issue(self, a: int, b: int) -> None:
+        """Drive the PFU with an invocation instruction, clocking it for
+        no cycles: latch the operands (status 1) or continue (status 0)."""
+        self.step(a, b, 0)
 
     def clock(self, max_cycles: int) -> tuple[int, int | None]:
-        """Clock the PFU for at most ``max_cycles``.
-
-        Returns ``(cycles_consumed, result)`` where ``result`` is ``None``
-        if the instruction did not complete (interrupted by the CPU
-        ceasing to clock the unit).
-        """
-        instance = self._require_instance()
-        if self.status != 0:
+        """Clock an issued instruction for at most ``max_cycles``;
+        returns :meth:`step`'s ``(cycles_consumed, result)``."""
+        if self.instance is not None and self.status != 0:
             raise PFUError(f"PFU {self.index}: clocked while idle")
-        needed = instance.remaining_cycles()
-        consumed = min(max_cycles, needed)
-        result = instance.advance(consumed)
-        self.total_busy_cycles += consumed
-        if result is not None:
-            self.status = 1
-            self.usage_counter += 1
-            self.total_completions += 1
-        return consumed, result
+        if max_cycles < 0:
+            raise PFUError("cannot clock by negative cycles")
+        return self.step(0, 0, max_cycles)
 
     @property
     def in_flight(self) -> bool:
@@ -133,11 +183,6 @@ class PFU:
         count = self.usage_counter
         self.usage_counter = 0
         return count
-
-    def _require_instance(self) -> CircuitInstance:
-        if self.instance is None:
-            raise PFUError(f"PFU {self.index} has no circuit loaded")
-        return self.instance
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:

@@ -21,28 +21,30 @@ class FPLRegisterFile:
     """A fixed bank of 32-bit registers with OS save/restore support."""
 
     size: int = 16
-    _regs: list[int] = field(default_factory=list)
+    words: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise DispatchError("register file needs at least one register")
-        if not self._regs:
-            self._regs = [0] * self.size
+        if not self.words:
+            self.words = [0] * self.size
 
     def __len__(self) -> int:
         return self.size
 
     def read(self, index: int) -> int:
-        self._check(index)
-        return self._regs[index]
+        if not 0 <= index < self.size:
+            self.check(index)
+        return self.words[index]
 
     def write(self, index: int, value: int) -> None:
-        self._check(index)
-        self._regs[index] = value & MASK32
+        if not 0 <= index < self.size:
+            self.check(index)
+        self.words[index] = value & MASK32
 
     def save(self) -> list[int]:
         """Snapshot for a process context switch."""
-        return list(self._regs)
+        return list(self.words)
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
@@ -56,9 +58,10 @@ class FPLRegisterFile:
                 f"register-file restore expects {self.size} words, "
                 f"got {len(saved)}"
             )
-        self._regs = [value & MASK32 for value in saved]
+        self.words = [value & MASK32 for value in saved]
 
-    def _check(self, index: int) -> None:
+    def check(self, index: int) -> None:
+        """Raise :class:`DispatchError` if ``index`` names no register."""
         if not 0 <= index < self.size:
             raise DispatchError(
                 f"FPL register f{index} out of range 0..{self.size - 1}"

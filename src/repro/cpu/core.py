@@ -456,19 +456,19 @@ class CPU:
         assert resolution.pfu_index is not None
         issue = config.cdp_issue_cycles
         pfu_budget = max(1, budget - issue)
-        outcome = self.coprocessor.execute(
+        cycles, result = self.coprocessor.execute(
             resolution.pfu_index,
             instruction.rd,
             instruction.rn,
             instruction.rm,
             pfu_budget,
         )
-        if outcome.completed:
+        if result is not None:
             state.pc = code_address(index + 1)
             state.instructions_retired += 1
-            return StepResult(cycles=issue + outcome.cycles)
+            return StepResult(cycles=issue + cycles)
         # Interrupted: leave the PC on the CDP for transparent re-issue.
-        return StepResult(cycles=issue + outcome.cycles, retired=False)
+        return StepResult(cycles=issue + cycles, retired=False)
 
     # -----------------------------------------------------------------------
     def _op2(self, instruction: Instruction) -> int:

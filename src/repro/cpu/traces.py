@@ -54,10 +54,11 @@ mappings it was recorded against: its guard compares the live
 generation at recording, bound per install like the pid.  When a
 management call (map/unmap/flush/restore) bumps the generation, the
 guard drops the stale trace and re-installs the profiling wrapper; a
-re-heat records the path again.  The source names no machine state, so
-the process-wide code cache of :mod:`repro.cpu.blocks` usually already
-holds its code and a re-install costs one ``exec``; a manager keeps
-only the installed trace.
+re-heat records the path again.  A manager keeps the source it emitted
+for each recording, so a re-heat onto a path seen before emits nothing;
+the source names no machine state, so the process-wide code cache of
+:mod:`repro.cpu.blocks` usually already holds its code and a re-install
+costs one ``exec``.
 """
 
 from __future__ import annotations
@@ -191,6 +192,10 @@ class TraceManager:
         #: Ops as compiled by the block tier — the fallback every trace
         #: side-exits into, and what a dead entry unwraps back to.
         self._base: list[OpClosure] = list(ops)
+        #: Generated source per recording (entry, components,
+        #: continuation, cyclic): bounded by the program's entries and
+        #: the PFUs its CDPs resolve to.
+        self._sources: dict[tuple, str] = {}
         #: Lifetime counters (asserted by the eviction tests).
         self.installed = 0
         self.invalidations = 0
@@ -234,7 +239,20 @@ class TraceManager:
         if not cyclic and len(components) < 2:
             self.ops[entry] = inner
             return inner
-        fn = self._compile(entry, components, continuation, cyclic)
+        # A re-heat after a circuit swap usually records a path seen
+        # before: reuse its source instead of emitting it again.
+        key = (entry, tuple(components), continuation, cyclic)
+        source = self._sources.get(key)
+        if source is None:
+            source = self._sources[key] = self._source(
+                entry, components, continuation, cyclic
+            )
+        env = dict(self._env)
+        env["_FB"] = self._base[entry]
+        env["_IVD"] = lambda _entry=entry: self._invalidate(_entry)
+        env["_EG"] = self.dispatch.generation
+        exec(_code_for(source, "<trace>"), env)
+        fn = env[f"_trace_{entry}"]
         self.installed += 1
         self.ops[entry] = fn
         return fn
@@ -321,13 +339,14 @@ class TraceManager:
         return None if slot is None else tlb.ram[slot]
 
     # ---- code generation ---------------------------------------------------
-    def _compile(
+    def _source(
         self,
         entry: int,
         components: list[tuple],
         continuation: int,
         cyclic: bool,
-    ) -> OpClosure:
+    ) -> str:
+        """The trace function's source for one recording."""
         program = self.program
         config = self.config
         referenced, written = _register_sets(program, components)
@@ -455,13 +474,13 @@ class TraceManager:
                     f"_dtr.dispatch_resolved(_pid, {instruction.imm}, 'hit')"
                 )
                 body.append(
-                    f"_o = _exec({pfu}, {instruction.rd}, "
+                    f"_c, _o = _exec({pfu}, {instruction.rd}, "
                     f"{instruction.rn}, {instruction.rm}, "
                     f"_max(1, _b - _u - {issue}))"
                 )
-                body.append("if _o.completed:")
+                body.append("if _o is not None:")
                 body.append("    _n += 1")
-                body.append(f"    _u += {issue} + _o.cycles")
+                body.append(f"    _u += {issue} + _c")
                 body.append("else:")
                 body += [
                     "    " + line
@@ -469,7 +488,7 @@ class TraceManager:
                         *spill,
                         flush,
                         "_ctx.interrupted = True",
-                        f"return _u + {issue} + _o.cycles",
+                        f"return _u + {issue} + _c",
                     ]
                 ]
         if not cyclic:
@@ -489,12 +508,7 @@ class TraceManager:
             out += ["        " + line for line in body]
         else:
             out += ["    " + line for line in body]
-        env = dict(self._env)
-        env["_FB"] = self._base[entry]
-        env["_IVD"] = lambda _entry=entry: self._invalidate(_entry)
-        env["_EG"] = self.dispatch.generation
-        exec(_code_for("\n".join(out), "<trace>"), env)
-        return env[name]  # type: ignore[return-value]
+        return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -379,15 +379,15 @@ def _translate_one(
                 cached_resolution = resolution
                 cached_outcome = _OUTCOMES[kind]
             if kind is DispatchKind.HARDWARE:
-                outcome = execute(
+                cycles, result = execute(
                     resolution.pfu_index, rd, rn, rm, max(1, budget - issue)
                 )
-                if outcome.completed:
+                if result is not None:
                     ctx.idx += 1
                     ctx.retired += 1
                 else:
                     ctx.interrupted = True
-                return issue + outcome.cycles
+                return issue + cycles
             if kind is DispatchKind.SOFTWARE:
                 capture(rd, rn, rm)
                 regs[14] = return_address

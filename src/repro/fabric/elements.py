@@ -26,8 +26,14 @@ circuit computes precisely what the instruction run it replaces would
 have.
 
 State reads always observe the values from *before* the invocation;
-state writes commit at completion.  (The compiled function evaluates
-every node into a local before any ``state[i] = ...`` assignment runs.)
+state writes commit at completion.  (The compiled function reads every
+state word it uses into a local before any ``state[i] = ...``
+assignment runs.)
+
+The compiled function is straight-line Python: constants, barrel
+shifts by a constant amount, ``sgn`` and ``sat16`` are emitted as
+inline expressions, and a node used once is folded into the expression
+that uses it, so most nodes cost neither a call nor a local.
 """
 
 from __future__ import annotations
@@ -105,6 +111,41 @@ def _sat16(value: int) -> int:
     return value
 
 
+# Inline source forms, emitted by ElementGraph.compile.  Each reproduces
+# its helper above bit for bit, on wide and negative wires too.
+
+#: ``_to_signed({0})``: sign-extend the low 32 bits.
+_SGN = "((({0} & 4294967295) ^ 2147483648) - 2147483648)"
+
+#: ``_sat16({0})``; a template slot is always a local, so naming it
+#: three times evaluates nothing twice.
+_SAT16 = "(32767 if {0} > 32767 else -32768 if {0} < -32768 else {0})"
+
+
+def _shift_by_const(op: str, value: str, amount: int) -> str:
+    """Source for barrel shift ``op`` of local ``value`` by the constant
+    ``amount`` — the helper's arithmetic done at compile time."""
+    amount &= 0xFF
+    if amount == 0:
+        return value
+    if op == "ror":
+        amount %= 32
+        if amount == 0:
+            return f"({value} & 4294967295)"
+        return (
+            f"((({value} >> {amount}) | ({value} << {32 - amount}))"
+            " & 4294967295)"
+        )
+    if op == "asr":
+        signed = _SGN.format(value)
+        return f"(({signed} >> {min(amount, 31)}) & 4294967295)"
+    if amount >= 32:
+        return "0"
+    if op == "lsl":
+        return f"(({value} << {amount}) & 4294967295)"
+    return f"({value} >> {amount})"  # lsr
+
+
 @dataclass(frozen=True)
 class Element:
     """One entry in the FU menu: a function plus its fabric cost."""
@@ -137,8 +178,8 @@ ELEMENTS: dict[str, Element] = {
         Element("shr", 2, 8, 1, "({0} >> {1})"),
         # width adapters (pure wiring: no cells, no levels)
         Element("wrap", 1, 0, 0, "({0} & 4294967295)"),
-        Element("sgn", 1, 0, 0, "_sgn({0})"),
-        Element("sat16", 1, 20, 2, "_sat16({0})"),
+        Element("sgn", 1, 0, 0, _SGN),
+        Element("sat16", 1, 20, 2, _SAT16),
         # bitwise logic
         Element("and", 2, 16, 1, "({0} & {1})"),
         Element("orr", 2, 16, 1, "({0} | {1})"),
@@ -159,6 +200,13 @@ ELEMENTS: dict[str, Element] = {
         Element("eq", 2, 33, 2, "(1 if {0} == {1} else 0)"),
     ]
 }
+
+#: Barrel-shifter elements: compiled inline when the amount is a
+#: ``const`` node, through their helper otherwise.
+_SHIFTS = ("lsl", "lsr", "asr", "ror")
+
+#: Deepest chain of single-use nodes folded into one expression.
+_FOLD_DEPTH = 8
 
 #: Cost of a 256-entry lookup ROM (modelled as block memory, not LUTs).
 _LOOKUP = Element("lookup", 1, 64, 2, "")
@@ -317,35 +365,78 @@ class ElementGraph:
         if self._output is None:
             raise PFUError(f"{self.name}: graph has no output")
         env: dict = {
-            "_sgn": _to_signed,
-            "_sat16": _sat16,
             "_lsl": _lsl,
             "_lsr": _lsr,
             "_asr": _asr,
             "_ror": _ror,
         }
+        nodes = self._nodes
+        uses = [0] * len(nodes)
+        for node in nodes:
+            for arg in node.args:
+                uses[arg] += 1
+        for _, ref in self._state_writes:
+            uses[ref] += 1
+        uses[self._output] += 1
         lines = ["def _fn(a, b, state):"]
-        for i, node in enumerate(self._nodes):
-            if node.kind == "a":
-                expr = "a"
-            elif node.kind == "b":
-                expr = "b"
-            elif node.kind == "const":
-                expr = repr(node.payload)
-            elif node.kind == "state":
-                expr = f"state[{node.payload}]"
-            elif node.kind == "lookup":
+        # How later nodes name each node: operands and constants are
+        # used in place, a single-use op or lookup is folded into its
+        # consumer's expression (up to _FOLD_DEPTH deep), and every
+        # other node is computed once into a local.
+        refs: list[str] = []
+        depth: list[int] = []
+
+        def local(arg: int) -> str:
+            """``arg`` as a local, for a slot its consumer names twice."""
+            if depth[arg]:
+                lines.append(f"    v{arg} = {refs[arg]}")
+                refs[arg] = f"v{arg}"
+                depth[arg] = 0
+            return refs[arg]
+
+        for i, node in enumerate(nodes):
+            if node.kind in ("a", "b"):
+                refs.append(node.kind)
+                depth.append(0)
+                continue
+            if node.kind == "const":
+                refs.append(f"({node.payload!r})")
+                depth.append(0)
+                continue
+            if node.kind == "state":
+                lines.append(f"    v{i} = state[{node.payload}]")
+                refs.append(f"v{i}")
+                depth.append(0)
+                continue
+            if node.kind == "lookup":
                 table_name = f"_t{i}"
                 env[table_name] = node.payload
-                expr = f"{table_name}[v{node.args[0]} & 255]"
+                expr = f"{table_name}[{refs[node.args[0]]} & 255]"
             else:  # op
-                expr = ELEMENTS[node.payload].template.format(
-                    *[f"v{arg}" for arg in node.args]
-                )
-            lines.append(f"    v{i} = {expr}")
+                op = node.payload
+                amount = nodes[node.args[-1]]
+                if op in _SHIFTS and amount.kind == "const":
+                    value = node.args[0]
+                    value = local(value) if op == "ror" else refs[value]
+                    expr = _shift_by_const(op, value, amount.payload)
+                else:
+                    template = ELEMENTS[op].template
+                    expr = template.format(*[
+                        local(arg) if template.count(f"{{{k}}}") > 1
+                        else refs[arg]
+                        for k, arg in enumerate(node.args)
+                    ])
+            level = 1 + max(depth[arg] for arg in node.args)
+            if uses[i] == 1 and level <= _FOLD_DEPTH:
+                refs.append(f"({expr})")
+                depth.append(level)
+            else:
+                lines.append(f"    v{i} = {expr}")
+                refs.append(f"v{i}")
+                depth.append(0)
         for index, ref in self._state_writes:
-            lines.append(f"    state[{index}] = v{ref} & 4294967295")
-        lines.append(f"    return v{self._output} & 4294967295")
+            lines.append(f"    state[{index}] = {refs[ref]} & 4294967295")
+        lines.append(f"    return {refs[self._output]} & 4294967295")
         exec(compile("\n".join(lines), f"<fu:{self.name}>", "exec"), env)
         self._compiled = env["_fn"]
         return self._compiled
@@ -362,13 +453,12 @@ class ComposedBehaviour:
     def __init__(self, graph: ElementGraph, fixed_latency: int) -> None:
         self.graph = graph
         self.fixed_latency = max(1, fixed_latency)
-        self._fn = graph.compile()
+        #: ``compute(a, b, state)`` is the compiled graph itself: its
+        #: output is already masked to 32 bits.
+        self.compute = graph.compile()
 
     def latency(self, a: int, b: int, state: list[int]) -> int:
         return self.fixed_latency
-
-    def compute(self, a: int, b: int, state: list[int]) -> int:
-        return self._fn(a, b, state) & MASK32
 
 
 class PhaseMachine:
@@ -439,14 +529,13 @@ class PhaseBehaviour:
         self._fns = fns
         self._latencies = {k: max(1, v) for k, v in latencies.items()}
 
-    def _phase(self, state: list[int]) -> int:
+    def latency(self, a: int, b: int, state: list[int]) -> int:
         phase = state[self.selector]
         if phase not in self._fns:
             raise PFUError(f"{self.name}: no phase {phase}")
-        return phase
-
-    def latency(self, a: int, b: int, state: list[int]) -> int:
-        return self._latencies[self._phase(state)]
+        return self._latencies[phase]
 
     def compute(self, a: int, b: int, state: list[int]) -> int:
-        return self._fns[self._phase(state)](a, b, state) & MASK32
+        # The datapath evaluates latency() first, which checked the
+        # phase; the compiled graphs mask their own outputs.
+        return self._fns[state[self.selector]](a, b, state)

@@ -23,6 +23,7 @@ from repro.cpu import blocks
 from repro.cpu.blocks import block_leaders, fusible_runs
 from repro.cpu.core import CPU, CPUState
 from repro.cpu.isa import CODE_BASE, Instruction, Op, code_address
+from repro.cpu.traces import TraceManager
 from repro.cpu.memory import Memory
 from repro.errors import MemoryFault
 from repro.faults import FaultPlan
@@ -690,6 +691,34 @@ class TestTraceCodeCache:
         assert code_late == code_early
         assert logs["jit"] == logs["step"]
         assert states["jit"] == states["step"]
+
+    def test_reheat_reuses_recorded_source(self, monkeypatch):
+        """Every re-map invalidates the hot CDP trace and the re-heat
+        records the same path again; the manager re-installs the source
+        it emitted for that recording instead of generating it anew."""
+        emitted = []
+        emit = TraceManager._source
+
+        def counting_source(self, entry, *recording):
+            emitted.append(entry)
+            return emit(self, entry, *recording)
+
+        monkeypatch.setattr(TraceManager, "_source", counting_source)
+        source = REMAP_LOOP.replace("MOV r3, #12", "MOV r3, #200")
+        cpu = make_cpu(source, "jit", with_circuit=True)
+        counts = []
+        for burst in range(20):
+            burst_log(cpu, [300])
+            cpu.coprocessor.dispatch.map_hardware(IDTuple(1, 1), 0)
+            if burst in (2, 19):
+                manager = cpu._ops.manager
+                counts.append((manager.invalidations, manager.installed,
+                               len(emitted)))
+        (early, installed_early, emitted_early), late_counts = counts
+        late, installed_late, emitted_late = late_counts
+        assert late > early >= 1
+        assert installed_late > installed_early
+        assert emitted_late == emitted_early
 
 
 # ---------------------------------------------------------------------------

@@ -24,27 +24,28 @@ class TestExecution:
         load(coprocessor, 0, adder_spec(latency=2))
         coprocessor.mcr(0, 40)
         coprocessor.mcr(1, 2)
-        outcome = coprocessor.execute(0, fd=2, fn=0, fm=1, max_cycles=10)
-        assert outcome.completed
-        assert outcome.cycles == 2
+        cycles, result = coprocessor.execute(0, fd=2, fn=0, fm=1,
+                                             max_cycles=10)
+        assert result is not None
+        assert cycles == 2
         assert coprocessor.mrc(2) == 42
 
     def test_execute_interrupted_leaves_fd_untouched(self, coprocessor):
         load(coprocessor, 0, adder_spec(latency=5))
         coprocessor.mcr(0, 1)
         coprocessor.mcr(1, 2)
-        outcome = coprocessor.execute(0, 2, 0, 1, max_cycles=2)
-        assert not outcome.completed
+        cycles, result = coprocessor.execute(0, 2, 0, 1, max_cycles=2)
+        assert result is None
         assert coprocessor.mrc(2) == 0
         # Continue.
-        outcome = coprocessor.execute(0, 2, 0, 1, max_cycles=10)
-        assert outcome.completed
+        cycles, result = coprocessor.execute(0, 2, 0, 1, max_cycles=10)
+        assert result is not None
         assert coprocessor.mrc(2) == 3
 
     def test_zero_budget_is_a_noop(self, coprocessor):
         load(coprocessor, 0, adder_spec())
-        outcome = coprocessor.execute(0, 2, 0, 1, max_cycles=0)
-        assert outcome.cycles == 0 and not outcome.completed
+        cycles, result = coprocessor.execute(0, 2, 0, 1, max_cycles=0)
+        assert cycles == 0 and result is None
 
 
 class TestConfigurationMovement:
