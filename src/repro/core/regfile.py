@@ -33,13 +33,11 @@ class FPLRegisterFile:
         return self.size
 
     def read(self, index: int) -> int:
-        if not 0 <= index < self.size:
-            self.check(index)
+        self.check(index)
         return self.words[index]
 
     def write(self, index: int, value: int) -> None:
-        if not 0 <= index < self.size:
-            self.check(index)
+        self.check(index)
         self.words[index] = value & MASK32
 
     def save(self) -> list[int]:

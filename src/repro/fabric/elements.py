@@ -117,14 +117,15 @@ def _sat16(value: int) -> int:
 #: ``_to_signed({0})``: sign-extend the low 32 bits.
 _SGN = "((({0} & 4294967295) ^ 2147483648) - 2147483648)"
 
-#: ``_sat16({0})``; a template slot is always a local, so naming it
-#: three times evaluates nothing twice.
+#: ``_sat16({0})``.  It names its slot three times; the compiler fills
+#: a slot named more than once with a local, never a folded expression.
 _SAT16 = "(32767 if {0} > 32767 else -32768 if {0} < -32768 else {0})"
 
 
 def _shift_by_const(op: str, value: str, amount: int) -> str:
-    """Source for barrel shift ``op`` of local ``value`` by the constant
-    ``amount`` — the helper's arithmetic done at compile time."""
+    """Source for barrel shift ``op`` of ``value`` by the constant
+    ``amount`` — the helper's arithmetic done at compile time.  Only
+    ``ror`` names ``value`` twice, so only it needs a local there."""
     amount &= 0xFF
     if amount == 0:
         return value
