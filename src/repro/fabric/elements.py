@@ -421,9 +421,14 @@ class ElementGraph:
                     value = local(value) if op == "ror" else refs[value]
                     expr = _shift_by_const(op, value, amount.payload)
                 else:
+                    # A slot named twice, or a mux arm (evaluated only
+                    # when selected), takes a local: every node is
+                    # evaluated exactly once, as in node order.
                     template = ELEMENTS[op].template
                     expr = template.format(*[
-                        local(arg) if template.count(f"{{{k}}}") > 1
+                        local(arg)
+                        if (op == "mux" and k)
+                        or template.count(f"{{{k}}}") > 1
                         else refs[arg]
                         for k, arg in enumerate(node.args)
                     ])
