@@ -422,8 +422,8 @@ class ElementGraph:
                     expr = _shift_by_const(op, value, amount.payload)
                 else:
                     # A slot named twice, or a mux arm (evaluated only
-                    # when selected), takes a local: every node is
-                    # evaluated exactly once, as in node order.
+                    # when selected), takes a local, so every node is
+                    # still evaluated exactly once.
                     template = ELEMENTS[op].template
                     expr = template.format(*[
                         local(arg)
