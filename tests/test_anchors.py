@@ -2,8 +2,8 @@
 
 At scale 1/8000 the alpha workload finishes in milliseconds, so the
 published anchor points run here on the default ``jit`` tier and on
-``closure`` (the one-closure-per-instruction tier the compiled tiers
-are checked against).  A simulator-speed change that shifts a single
+``block`` (the fallback tier, without trace compilation).  A
+simulator-speed change that shifts a single
 cycle anywhere in the kernel, the CIS or the CPU tiers fails here.
 The datapath table does the same for the other workloads and adds the
 PFU usage and completion counters at the end of each run.
@@ -45,7 +45,7 @@ ANCHORS = {
 }
 
 
-@pytest.mark.parametrize("tier", ["jit", "closure"])
+@pytest.mark.parametrize("tier", ["jit", "block"])
 @pytest.mark.parametrize("point", sorted(ANCHORS))
 def test_alpha_makespan_anchor(point, tier, monkeypatch):
     monkeypatch.setenv("REPRO_EXEC_TIER", tier)
@@ -91,7 +91,7 @@ DATAPATH_ANCHORS = {
 }
 
 
-@pytest.mark.parametrize("tier", ["jit", "closure"])
+@pytest.mark.parametrize("tier", ["jit", "block"])
 @pytest.mark.parametrize("point", sorted(DATAPATH_ANCHORS))
 def test_datapath_anchor(point, tier, monkeypatch):
     monkeypatch.setenv("REPRO_EXEC_TIER", tier)
