@@ -46,15 +46,20 @@ PAPER_CYCLES_PER_MS = 100_000
 
 #: CPU execution tiers, fastest first (see :mod:`repro.cpu`):
 #: ``jit`` trace-compiles hot paths to generated Python, ``block`` fuses
-#: straight-line runs into superinstruction closures, ``closure``
-#: compiles one closure per instruction, ``step`` is the readable
-#: reference interpreter.  All four are bit-identical.
-EXEC_TIERS = ("jit", "block", "closure", "step")
+#: straight-line runs into superinstruction closures, ``step`` is the
+#: readable reference interpreter.  All three are bit-identical.
+EXEC_TIERS = ("jit", "block", "step")
 
 
 def _default_exec_tier() -> str:
     """Tier default, overridable per run via ``REPRO_EXEC_TIER``."""
-    return os.environ.get("REPRO_EXEC_TIER", "jit")
+    tier = os.environ.get("REPRO_EXEC_TIER", "jit")
+    if tier not in EXEC_TIERS:
+        raise ConfigurationError(
+            f"REPRO_EXEC_TIER={tier!r} is not an execution tier; "
+            f"choose one of {', '.join(EXEC_TIERS)}"
+        )
+    return tier
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ class MachineConfig:
     prefetch: PrefetchPlan | None = None
 
     # ---- simulator implementation knobs ----------------------------------
-    #: CPU interpreter tier (``block`` | ``closure`` | ``step``).  Purely a
+    #: CPU interpreter tier (``jit`` | ``block`` | ``step``).  Purely a
     #: simulator-speed choice: every tier produces bit-identical cycle
     #: accounting, trace counters and memory images, so results and
     #: checkpoints are interchangeable across tiers (and the tier is

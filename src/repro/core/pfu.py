@@ -173,10 +173,6 @@ class PFU:
             raise PFUError("cannot clock by negative cycles")
         return self.step(0, 0, max_cycles)
 
-    @property
-    def in_flight(self) -> bool:
-        return self.status == 0
-
     # ---- OS side --------------------------------------------------------------
     def read_and_clear_usage(self) -> int:
         """Read the completion counter and reset it (§4.5)."""

@@ -5,7 +5,7 @@ module overlays that list with *fused* closures covering straight-line
 runs of simple instructions, so a burst dispatches once per basic block
 instead of once per instruction.  The tier is purely a simulator-speed
 choice: cycle accounting, trace counters, fault state and checkpoint
-bytes are bit-identical to the ``closure`` and ``step`` tiers.
+bytes are bit-identical to the ``step`` tier.
 
 **Partitioning.**  Block leaders are instruction 0, every static branch
 target, and the instruction after each terminator (B/BL/BX/SWI/HALT/CDP
@@ -19,8 +19,8 @@ flow, no traps, and nothing that sets ``halted`` or ``interrupted``, so
 the per-iteration checks of :meth:`repro.cpu.core.CPU.run` cannot fire
 inside it.  Each fused closure guards on its precomputed cycle total and
 falls back to the leader's original per-instruction closure when the
-remaining budget is smaller — in exactly those bursts the closure tier
-would also have stepped the run one instruction at a time, so quantum
+remaining budget is smaller — in exactly those bursts the reference
+interpreter also steps the run one instruction at a time, so quantum
 boundaries and the overrun of the final committed instruction land on
 the same instruction with the same cycle count.  Memory operations keep
 their own ``except MemoryFault`` bookkeeping so a faulting instruction

@@ -34,6 +34,7 @@ from .isa import (
     to_signed,
 )
 from .memory import Memory
+from .translate import RunContext
 
 
 @dataclass
@@ -105,15 +106,15 @@ class RunResult:
 class CPU:
     """Interpreter binding one process's state to the shared coprocessor.
 
-    Four execution tiers share the same semantics, selected by
+    Three execution tiers share the same semantics, selected by
     ``MachineConfig.exec_tier``:
 
     * ``"step"`` — the readable reference interpreter (:meth:`step`,
       driven in bursts by :meth:`run_interpreted`);
-    * ``"closure"`` — bounded bursts over closure-compiled instructions
-      (see :mod:`repro.cpu.translate`), several times faster;
-    * ``"block"`` — the closure tier with straight-line runs fused into
-      basic-block superinstructions (see :mod:`repro.cpu.blocks`);
+    * ``"block"`` — bounded bursts over one compiled closure per
+      instruction (see :mod:`repro.cpu.translate`), with straight-line
+      runs fused into basic-block superinstructions (see
+      :mod:`repro.cpu.blocks`);
     * ``"jit"`` — the block tier plus a trace compiler that turns hot
       paths into generated straight-line Python (see
       :mod:`repro.cpu.traces`), the default and fastest tier.
@@ -137,41 +138,29 @@ class CPU:
         self.pid = pid
         #: Execution tier (see ``MachineConfig.exec_tier``): "jit"
         #: trace-compiles hot paths to generated Python, "block" fuses
-        #: straight-line runs into superinstructions, "closure" compiles
-        #: one closure per instruction, "step" drives the reference
-        #: interpreter.  All four are bit-identical.
+        #: straight-line runs into superinstructions, "step" drives the
+        #: reference interpreter.  All three are bit-identical.
         self._tier = config.exec_tier
-        self._ctx: "translate_module.RunContext | None" = None
+        self._ctx: RunContext | None = None
         self._ops = None
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        """Capture interpreter state beyond :class:`CPUState`.
+        """Capture the architectural state, the same on every tier.
 
-        The translated :class:`~repro.cpu.translate.RunContext` cursor is
-        included for completeness; between bursts the architectural PC is
-        authoritative (``run`` reloads ``ctx.idx`` from it on entry), so
-        the cursor is observational rather than load-bearing.
+        The compiled tiers' :class:`~repro.cpu.translate.RunContext`
+        cursor is not saved: ``run`` reloads ``ctx.idx`` from the PC on
+        entry and clears ``interrupted`` before returning, and uses
+        ``retired`` only as a difference.  An interrupted CDP re-issues
+        from the PC (§4.4), so the PC is the whole cursor.
         """
-        ctx = self._ctx
-        return {
-            "state": self.state.snapshot(),
-            "ctx": None if ctx is None else {
-                "idx": ctx.idx,
-                "interrupted": ctx.interrupted,
-                "retired": ctx.retired,
-            },
-        }
+        return {"state": self.state.snapshot()}
 
     def restore(self, state: dict) -> None:
+        # Older checkpoints also carry a "ctx" cursor; it is ignored for
+        # the reason given in snapshot().  A not-yet-compiled CPU stays
+        # lazy: the next run() compiles against the restored state.
         self.state.restore(state["state"])
-        saved_ctx = state.get("ctx")
-        if self._ctx is not None and saved_ctx is not None:
-            self._ctx.idx = saved_ctx["idx"]
-            self._ctx.interrupted = saved_ctx["interrupted"]
-            self._ctx.retired = saved_ctx["retired"]
-        # A not-yet-compiled CPU stays lazy: the next run() compiles
-        # against the (already restored) architectural state.
 
     def retarget(self, program: list[Instruction]) -> None:
         """Swap the instruction image (custom-instruction adoption).
@@ -187,16 +176,12 @@ class CPU:
 
     # ------------------------------------------------------------------
     def _compile(self):
-        from . import translate as translate_module
-
         if self._tier == "jit":
             from .traces import translate_traces as translate_fn
-        elif self._tier == "block":
-            from .blocks import translate_blocks as translate_fn
         else:
-            translate_fn = translate_module.translate
+            from .blocks import translate_blocks as translate_fn
 
-        ctx = translate_module.RunContext()
+        ctx = RunContext()
         ops = translate_fn(
             self.program,
             ctx,

@@ -3,7 +3,7 @@
 The ``block`` tier (:mod:`repro.cpu.blocks`) fuses straight-line runs
 into superinstruction closures, but a burst still dispatches once per
 basic block and every register access is a list subscript.  This module
-adds a fourth tier on top of it: when a block leader gets hot (a counted
+adds a third tier on top of it: when a block leader gets hot (a counted
 block-entry / back-edge threshold), the recorder walks the program along
 the *predicted* path — through fused runs, across branches (backward
 taken, forward not taken), through coprocessor transfers, and through
@@ -26,7 +26,7 @@ dispatch loop in accumulated-cycle arithmetic (``_u`` consumed so far
 against the burst budget ``_b``), and every side exit restores the exact
 observable state — ``ctx.idx`` on the next instruction, ``ctx.retired``
 flushed, modified registers spilled — before returning the exact cycles
-consumed.  From that point the proven block/closure machinery continues
+consumed.  From that point the proven block-tier machinery continues
 the burst, so a trace can exit *anywhere* (budget shortfall, branch
 leaving the path, dispatch-generation change, interrupted CDP, memory
 fault) without perturbing cycle counts, burst boundaries, counters or
@@ -155,7 +155,7 @@ def translate_traces(
     Drop-in replacement for :func:`repro.cpu.blocks.translate_blocks`:
     the returned list holds one callable per instruction index.  Block
     leaders start under a counting wrapper that records and installs a
-    compiled trace once hot; every other index keeps its block/closure
+    compiled trace once hot; every other index keeps its block-tier
     behaviour, which is also what every trace side-exit falls back on.
     """
     base = translate_blocks(

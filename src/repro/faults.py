@@ -18,7 +18,7 @@ A :class:`FaultInjector` executes the plan with its **own** RNG stream
 (never the workload or replacement-policy streams) and draws only at
 tier-invariant architectural events — quantum boundaries, configuration
 transfers, circuit evictions — so outcomes are bit-identical across the
-block/closure/step execution tiers and across ``--jobs N`` parallel
+jit/block/step execution tiers and across ``--jobs N`` parallel
 sweeps.  It is ``Snapshotable``: checkpoint/resume under injection is
 bit-identical to an uninterrupted run.
 

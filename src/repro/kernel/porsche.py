@@ -310,7 +310,7 @@ class Porsche:
 
         Injection happens at quantum boundaries only — a tier-invariant
         architectural event — so the injector's RNG stream is identical
-        across the block/closure/step interpreters.
+        across the jit/block/step interpreters.
         """
         injector = self.injector
         for kind, target in injector.advance_quantum(self.coprocessor):

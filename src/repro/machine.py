@@ -139,11 +139,11 @@ class Machine:
         """The interpreter tier this machine executes on.
 
         ``"jit"`` (trace-compiled hot paths, the default), ``"block"``
-        (fused superinstructions), ``"closure"`` (one closure per
-        instruction) or ``"step"`` (the reference interpreter).  Purely
-        a simulator-speed choice — results, traces and checkpoints are
-        identical across tiers.  Set via ``MachineConfig(exec_tier=...)``
-        or the ``REPRO_EXEC_TIER`` environment variable.
+        (fused superinstructions) or ``"step"`` (the reference
+        interpreter).  Purely a simulator-speed choice — results,
+        traces and checkpoint documents are identical across tiers.
+        Set via ``MachineConfig(exec_tier=...)`` or the
+        ``REPRO_EXEC_TIER`` environment variable.
         """
         return self.config.exec_tier
 

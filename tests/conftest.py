@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import EXEC_TIERS, MachineConfig
 from repro.core.circuit import CircuitSpec, FunctionBehaviour
 from repro.core.coprocessor import ProteusCoprocessor
 from repro.kernel.porsche import Porsche
@@ -47,6 +47,20 @@ def coprocessor(config) -> ProteusCoprocessor:
 @pytest.fixture
 def kernel(config) -> Porsche:
     return Porsche(config)
+
+
+def same_on_every_tier(monkeypatch, run):
+    """Call ``run()`` under each exec tier and demand one answer.
+
+    Returns the ``step`` reference's value for further checks.
+    """
+    results = {}
+    for tier in EXEC_TIERS:
+        monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+        results[tier] = run()
+    for tier in EXEC_TIERS:
+        assert results[tier] == results["step"], tier
+    return results["step"]
 
 
 def make_kernel(config: MachineConfig, policy_name: str = "round_robin") -> Porsche:

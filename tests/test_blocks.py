@@ -1,20 +1,21 @@
-"""The compiled execution tiers: partitioning, four-way tier
+"""The compiled execution tiers: partitioning, three-way tier
 equivalence, memoized CDP dispatch invalidation, trace compilation and
 eviction, and cross-tier checkpoints.
 
-The contract under test is strong: ``jit``, ``block``, ``closure`` and
-``step`` are *bit-identical* — same cycles, same retired counts, same
+The contract under test is strong: ``jit``, ``block`` and ``step`` are
+*bit-identical* — same cycles, same retired counts, same
 events, same trace counters, same final memory — on every program and
 every burst schedule, including under an active fault plan.
 """
 
 import json
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adder_spec
+from conftest import adder_spec, same_on_every_tier
 from repro.config import EXEC_TIERS, MachineConfig
 from repro.core.coprocessor import ProteusCoprocessor
 from repro.core.tlb import IDTuple
@@ -231,7 +232,7 @@ class TestPartitioning:
 
 
 # ---------------------------------------------------------------------------
-# four-way equivalence
+# three-way equivalence
 
 
 class TestTierEquivalence:
@@ -480,18 +481,7 @@ class TestDispatchMemoization:
 
 
 class TestCrossTierSnapshots:
-    @pytest.mark.parametrize(
-        "first,second",
-        [
-            ("block", "closure"),
-            ("closure", "block"),
-            ("block", "step"),
-            ("jit", "block"),
-            ("block", "jit"),
-            ("jit", "step"),
-            ("closure", "jit"),
-        ],
-    )
+    @pytest.mark.parametrize("first,second", permutations(EXEC_TIERS, 2))
     def test_snapshot_round_trip_switches_tier(self, first, second):
         reference = make_cpu(FIBONACCI, "step")
         burst_log(reference, [17] * 300)
@@ -564,7 +554,7 @@ class TestTraceCompiler:
         """A hardware->software remap mid-run bumps the dispatch
         generation; the hot CDP trace's embedded guard must evict the
         stale trace (which memoized the *hardware* resolution) instead
-        of replaying 7 + 5 where 7 * 5 is now expected.  All four tiers
+        of replaying 7 + 5 where 7 * 5 is now expected.  All three tiers
         agree on the final state either way."""
         soft_address = assemble(REMAP_LOOP).label_address("soft")
         states = {}
@@ -731,6 +721,14 @@ def tier_spec(workload: str, **kwargs) -> ExperimentSpec:
     return ExperimentSpec(workload=workload, **defaults)
 
 
+def mid_run_checkpoint(spec: ExperimentSpec, quanta: int) -> dict:
+    """A JSON round-tripped checkpoint taken ``quanta`` into ``spec``."""
+    machine = Machine.from_spec(spec)
+    machine.spawn_instances()
+    assert machine.run_quanta(quanta) == quanta and not machine.finished
+    return json.loads(json.dumps(machine.checkpoint()))
+
+
 def outcome_fields(outcome) -> tuple:
     return (
         outcome.makespan,
@@ -745,14 +743,10 @@ def outcome_fields(outcome) -> tuple:
 class TestMachineTierEquivalence:
     @pytest.mark.parametrize("workload", ["echo", "alpha", "twofish"])
     def test_workloads_identical_across_tiers(self, workload, monkeypatch):
-        results = {}
-        for tier in EXEC_TIERS:
-            monkeypatch.setenv("REPRO_EXEC_TIER", tier)
-            spec = tier_spec(workload)
-            assert spec.build_config().exec_tier == tier
-            results[tier] = outcome_fields(run_experiment(spec, verify=True))
-        for tier in COMPILED_TIERS:
-            assert results[tier] == results["step"], tier
+        spec = tier_spec(workload)
+        same_on_every_tier(monkeypatch, lambda: outcome_fields(
+            run_experiment(spec, verify=True)
+        ))
 
     @pytest.mark.parametrize("architecture", ["proteus", "prisc", "memmap"])
     def test_architectures_identical_across_tiers(self, architecture,
@@ -760,13 +754,10 @@ class TestMachineTierEquivalence:
         """The tier guarantee holds for the baselines too: the PRISC
         kernel's exception-based dispatch and the memory-mapped
         baseline's slow config port run through the same CPU."""
-        results = {}
-        for tier in EXEC_TIERS:
-            monkeypatch.setenv("REPRO_EXEC_TIER", tier)
-            spec = tier_spec("alpha", architecture=architecture)
-            results[tier] = outcome_fields(run_experiment(spec, verify=True))
-        for tier in COMPILED_TIERS:
-            assert results[tier] == results["step"], tier
+        spec = tier_spec("alpha", architecture=architecture)
+        same_on_every_tier(monkeypatch, lambda: outcome_fields(
+            run_experiment(spec, verify=True)
+        ))
 
     def test_fault_campaign_identical_across_tiers(self, monkeypatch):
         """The bit-identical contract holds under an active fault plan:
@@ -782,18 +773,17 @@ class TestMachineTierEquivalence:
             state_upset_rate=0.1,
             scrub_interval_quanta=8,
         )
-        results = {}
-        for tier in EXEC_TIERS:
-            monkeypatch.setenv("REPRO_EXEC_TIER", tier)
-            spec = tier_spec("alpha", instances=3, quantum_ms=1.0,
-                             seed=2, fault_plan=plan)
+        spec = tier_spec("alpha", instances=3, quantum_ms=1.0, seed=2,
+                         fault_plan=plan)
+
+        def campaign():
             outcome = run_experiment(spec)
-            results[tier] = (outcome_fields(outcome), outcome.faults)
-        # The campaign actually exercised the injector ...
-        assert sum(results["step"][1]["injected"].values()) > 0
-        # ... and every tier reproduced it event-for-event.
-        for tier in COMPILED_TIERS:
-            assert results[tier] == results["step"], tier
+            return outcome_fields(outcome), outcome.faults
+
+        # Every tier reproduced the campaign event-for-event, and it
+        # actually exercised the injector.
+        _fields, faults = same_on_every_tier(monkeypatch, campaign)
+        assert sum(faults["injected"].values()) > 0
 
     def test_spec_key_ignores_exec_tier(self, monkeypatch):
         keys = set()
@@ -802,34 +792,47 @@ class TestMachineTierEquivalence:
             keys.add(tier_spec("alpha").spec_key())
         assert len(keys) == 1
 
-    @pytest.mark.parametrize(
-        "first,second",
-        [
-            ("block", "closure"),
-            ("closure", "block"),
-            ("jit", "block"),
-            ("block", "jit"),
-            ("jit", "closure"),
-        ],
-    )
+    @pytest.mark.parametrize("first,second", permutations(EXEC_TIERS, 2))
     def test_mid_run_checkpoint_crosses_tiers(self, first, second,
                                               monkeypatch):
         """A checkpoint taken mid-run under one tier resumes under the
         other and finishes bit-identically."""
         spec = tier_spec("alpha")
-
         monkeypatch.setenv("REPRO_EXEC_TIER", first)
         reference = run_experiment(spec)
-
-        monkeypatch.setenv("REPRO_EXEC_TIER", first)
-        machine = Machine.from_spec(spec)
-        machine.spawn_instances()
-        quanta = machine.run_quanta(7)
-        assert quanta == 7 and not machine.finished
-        checkpoint = json.loads(json.dumps(machine.checkpoint()))
+        checkpoint = mid_run_checkpoint(spec, 7)
 
         monkeypatch.setenv("REPRO_EXEC_TIER", second)
         resumed = Machine.resume(checkpoint)
         assert resumed.exec_tier == second
         resumed.run()
         assert outcome_fields(resumed.outcome()) == outcome_fields(reference)
+
+    def test_checkpoint_document_is_tier_independent(self, monkeypatch):
+        """Mid-run, every tier writes the same checkpoint bytes: the
+        compiled tiers' run cursor is not part of the document."""
+        spec = tier_spec("alpha", instances=3, quantum_ms=1.0)
+        documents = set()
+        for tier in EXEC_TIERS:
+            monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+            checkpoint = mid_run_checkpoint(spec, 40)
+            documents.add(json.dumps(checkpoint, sort_keys=True))
+        assert len(documents) == 1
+
+    @pytest.mark.parametrize("tier", ["block", "jit"])
+    def test_checkpoint_with_saved_cursor_resumes(self, tier, monkeypatch):
+        """Older checkpoints carry a ``cpu.ctx`` run cursor per process.
+        Resume ignores it, even one that disagrees with the PC."""
+        monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+        spec = tier_spec("alpha", instances=3, quantum_ms=1.0)
+        checkpoint = mid_run_checkpoint(spec, 40)
+        for process in checkpoint["kernel"]["processes"].values():
+            assert "ctx" not in process["cpu"]
+            process["cpu"]["ctx"] = {
+                "idx": 0, "interrupted": True, "retired": 1 << 20,
+            }
+        resumed = Machine.resume(checkpoint)
+        resumed.run()
+        assert outcome_fields(resumed.outcome()) == outcome_fields(
+            run_experiment(spec)
+        )

@@ -43,6 +43,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MachineConfig(quantum_ms=0)
 
+    def test_unknown_exec_tier_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_TIER", "closure")
+        with pytest.raises(ConfigurationError, match=(
+            r"^REPRO_EXEC_TIER='closure' is not an execution tier; "
+            r"choose one of jit, block, step$"
+        )):
+            MachineConfig()
+
 
 class TestDerivedQuantities:
     def test_quantum_cycles(self):

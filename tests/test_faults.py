@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import same_on_every_tier
 from repro.config import MachineConfig
 from repro.errors import ReproError
 from repro.faults import (
@@ -187,23 +188,14 @@ class TestInjectedRuns:
         assert injected.get("config", 0) == 1
         assert injected.get("datapath", 0) == 1
 
-    def test_bit_identical_across_exec_tiers(self):
+    def test_bit_identical_across_exec_tiers(self, monkeypatch):
         plan = replace(NOISY, recovery="quarantine", quarantine_strikes=2)
-        results = []
-        for tier in ("block", "closure", "step"):
-            spec = fault_spec(plan)
-            machine = Machine.from_spec(spec)
-            machine.kernel = Porsche(
-                replace(spec.build_config(), exec_tier=tier)
-            )
-            machine._instances_spawned = 0
-            machine.spawn_instances()
-            machine.run()
-            outcome = machine.outcome(verify=True)
-            results.append(
-                (outcome.makespan, outcome.completions, outcome.faults)
-            )
-        assert results[0] == results[1] == results[2]
+
+        def run():
+            outcome = run_experiment(fault_spec(plan), verify=True)
+            return outcome.makespan, outcome.completions, outcome.faults
+
+        same_on_every_tier(monkeypatch, run)
 
     def test_bit_identical_across_jobs(self):
         specs = [fault_spec(NOISY, seed=s) for s in (0, 1, 2, 3)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adder_spec
+from conftest import adder_spec, same_on_every_tier
 from repro.errors import PrefetchError
 from repro.kernel.porsche import Porsche
 from repro.kernel.predict import TransferEngine, TransitionModel
@@ -336,15 +336,9 @@ class TestRuntimePrefetch:
         assert clone.prefetch == outcome.prefetch
 
     def test_outcome_identical_across_tiers(self, monkeypatch):
-        outcomes = []
-        for tier in ("step", "closure", "block", "jit"):
-            monkeypatch.setenv("REPRO_EXEC_TIER", tier)
-            outcomes.append(
-                outcome_to_dict(
-                    run_experiment(_spec(instances=3), verify=True)
-                )
-            )
-        assert all(payload == outcomes[0] for payload in outcomes[1:])
+        same_on_every_tier(monkeypatch, lambda: outcome_to_dict(
+            run_experiment(_spec(instances=3), verify=True)
+        ))
 
     def test_jobs_bit_identical(self):
         specs = [_spec(instances=n) for n in (2, 3)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_on_every_tier
 from repro.apps.hashmix import build_hash_program, hash_mix
 from repro.config import MachineConfig
 from repro.errors import SynthesisError
@@ -159,13 +160,9 @@ class TestRuntimeAdoption:
         assert outcome.cis["registrations"] == 0
 
     def test_outcome_identical_across_tiers(self, monkeypatch):
-        outcomes = []
-        for tier in ("step", "closure", "block", "jit"):
-            monkeypatch.setenv("REPRO_EXEC_TIER", tier)
-            outcomes.append(
-                outcome_to_dict(run_experiment(_spec(), verify=True))
-            )
-        assert all(payload == outcomes[0] for payload in outcomes[1:])
+        same_on_every_tier(monkeypatch, lambda: outcome_to_dict(
+            run_experiment(_spec(), verify=True)
+        ))
 
     def test_checkpoint_resume_bit_identical(self):
         """Resuming across the adoption point (or before it) replays the

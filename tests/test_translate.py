@@ -210,7 +210,7 @@ class TestCompileTimeChecks:
     @pytest.mark.parametrize("opname", ["LSL", "LSR", "ASR", "ROR"])
     def test_shift_to_pc_is_rejected(self, opname):
         """Regression: shifts were missing from the rd=15 raiser check,
-        so the closure tier silently wrote ``regs[15]`` where the
+        so the per-instruction closure silently wrote ``regs[15]`` where the
         reference interpreter raises."""
         from repro.cpu.isa import Instruction, Op
         from repro.errors import CPUError
