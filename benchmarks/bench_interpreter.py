@@ -5,8 +5,9 @@ effort for simulation throughput: ``step`` re-decodes every instruction,
 ``block`` pre-compiles one closure per instruction, fuses straight-line
 runs into superinstructions and memoizes CDP dispatch, and ``jit``
 trace-compiles hot loops into generated straight-line Python with
-registers as locals.  All three are bit-identical (asserted in tests/test_blocks.py); this bench records how
-much wall-clock each tier buys on three kernels:
+registers as locals.  All three are bit-identical (asserted in
+tests/test_blocks.py); this bench records how much wall-clock each tier
+buys on three kernels:
 
 * ``alu_hot``    — long unrolled straight-line runs (the compiled
   tiers' best case: the jit executes the whole loop body as one

@@ -34,7 +34,6 @@ from .isa import (
     to_signed,
 )
 from .memory import Memory
-from .translate import RunContext
 
 
 @dataclass
@@ -141,7 +140,7 @@ class CPU:
         #: straight-line runs into superinstructions, "step" drives the
         #: reference interpreter.  All three are bit-identical.
         self._tier = config.exec_tier
-        self._ctx: RunContext | None = None
+        self._ctx: "RunContext | None" = None
         self._ops = None
 
     # ---- machine-state protocol -------------------------------------------
@@ -176,6 +175,8 @@ class CPU:
 
     # ------------------------------------------------------------------
     def _compile(self):
+        from .translate import RunContext
+
         if self._tier == "jit":
             from .traces import translate_traces as translate_fn
         else:
