@@ -2,7 +2,9 @@
 
 :meth:`repro.cpu.core.CPU.step` is the readable reference semantics; this
 module pre-translates every instruction into a specialised Python closure
-so bounded execution bursts run several times faster.  Each closure:
+so bounded execution bursts run several times faster.  It is not a tier
+of its own: the ``block`` and ``jit`` tiers (:mod:`repro.cpu.blocks`,
+:mod:`repro.cpu.traces`) start from its list.  Each closure:
 
 * performs the architectural effect against captured references (register
   list, flags, memory, coprocessor);
