@@ -13,8 +13,11 @@ The second table pins the *identity* of experiment points: the
 journal record is filed under, and the bytes of the spec codec shared
 by checkpoints and the serve protocol.  A refactor that changes either
 silently orphans every stored result, so these digests never change
-without a deliberate format migration.  For the same reason the last
-table pins where one point's result object lives in the store.
+without a deliberate format migration.  For the same reason the
+result-path table pins where one point's result object lives in the
+store, and the last table pins whole checkpoint documents: the PFU
+regions' resident-image recipes and every circuit instance's state
+words, which warm-start and job checkpoints are rebuilt from.
 """
 
 import hashlib
@@ -270,3 +273,35 @@ def test_result_object_path_golden(verify, tmp_path):
     cache = ResultCache(tmp_path)
     path = cache.path(cache.key(GOLDEN_SPECS["fig2_default"], verify))
     assert path.relative_to(tmp_path).as_posix() == RESULT_PATHS[verify]
+
+
+#: (workload, instances, quanta run) at 1 ms, 1/8000 -> sha256 of the
+#: sorted-key JSON of ``Machine.checkpoint()``.  The alpha point is the
+#: CLI checkpoint case; echo's circuits are stateful, so its document
+#: carries live state words as well as resident images.
+CHECKPOINT_DIGESTS = {
+    ("alpha", 3, 200):
+        "8a87d8c7c9873f5ded94f0772a674f19a30eeb8666e9db4a7fc732cbcf307a16",
+    ("echo", 4, 4000):
+        "eb7ca3f6ccc97f38ffc2bd7fe6f81963d3b9ff06e8ab07e7fdc50ce7c72f9532",
+}
+
+
+def _checkpoint_digest(machine: Machine) -> str:
+    blob = json.dumps(machine.checkpoint(), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("point", sorted(CHECKPOINT_DIGESTS))
+def test_checkpoint_document_golden(point):
+    workload, instances, quanta = point
+    spec = ExperimentSpec(
+        workload=workload, instances=instances, quantum_ms=1.0, scale=SCALE,
+    )
+    machine = Machine.from_spec(spec)
+    machine.spawn_instances()
+    assert machine.run_quanta(quanta) == quanta
+    assert _checkpoint_digest(machine) == CHECKPOINT_DIGESTS[point]
+    # A resumed machine writes the same document back.
+    resumed = Machine.resume(json.loads(json.dumps(machine.checkpoint())))
+    assert _checkpoint_digest(resumed) == CHECKPOINT_DIGESTS[point]
