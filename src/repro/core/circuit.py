@@ -23,7 +23,7 @@ from typing import Callable, Protocol
 
 from ..config import MachineConfig
 from ..errors import PFUError
-from ..fabric.bitstream import Bitstream, StateSnapshot, build_bitstream
+from ..fabric.bitstream import Bitstream, build_bitstream
 from .pfu import PFU
 
 MASK32 = 0xFFFFFFFF
@@ -271,10 +271,3 @@ class CircuitInstance:
         self.cycles_done = cycles_done & MASK32
         self.latched_a = latched_a & MASK32
         self.latched_b = latched_b & MASK32
-
-    def snapshot(self) -> StateSnapshot:
-        """Serialise the full CLB-register state for off-array storage."""
-        return self.bitstream.snapshot_state(self.capture_words())
-
-    def restore(self, snapshot: StateSnapshot) -> None:
-        self.restore_words(self.bitstream.restore_state(snapshot))

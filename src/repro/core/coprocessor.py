@@ -184,8 +184,7 @@ class ProteusCoprocessor:
             and resident.name == instance.bitstream.name
         ):
             moved += region.load_static(instance.bitstream)
-        snapshot = instance.snapshot()
-        moved += region.load_state(snapshot)
+        moved += region.load_state(instance.bitstream)
         pfu.load(instance)
         return moved
 
@@ -199,11 +198,10 @@ class ProteusCoprocessor:
         """
         pfu = self.pfus.pfu(pfu_index)
         instance = pfu.unload()
-        snapshot = instance.snapshot()
         if not keep_static:
             self.array.region(pfu_index).unload()
         self.dispatch.unmap_pfu(pfu_index)
-        return instance, len(snapshot.payload)
+        return instance, instance.bitstream.state_bytes
 
     def pfu_for(self, pid: int, circuit_name: str) -> PFU | None:
         return self.pfus.find_instance(pid, circuit_name)

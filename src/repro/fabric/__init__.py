@@ -16,7 +16,6 @@ from .clb import CLB, CLBColumn, LUT
 from .routing import MuxRouting, RouteError, RoutingGraph
 from .bitstream import (
     Bitstream,
-    StateSnapshot,
     build_bitstream,
     parse_bitstream,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "RouteError",
     "RoutingGraph",
     "Bitstream",
-    "StateSnapshot",
     "build_bitstream",
     "parse_bitstream",
     "FPLArray",

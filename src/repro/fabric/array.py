@@ -3,7 +3,9 @@
 The ProteanARM partitions its fabric into fixed PFU regions (four regions
 of 500 CLBs in the paper's experiments).  A region holds at most one
 circuit's static configuration at a time; loading a circuit whose static
-image is already resident requires only a state restore.
+image is already resident requires only a state restore.  Regions hold
+images as recipes and charge their section sizes; no section bytes are
+generated here.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import PlacementError
-from .bitstream import Bitstream, StateSnapshot, build_bitstream
+from .bitstream import Bitstream
 
 
 @dataclass
@@ -36,28 +38,27 @@ class PFURegion:
         self.resident = bitstream
         return bitstream.static_bytes
 
-    def load_state(self, snapshot: StateSnapshot) -> int:
-        """Load only a state section; returns bytes transferred."""
+    def load_state(self, bitstream: Bitstream) -> int:
+        """Load only ``bitstream``'s state section; returns bytes moved."""
         if self.resident is None:
             raise PlacementError(
                 f"region {self.index} has no static configuration"
             )
-        if snapshot.circuit_name != self.resident.name:
+        if bitstream.name != self.resident.name:
             raise PlacementError(
-                f"state for {snapshot.circuit_name!r} does not match "
+                f"state for {bitstream.name!r} does not match "
                 f"resident circuit {self.resident.name!r}"
             )
-        return len(snapshot)
+        return bitstream.state_bytes
 
     def unload(self) -> None:
         self.resident = None
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        """Record the resident image as its deterministic build recipe.
+        """Record the resident image as its recipe, less the seed.
 
-        Synthetic bitstreams are pure functions of (name, shape, seed), so
-        a checkpoint stores the recipe rather than the payload bytes.
+        The seed is the machine's, which :meth:`restore` is given back.
         """
         resident = self.resident
         if resident is None:
@@ -76,19 +77,11 @@ class PFURegion:
 
     def restore(self, state: dict, seed: int = 0) -> None:
         recipe = state["resident"]
-        if recipe is None:
-            self.resident = None
-            return
-        self.resident = build_bitstream(
-            name=recipe["name"],
-            clb_count=recipe["clb_count"],
-            state_words=recipe["state_words"],
-            static_bytes=recipe["static_bytes"],
-            state_bytes=recipe["state_bytes"],
-            seed=seed,
-            uses_iobs=recipe["uses_iobs"],
-            mux_routing=recipe["mux_routing"],
-        )
+        self.resident = None
+        if recipe is not None:
+            # Through load_static, so an image read from a checkpoint
+            # meets the same capacity check as a live load.
+            self.load_static(Bitstream(**recipe, seed=seed))
 
 
 @dataclass

@@ -8,9 +8,14 @@ transfer per custom instruction, so the paper splits configurations into:
 * a **state section** — CLB register contents only, which is all that has
   to be saved and restored when a stateful circuit is swapped.
 
-This module implements a concrete serialised format with that split, a
-checksum per section, and header flags recording the security-relevant
-properties (IOB usage, routing style) that the validator checks.
+A :class:`Bitstream` is the image's *recipe*: name, shape, section sizes,
+seed and flags.  The management layer only ever charges section sizes
+and checks flags, and a circuit's live state travels as words (see
+``CircuitInstance.capture_words``), so the section bytes exist only when
+:meth:`Bitstream.serialise` asks for them.  The serialised format keeps
+the split, a checksum per section, and header flags recording the
+security-relevant properties (IOB usage, routing style) that the
+validator checks.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ from ..errors import BitstreamError
 #: Magic number opening every Proteus bitstream.
 MAGIC = b"PRBS"
 #: Serialised format version.
-VERSION = 1
+VERSION = 2
 
 #: Header flag bits.
 FLAG_USES_IOBS = 0x01
 FLAG_MUX_ROUTING = 0x02
 FLAG_HAS_STATE = 0x04
 
-_HEADER = struct.Struct("<4sHHII II")
-# magic, version, flags, clb_count, state_words, static_len, state_len
+_HEADER = struct.Struct("<4sHHII IIq")
+# magic, version, flags, clb_count, state_words, static_len, state_len, seed
 
 
 def _digest(payload: bytes) -> bytes:
@@ -41,25 +46,19 @@ def _digest(payload: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
-class StateSnapshot:
-    """A saved state section: what a context switch actually moves."""
-
-    circuit_name: str
-    payload: bytes
-
-    def __len__(self) -> int:
-        return len(self.payload)
-
-
-@dataclass(frozen=True)
 class Bitstream:
-    """A complete configuration image for one custom instruction."""
+    """A configuration image for one custom instruction, as its recipe.
+
+    Real place-and-route output is replaced by a keyed byte stream, so
+    the image is a pure function of these fields.
+    """
 
     name: str
     clb_count: int
     state_words: int
-    static_section: bytes
-    state_section: bytes
+    static_bytes: int
+    state_bytes: int
+    seed: int = 0
     uses_iobs: bool = False
     mux_routing: bool = True
 
@@ -68,18 +67,12 @@ class Bitstream:
             raise BitstreamError("bitstream must configure at least one CLB")
         if self.state_words < 0:
             raise BitstreamError("state word count cannot be negative")
-        if not self.static_section:
-            raise BitstreamError("static section cannot be empty")
+        if self.static_bytes <= 0:
+            raise BitstreamError("static section size must be positive")
+        if self.state_bytes < self.state_words * 4:
+            raise BitstreamError("state section too small for state words")
 
     # ---- sizes -----------------------------------------------------------
-    @property
-    def static_bytes(self) -> int:
-        return len(self.static_section)
-
-    @property
-    def state_bytes(self) -> int:
-        return len(self.state_section)
-
     @property
     def total_bytes(self) -> int:
         return self.static_bytes + self.state_bytes
@@ -88,43 +81,18 @@ class Bitstream:
     def is_stateful(self) -> bool:
         return self.state_words > 0
 
-    # ---- state movement ----------------------------------------------------
-    def snapshot_state(self, words: list[int]) -> StateSnapshot:
-        """Encode live state words into a state-section snapshot.
-
-        The payload is padded to the declared state-section size so the
-        transfer cost is constant for a given circuit, as it is in
-        hardware (whole frames move regardless of content).
-        """
-        if len(words) != self.state_words:
-            raise BitstreamError(
-                f"{self.name}: expected {self.state_words} state words, "
-                f"got {len(words)}"
-            )
-        packed = b"".join(
-            struct.pack("<I", word & 0xFFFFFFFF) for word in words
+    # ---- sections, generated on demand ----------------------------------
+    @property
+    def static_section(self) -> bytes:
+        """LUT contents and routing: a keyed stream of the declared size."""
+        return _pseudo_bytes(
+            f"{self.name}:static:{self.seed}", self.static_bytes
         )
-        if len(packed) > len(self.state_section):
-            raise BitstreamError(
-                f"{self.name}: state overflows declared state section"
-            )
-        payload = packed + self.state_section[len(packed):]
-        return StateSnapshot(circuit_name=self.name, payload=payload)
 
-    def restore_state(self, snapshot: StateSnapshot) -> list[int]:
-        """Decode a snapshot back into state words."""
-        if snapshot.circuit_name != self.name:
-            raise BitstreamError(
-                f"snapshot for {snapshot.circuit_name!r} loaded into "
-                f"{self.name!r}"
-            )
-        if len(snapshot.payload) != len(self.state_section):
-            raise BitstreamError(f"{self.name}: snapshot size mismatch")
-        words = []
-        for index in range(self.state_words):
-            (word,) = struct.unpack_from("<I", snapshot.payload, index * 4)
-            words.append(word)
-        return words
+    @property
+    def state_section(self) -> bytes:
+        """The power-on state section: every CLB register cleared."""
+        return bytes(self.state_bytes)
 
     # ---- serialisation --------------------------------------------------
     def serialise(self) -> bytes:
@@ -145,18 +113,20 @@ class Bitstream:
             flags,
             self.clb_count,
             self.state_words,
-            len(self.static_section),
-            len(self.state_section),
+            self.static_bytes,
+            self.state_bytes,
+            self.seed,
         )
         preamble = header + bytes([len(name_bytes)]) + name_bytes
+        static, state = self.static_section, self.state_section
         return b"".join(
             [
                 preamble,
                 _digest(preamble),
-                _digest(self.static_section),
-                self.static_section,
-                _digest(self.state_section),
-                self.state_section,
+                _digest(static),
+                static,
+                _digest(state),
+                state,
             ]
         )
 
@@ -165,9 +135,8 @@ def parse_bitstream(blob: bytes) -> Bitstream:
     """Parse and integrity-check a serialised bitstream."""
     if len(blob) < _HEADER.size + 1:
         raise BitstreamError("bitstream truncated (no header)")
-    magic, version, flags, clb_count, state_words, static_len, state_len = (
-        _HEADER.unpack_from(blob, 0)
-    )
+    (magic, version, flags, clb_count, state_words, static_len, state_len,
+     seed) = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise BitstreamError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -198,15 +167,21 @@ def parse_bitstream(blob: bytes) -> Bitstream:
         sections.append(payload)
     if offset != len(blob):
         raise BitstreamError("trailing bytes after bitstream")
-    return Bitstream(
+    bitstream = Bitstream(
         name=name,
         clb_count=clb_count,
         state_words=state_words,
-        static_section=sections[0],
-        state_section=sections[1],
+        static_bytes=static_len,
+        state_bytes=state_len,
+        seed=seed,
         uses_iobs=bool(flags & FLAG_USES_IOBS),
         mux_routing=bool(flags & FLAG_MUX_ROUTING),
     )
+    # Valid checksums prove only that the sections arrived intact; a
+    # foreign payload must still not pass as this recipe's image.
+    if sections != [bitstream.static_section, bitstream.state_section]:
+        raise BitstreamError("section does not match its recipe")
+    return bitstream
 
 
 def build_bitstream(
@@ -219,25 +194,14 @@ def build_bitstream(
     uses_iobs: bool = False,
     mux_routing: bool = True,
 ) -> Bitstream:
-    """Build a deterministic synthetic bitstream of the requested shape.
-
-    Real place-and-route output is replaced by a keyed byte stream — the
-    management layer only ever observes sizes, flags, and state contents,
-    so any deterministic payload of the right size exercises the same
-    code paths.
-    """
-    if static_bytes <= 0:
-        raise BitstreamError("static section size must be positive")
-    if state_bytes < state_words * 4:
-        raise BitstreamError("state section too small for state words")
-    static = _pseudo_bytes(f"{name}:static:{seed}", static_bytes)
-    state = bytes(state_bytes)
+    """Build a deterministic synthetic bitstream of the requested shape."""
     return Bitstream(
         name=name,
         clb_count=clb_count,
         state_words=state_words,
-        static_section=static,
-        state_section=state,
+        static_bytes=static_bytes,
+        state_bytes=state_bytes,
+        seed=seed,
         uses_iobs=uses_iobs,
         mux_routing=mux_routing,
     )

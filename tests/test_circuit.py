@@ -144,10 +144,10 @@ class TestStateMovement:
         instance = adder_spec(latency=6).instantiate(1, CONFIG)
         instance.begin(100, 200)
         instance.advance(2)
-        snapshot = instance.snapshot()
+        words = instance.capture_words()
 
         resumed = adder_spec(latency=6).instantiate(1, CONFIG)
-        resumed.restore(snapshot)
+        resumed.restore_words(words)
         assert resumed.busy
         assert resumed.remaining_cycles() == 4
         assert resumed.advance(4) == 300
@@ -191,9 +191,9 @@ class TestStateMovement:
         instance = adder_spec(latency=latency).instantiate(1, CONFIG)
         instance.begin(a, b)
         assert instance.advance(cut) is None or cut >= latency
-        snapshot = instance.snapshot()
+        words = instance.capture_words()
         resumed = adder_spec(latency=latency).instantiate(1, CONFIG)
-        resumed.restore(snapshot)
+        resumed.restore_words(words)
         assert resumed.advance(latency - cut) == (a + b) & 0xFFFFFFFF
 
 

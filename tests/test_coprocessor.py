@@ -63,6 +63,14 @@ class TestConfigurationMovement:
         __, saved = coprocessor.unload_circuit(0)
         assert saved == instance.bitstream.state_bytes
         assert saved * 20 < instance.bitstream.static_bytes
+        # Whole frames move whatever the words hold: a stateful circuit
+        # saves the same bytes after several executes.
+        counter, __ = load(coprocessor, 1, counter_spec())
+        for __ in range(5):
+            coprocessor.execute(1, 2, 0, 1, max_cycles=10)
+        assert counter.state == [5]
+        __, saved = coprocessor.unload_circuit(1)
+        assert saved == counter.bitstream.state_bytes
 
     def test_reload_same_circuit_without_reuse_pays_full_static(
         self, coprocessor

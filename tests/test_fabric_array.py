@@ -46,24 +46,22 @@ class TestRegion:
 
     def test_load_state_requires_static(self):
         array = FPLArray.build(1, 500)
-        snapshot = bs().snapshot_state([1, 2])
         with pytest.raises(PlacementError):
-            array.region(0).load_state(snapshot)
+            array.region(0).load_state(bs())
 
     def test_load_state_name_must_match(self):
         array = FPLArray.build(1, 500)
         region = array.region(0)
         region.load_static(bs("c1"))
-        snapshot = bs("c2").snapshot_state([1, 2])
         with pytest.raises(PlacementError):
-            region.load_state(snapshot)
+            region.load_state(bs("c2"))
 
     def test_load_state_returns_bytes(self):
         array = FPLArray.build(1, 500)
         region = array.region(0)
         stream = bs("c1")
         region.load_static(stream)
-        moved = region.load_state(stream.snapshot_state([1, 2]))
+        moved = region.load_state(stream)
         assert moved == stream.state_bytes
 
     def test_unload_frees_region(self):

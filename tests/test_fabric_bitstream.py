@@ -1,5 +1,7 @@
 """Bitstream format: the static/state split of §4.1."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,46 +58,10 @@ class TestConstruction:
 
 
 class TestStateMovement:
-    def test_snapshot_restore_roundtrip(self):
-        bs = sample(4)
-        words = [1, 2, 0xFFFFFFFF, 0]
-        snapshot = bs.snapshot_state(words)
-        assert bs.restore_state(snapshot) == words
-
-    def test_snapshot_size_is_declared_state_size(self):
-        """State transfers move whole frames, so the cost is constant."""
-        bs = sample(4)
-        assert len(bs.snapshot_state([0, 0, 0, 0])) == bs.state_bytes
-        assert len(bs.snapshot_state([9, 9, 9, 9])) == bs.state_bytes
-
-    def test_snapshot_wrong_word_count(self):
-        with pytest.raises(BitstreamError):
-            sample(4).snapshot_state([1, 2])
-
-    def test_restore_rejects_foreign_snapshot(self):
-        other = build_bitstream("other", 100, 4, 1024, 64)
-        snapshot = other.snapshot_state([1, 2, 3, 4])
-        with pytest.raises(BitstreamError):
-            sample(4).restore_state(snapshot)
-
     def test_state_is_far_smaller_than_static(self):
         """The point of the split: context switches move the small part."""
         bs = sample(4)
         assert bs.state_bytes * 10 < bs.static_bytes
-
-    @given(
-        words=st.lists(
-            st.integers(min_value=0, max_value=0xFFFFFFFF),
-            min_size=0,
-            max_size=16,
-        )
-    )
-    @settings(max_examples=50)
-    def test_roundtrip_property(self, words):
-        bs = build_bitstream(
-            "prop", 10, len(words), 256, max(32, len(words) * 4)
-        )
-        assert bs.restore_state(bs.snapshot_state(words)) == words
 
 
 class TestSerialisation:
@@ -128,6 +94,22 @@ class TestSerialisation:
         blob[60] ^= 0x01  # somewhere inside the static payload
         with pytest.raises(BitstreamError):
             parse_bitstream(bytes(blob))
+
+    def test_foreign_section_with_valid_checksum_rejected(self):
+        """Intact checksums are not enough: the payload must be the one
+        the header's recipe generates."""
+        bs = sample()
+        blob = bs.serialise()
+        foreign = build_bitstream("other", 100, 4, 1024, 64).static_section
+        start = blob.index(bs.static_section)
+        forged = (
+            blob[:start - 8]
+            + hashlib.sha256(foreign).digest()[:8]
+            + foreign
+            + blob[start + len(foreign):]
+        )
+        with pytest.raises(BitstreamError, match="recipe"):
+            parse_bitstream(forged)
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(BitstreamError):

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import CheckpointError, Machine
+from repro.errors import PlacementError
 from repro.config import MachineConfig
 from repro.machine import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 from repro.sim.experiment import ExperimentSpec, run_experiment
@@ -201,4 +202,17 @@ class TestRefusals:
         checkpoint = machine.checkpoint()
         checkpoint["version"] = CHECKPOINT_VERSION + 1
         with pytest.raises(CheckpointError):
+            Machine.resume(checkpoint)
+
+    def test_resume_checks_resident_image_capacity(self):
+        """A resident image read from disk meets the same capacity
+        check as a live load: it cannot overfill its region."""
+        machine = Machine.from_spec(spec())
+        machine.spawn_instances()
+        machine.run_quanta(20)
+        checkpoint = machine.checkpoint()
+        regions = checkpoint["kernel"]["coprocessor"]["array"]["regions"]
+        resident = next(r["resident"] for r in regions if r["resident"])
+        resident["clb_count"] = 1_000_000
+        with pytest.raises(PlacementError):
             Machine.resume(checkpoint)
