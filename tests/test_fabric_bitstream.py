@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BitstreamError
+from repro.fabric.array import PFURegion
 from repro.fabric.bitstream import (
     Bitstream,
     build_bitstream,
@@ -58,6 +59,15 @@ class TestConstruction:
 
 
 class TestStateMovement:
+    def test_snapshot_size_is_declared_state_size(self):
+        """State transfers move whole frames, so the cost is constant."""
+        bs = sample(4)
+        assert len(bs.state_section) == bs.state_bytes
+        region = PFURegion(index=0, clb_capacity=bs.clb_count)
+        region.load_static(bs)
+        assert region.load_state(bs) == bs.state_bytes
+        assert region.load_state(bs) == bs.state_bytes
+
     def test_state_is_far_smaller_than_static(self):
         """The point of the split: context switches move the small part."""
         bs = sample(4)
