@@ -18,6 +18,10 @@ result-path table pins where one point's result object lives in the
 store, and the last table pins whole checkpoint documents: the PFU
 regions' resident-image recipes and every circuit instance's state
 words, which warm-start and job checkpoints are rebuilt from.
+
+The event-stream table pins the order of everything the kernel and the
+CIS publish on the trace bus for whole swap-heavy runs: sharing,
+software deferral, each fault-recovery policy and the prefetcher.
 """
 
 import hashlib
@@ -32,6 +36,7 @@ from repro.prefetch import PrefetchPlan
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.runner import ResultCache
 from repro.synth.plan import SynthesisPlan
+from repro.trace.sinks import JsonlSink
 
 SCALE = 1 / 8000
 
@@ -305,3 +310,115 @@ def test_checkpoint_document_golden(point):
     # A resumed machine writes the same document back.
     resumed = Machine.resume(json.loads(json.dumps(machine.checkpoint())))
     assert _checkpoint_digest(resumed) == CHECKPOINT_DIGESTS[point]
+
+
+RATES = dict(
+    config_upset_rate=0.05, datapath_error_rate=0.05,
+    transfer_error_rate=0.1, state_upset_rate=0.1, scrub_interval_quanta=8,
+)
+#: Rarer fabric upsets leave PFUs in service long enough for the
+#: prefetcher to stream, hit and get cancelled while faults land.
+LOW_RATES = dict(RATES, config_upset_rate=0.005, datapath_error_rate=0.005)
+RARE_RATES = dict(RATES, config_upset_rate=0.001, datapath_error_rate=0.001)
+
+#: Whole runs on the swap path at 1 ms, 1/8000: name -> (spec, event
+#: count, sha256 of the ``JsonlSink`` stream).  Every CIS emitter moves
+#: an event here if it moves at all, so a refactor of the swap path
+#: that reorders, adds or drops one event fails even when every
+#: makespan and counter holds.
+EVENT_STREAMS = {
+    "share": (
+        ExperimentSpec(workload="alpha", instances=6, quantum_ms=1.0,
+                       scale=SCALE, allow_sharing=True),
+        81948,
+        "eccd48f74f71a4d44e0c5faaa30d47a786915e3b2611677a700e0ca1138167ee",
+    ),
+    "soft": (
+        ExperimentSpec(workload="echo", instances=5, quantum_ms=1.0,
+                       scale=SCALE, soft=True),
+        86349,
+        "26cebd116575b06599e3a226b62b00137469cd38fc9a24649fbf12c28363a175",
+    ),
+    "reload": (
+        ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
+                       scale=SCALE,
+                       fault_plan=FaultPlan(seed=9, recovery="reload",
+                                            **RATES)),
+        80754,
+        "88b28d3da2ad555e6dcb334941a3dd04c5044a5dab6101562d13c7e8fae75f94",
+    ),
+    "prefetch": (
+        ExperimentSpec(workload="phases", instances=5, quantum_ms=1.0,
+                       scale=SCALE, prefetch=PrefetchPlan()),
+        55776,
+        "441b77f2610ebb032c2bfe7963c0eb13e64b46f3f31543ae22abb1ee64602e95",
+    ),
+    "prefetch_quarantine": (
+        ExperimentSpec(workload="phases", instances=5, quantum_ms=1.0,
+                       scale=SCALE, prefetch=PrefetchPlan(),
+                       fault_plan=FaultPlan(seed=9, recovery="quarantine",
+                                            **LOW_RATES)),
+        57561,
+        "7d335cb82da335310192aa6d6b8758a4643118d77871b9157eb905f222877a05",
+    ),
+    "prefetch_fallback": (
+        ExperimentSpec(workload="phases", instances=5, quantum_ms=1.0,
+                       scale=SCALE, prefetch=PrefetchPlan(),
+                       fault_plan=FaultPlan(seed=9, recovery="fallback",
+                                            **RARE_RATES)),
+        51770,
+        "1d07f6d78b999f529f61a00b16ce0972f8b5a2f73c48ef8cb1e27651c40bb57e",
+    ),
+}
+
+#: Events (with their ``action`` or ``reason``) the point set must
+#: reach, so its coverage of the swap path cannot rot silently.
+EVENT_COVERAGE = {
+    "fault:load", "fault:swap", "fault:share", "fault:soft",
+    "fault:mapping", "fault:prefetch",
+    "fault_recovered:reload", "fault_recovered:retry",
+    "fault_recovered:fallback", "fault_recovered:quarantine",
+    "prefetch_hit", "prefetch_wasted", "prefetch_cancelled:mispredict",
+}
+
+
+class _Digest:
+    """A write-only text handle that hashes what it is given."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode("utf-8"))
+
+
+class _Coverage:
+    """Records each event kind, tagged with its action or reason."""
+
+    def __init__(self) -> None:
+        self.seen: set[str] = set()
+
+    def on_event(self, event) -> None:
+        tag = {
+            "fault": "action", "fault_recovered": "action",
+            "prefetch_cancelled": "reason",
+        }.get(event.kind)
+        self.seen.add(
+            event.kind if tag is None
+            else f"{event.kind}:{getattr(event, tag)}"
+        )
+
+
+def test_event_stream_golden():
+    coverage = _Coverage()
+    streams = {}
+    for name, (spec, _count, _digest) in EVENT_STREAMS.items():
+        digest = _Digest()
+        sink = JsonlSink(digest)
+        run_experiment(spec, verify=False, sinks=[sink, coverage])
+        streams[name] = (sink.written, digest.sha.hexdigest())
+    assert streams == {
+        name: (count, digest)
+        for name, (_spec, count, digest) in EVENT_STREAMS.items()
+    }
+    assert EVENT_COVERAGE <= coverage.seen, EVENT_COVERAGE - coverage.seen
