@@ -30,7 +30,6 @@ from .dispatch import DispatchResult, DispatchUnit
 from .operand_regs import OperandRegisters
 from .pfu import PFU, PFUBank, parity32
 from .regfile import FPLRegisterFile
-from .tlb import IDTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultInjector
@@ -203,9 +202,6 @@ class ProteusCoprocessor:
         self.dispatch.unmap_pfu(pfu_index)
         return instance, instance.bitstream.state_bytes
 
-    def pfu_for(self, pid: int, circuit_name: str) -> PFU | None:
-        return self.pfus.find_instance(pid, circuit_name)
-
     # ---- OS-side: context switching ------------------------------------------
     def save_context(self) -> dict:
         """Capture per-process coprocessor state for the PCB.
@@ -261,6 +257,3 @@ class ProteusCoprocessor:
     def read_usage_counters(self) -> list[int]:
         """Read-and-clear every PFU usage counter."""
         return [pfu.read_and_clear_usage() for pfu in self.pfus]
-
-    def key_for(self, pid: int, cid: int) -> IDTuple:
-        return IDTuple(pid=pid, cid=cid)

@@ -178,9 +178,6 @@ class DispatchUnit:
         self.generation += 1
         return self.hardware_tlb.flush() + self.software_tlb.flush()
 
-    def tuples_for_pfu(self, pfu_index: int) -> list[IDTuple]:
-        return self.hardware_tlb.keys_for_value(pfu_index)
-
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
         return {

@@ -232,16 +232,6 @@ class PFUBank:
     def configured_pfus(self) -> list[PFU]:
         return [pfu for pfu in self.pfus if pfu.configured]
 
-    def find_instance(self, pid: int, circuit_name: str) -> PFU | None:
-        """Locate the PFU holding a given process's circuit instance."""
-        for pfu in self.pfus:
-            if pfu.instance is not None and (
-                pfu.instance.pid == pid
-                and pfu.instance.spec.name == circuit_name
-            ):
-                return pfu
-        return None
-
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
         return {"pfus": [pfu.snapshot() for pfu in self.pfus]}

@@ -104,9 +104,6 @@ class FPLArray:
     def __len__(self) -> int:
         return len(self.regions)
 
-    def free_regions(self) -> list[PFURegion]:
-        return [region for region in self.regions if region.is_free]
-
     def occupied_regions(self) -> list[int]:
         """Indices of regions holding a configuration (in index order).
 
@@ -122,25 +119,6 @@ class FPLArray:
         if not 0 <= index < len(self.regions):
             raise PlacementError(f"no PFU region {index}")
         return self.regions[index]
-
-    def find_resident(self, circuit_name: str) -> PFURegion | None:
-        """Locate a region already holding ``circuit_name``'s static image."""
-        for region in self.regions:
-            if region.resident is not None and (
-                region.resident.name == circuit_name
-            ):
-                return region
-        return None
-
-    def total_clbs(self) -> int:
-        return sum(region.clb_capacity for region in self.regions)
-
-    def occupancy(self) -> float:
-        """Fraction of regions currently holding a configuration."""
-        if not self.regions:
-            return 0.0
-        used = sum(1 for region in self.regions if not region.is_free)
-        return used / len(self.regions)
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:

@@ -32,6 +32,22 @@ bus priority (every demand byte pushes the speculative stream back), the
 engine's target PFU is pinned against eviction while the transfer is in
 flight, and mispredicts cancel deterministically — so with the plan off
 the accounting below is untouched.
+
+Every swap step has one implementation, whichever path takes it:
+
+* :meth:`~CustomInstructionScheduler._land` — a circuit lands on a PFU
+  (demand loads, promotions and speculative installs);
+* :meth:`~CustomInstructionScheduler._forget` — an evicted circuit's
+  registration leaves the array (swaps, shares and quarantine);
+* :meth:`~CustomInstructionScheduler._defer` — a fault is resolved by a
+  software mapping instead of a load;
+* :meth:`~CustomInstructionScheduler._cancel_prefetch` — the in-flight
+  speculative transfer is abandoned, with its reason;
+* :meth:`~CustomInstructionScheduler._usable` — the PFUs a victim,
+  free, share or promote search may pick;
+* :meth:`~CustomInstructionScheduler._recover` — the quarantine →
+  fallback → reload decision, for trap-time fabric faults and the
+  periodic scrub alike.
 """
 
 from __future__ import annotations
@@ -229,16 +245,29 @@ class CustomInstructionScheduler:
             self.trace.cis_charge(cycles)
             return cycles, "mapping"
 
-        # Partial hit: the predicted transfer for this CID is still in
-        # flight — wait out the remainder instead of paying the full
-        # transfer, then map as a normal load would.
-        if engine is not None and engine.matches(process.pid, cid):
-            entry = engine.cancel()
+        entry = engine.entry if engine is not None else None
+        if entry is not None and entry["pid"] == process.pid:
             pfu = self.coprocessor.pfus.pfu(entry["pfu"])
-            if not pfu.configured and not self._quarantined(pfu.index):
-                remaining = max(0, entry["end"] - self.trace.now())
-                cycles += remaining
-                cycles += self._install_prefetched(pfu, registration, key)
+            if entry["cid"] != cid:
+                # The process went somewhere the model did not predict:
+                # abandon the speculative stream deterministically.
+                self._cancel_prefetch(process.pid, "mispredict")
+            elif pfu.configured or self._quarantined(pfu.index):
+                # The target was lost mid-flight (quarantine); fall
+                # through to the reactive paths.
+                self._cancel_prefetch(process.pid, "demand")
+            else:
+                # Partial hit: the predicted transfer for this CID is
+                # still in flight — wait out the remainder instead of
+                # paying the full transfer, then map as a load would.
+                remaining = engine.remaining(self.trace.now())
+                engine.cancel()
+                moved = self.coprocessor.load_circuit(
+                    pfu.index, registration.instance
+                )
+                self._land(pfu, registration, key, moved)
+                self.coprocessor.dispatch.map_hardware(key, pfu.index)
+                cycles += remaining + self.config.tlb_update_cycles
                 self.trace.prefetch_hit(
                     process.pid, cid, pfu.index,
                     max(0, entry["total"] - remaining),
@@ -247,20 +276,6 @@ class CustomInstructionScheduler:
                 self._maybe_prefetch(process, cid, cycles)
                 self.trace.cis_charge(cycles)
                 return cycles, "prefetch"
-            # The target was lost mid-flight (quarantine); fall through
-            # to the reactive paths.
-            self.trace.prefetch_cancelled(
-                process.pid, entry["cid"], entry["pfu"], "demand"
-            )
-        elif engine is not None and engine.entry is not None and (
-            engine.entry["pid"] == process.pid
-        ):
-            # The process went somewhere the model did not predict:
-            # abandon the speculative stream deterministically.
-            entry = engine.cancel()
-            self.trace.prefetch_cancelled(
-                process.pid, entry["cid"], entry["pfu"], "mispredict"
-            )
 
         # Free PFU available?  A free slot always beats sharing: paying
         # one static transfer now is cheaper than serialising processes
@@ -285,51 +300,36 @@ class CustomInstructionScheduler:
                 self.trace.cis_charge(cycles)
                 return cycles, "share"
 
-        # Array full: defer to software if registered and preferred.
-        if registration.soft_address is not None and (
-            self.config.prefer_software_when_full or registration.soft_mapped
-        ):
-            self.coprocessor.dispatch.map_software(
-                key, registration.soft_address
-            )
-            cycles += self.config.tlb_update_cycles
-            self.trace.soft_defer(process.pid, cid, registration.soft_mapped)
-            registration.soft_mapped = True
-            self.trace.cis_charge(cycles)
-            return cycles, "soft"
-
-        # Array full: evict a victim and load.  Quarantined PFUs are not
-        # eviction candidates, and neither is a PFU pinned by an
+        # Array full: evict a victim and load — unless a software
+        # alternative is registered and preferred.  Quarantined PFUs are
+        # not eviction candidates, and neither is a PFU pinned by an
         # in-flight speculative transfer — but demand always wins over
         # speculation: if pins leave nothing evictable, the prefetch is
         # cancelled and its target reclaimed for a plain demand load.
         # Once every PFU is quarantined the machine has no serviceable
         # fabric left, so degrade to the software alternative if one
         # exists and kill otherwise.
-        cycles += self.policy.decision_cycles(self.config)
-        candidates = self._victim_candidates()
-        if not candidates and engine is not None and engine.entry is not None:
-            entry = engine.cancel()
-            self.trace.prefetch_cancelled(
-                process.pid, entry["cid"], entry["pfu"], "demand"
-            )
-            free = self._pick_free_pfu(registration)
-            if free is not None:
-                cycles += self._load_into(free, registration, key)
-                self.trace.load_fault(process.pid, cid)
-                self.trace.cis_charge(cycles)
-                return cycles, "load"
+        soft = registration.soft_address is not None
+        candidates: list[PFU] = []
+        if not soft or not (
+            self.config.prefer_software_when_full or registration.soft_mapped
+        ):
+            cycles += self.policy.decision_cycles(self.config)
             candidates = self._victim_candidates()
+            if not candidates and engine is not None and (
+                engine.entry is not None
+            ):
+                self._cancel_prefetch(process.pid, "demand")
+                free = self._pick_free_pfu(registration)
+                if free is not None:
+                    cycles += self._load_into(free, registration, key)
+                    self.trace.load_fault(process.pid, cid)
+                    self.trace.cis_charge(cycles)
+                    return cycles, "load"
+                candidates = self._victim_candidates()
         if not candidates:
-            if registration.soft_address is not None:
-                self.coprocessor.dispatch.map_software(
-                    key, registration.soft_address
-                )
-                cycles += self.config.tlb_update_cycles
-                self.trace.soft_defer(
-                    process.pid, cid, registration.soft_mapped
-                )
-                registration.soft_mapped = True
+            if soft:
+                cycles += self._defer(registration, key)
                 self.trace.cis_charge(cycles)
                 return cycles, "soft"
             self.trace.cis_charge(cycles)
@@ -355,10 +355,7 @@ class CustomInstructionScheduler:
         if self.engine is not None and self.engine.entry is not None and (
             self.engine.entry["pid"] == process.pid
         ):
-            entry = self.engine.cancel()
-            self.trace.prefetch_cancelled(
-                process.pid, entry["cid"], entry["pfu"], "exit"
-            )
+            self._cancel_prefetch(process.pid, "exit")
         if self.predictor is not None:
             self.predictor.forget(process.pid)
         freed: list[int] = []
@@ -394,9 +391,12 @@ class CustomInstructionScheduler:
             and pfu_index in self.injector.quarantined
         )
 
-    def _pinned(self, pfu_index: int) -> bool:
-        """True while an in-flight speculative transfer targets the PFU."""
-        return self.engine is not None and self.engine.pinned(pfu_index)
+    def _usable(self, pfu_index: int) -> bool:
+        """In service, and not pinned by an in-flight speculative
+        transfer: the PFUs every placement search may pick."""
+        return not self._quarantined(pfu_index) and not (
+            self.engine is not None and self.engine.pinned(pfu_index)
+        )
 
     def _victim_candidates(self) -> list[PFU]:
         """Configured PFUs the replacement policy may evict from.
@@ -411,8 +411,7 @@ class CustomInstructionScheduler:
         candidates = [
             pfu
             for pfu in self.coprocessor.pfus.configured_pfus()
-            if not self._quarantined(pfu.index)
-            and not self._pinned(pfu.index)
+            if self._usable(pfu.index)
         ]
         if self.predictor is not None and candidates:
             cold = [
@@ -442,8 +441,7 @@ class CustomInstructionScheduler:
         free = [
             pfu
             for pfu in self.coprocessor.pfus.free_pfus()
-            if not self._quarantined(pfu.index)
-            and not self._pinned(pfu.index)
+            if self._usable(pfu.index)
         ]
         if not free:
             return None
@@ -511,6 +509,20 @@ class CustomInstructionScheduler:
                 self.trace.fault_recovered(
                     key.pid, "transfer", pfu.index, "retry", retry_cost
                 )
+        self._land(pfu, registration, key, moved)
+        self.coprocessor.dispatch.map_hardware(key, pfu.index)
+        return cycles
+
+    def _land(
+        self, pfu: PFU, registration: Registration, key: IDTuple, moved: int
+    ) -> None:
+        """Record ``registration``'s circuit as resident on ``pfu``.
+
+        The one landing path for demand loads and speculative installs
+        alike; ``moved`` is the configuration bytes the load transferred.
+        Mapping the (PID, CID) tuple is left to the caller, since a
+        completed prefetch lands unmapped.
+        """
         state_bytes = registration.instance.bitstream.state_bytes
         registration.pfu_index = pfu.index
         registration.soft_mapped = False
@@ -523,15 +535,20 @@ class CustomInstructionScheduler:
             max(0, moved - state_bytes),
             min(moved, state_bytes),
         )
-        self.coprocessor.dispatch.map_hardware(key, pfu.index)
-        return cycles
+
+    def _defer(self, registration: Registration, key: IDTuple) -> int:
+        """Map a (PID, CID) tuple to its software alternative instead of
+        loading the circuit; returns cycles."""
+        self.coprocessor.dispatch.map_software(key, registration.soft_address)
+        self.trace.soft_defer(key.pid, key.cid, registration.soft_mapped)
+        registration.soft_mapped = True
+        return self.config.tlb_update_cycles
 
     def _evict(self, victim: PFU) -> int:
         """Save a victim circuit's state off the array; returns cycles."""
         instance = victim.instance
         if instance is None:
             raise KernelError(f"evicting empty PFU {victim.index}")
-        owner = self.processes.get(instance.pid)
         __, state_bytes = self.coprocessor.unload_circuit(
             victim.index, keep_static=True
         )
@@ -544,24 +561,36 @@ class CustomInstructionScheduler:
         self.trace.circuit_evict(
             instance.pid, victim.index, instance.bitstream.name, state_bytes
         )
-        if owner is not None:
-            for registration in owner.registrations.values():
-                if registration.instance is instance:
-                    registration.pfu_index = None
-                    registration.evictions += 1
-                    if registration.prefetched:
-                        # A completed prefetch evicted before first use
-                        # moved 54 KB for nothing.
-                        self.trace.prefetch_wasted(
-                            instance.pid, registration.cid, victim.index
-                        )
-                        registration.prefetched = 0
+        self._forget(instance, victim.index)
         return self._charged_transfer(state_bytes)
+
+    def _forget(self, instance, pfu_index: int) -> None:
+        """Mark the registration holding an evicted ``instance`` as off
+        the array.  Called after the ``circuit_evict`` event.
+
+        Alias CIDs map to the same :class:`Registration`, so the walk
+        stops at the first match: one eviction counts once.
+        """
+        owner = self.processes.get(instance.pid)
+        if owner is None:
+            return
+        for registration in owner.registrations.values():
+            if registration.instance is instance:
+                registration.pfu_index = None
+                registration.evictions += 1
+                if registration.prefetched:
+                    # A completed prefetch evicted before first use
+                    # moved 54 KB for nothing.
+                    self.trace.prefetch_wasted(
+                        instance.pid, registration.cid, pfu_index
+                    )
+                    registration.prefetched = 0
+                return
 
     def _find_shareable(self, registration: Registration) -> PFU | None:
         wanted = registration.instance.spec.name
         for pfu in self.coprocessor.pfus.configured_pfus():
-            if self._quarantined(pfu.index):
+            if not self._usable(pfu.index):
                 continue
             if pfu.instance is not None and (
                 pfu.instance.spec.name == wanted and not pfu.instance.busy
@@ -582,9 +611,7 @@ class CustomInstructionScheduler:
     def _promote_into(self, pfu_index: int) -> int:
         """Promote a software-deferred circuit into a freed PFU (§5.1.3)."""
         pfu = self.coprocessor.pfus.pfu(pfu_index)
-        if pfu.configured or self._quarantined(pfu_index) or (
-            self._pinned(pfu_index)
-        ):
+        if pfu.configured or not self._usable(pfu_index):
             return 0
         for process in self.processes.values():
             if not process.alive:
@@ -637,57 +664,37 @@ class CustomInstructionScheduler:
         quarantined) is dropped deterministically.
         """
         engine = self.engine
-        if engine.entry is None or engine.remaining(self.trace.now()) > 0:
+        entry = engine.entry
+        if entry is None or engine.remaining(self.trace.now()) > 0:
             return
-        entry = engine.cancel()
         process = self.processes.get(entry["pid"])
-        if process is None or not process.alive:
-            return
-        registration = process.registration(entry["cid"])
+        registration = (
+            process.registration(entry["cid"])
+            if process is not None and process.alive
+            else None
+        )
         if registration is None or registration.pfu_index is not None:
+            engine.cancel()
             return
         pfu = self.coprocessor.pfus.pfu(entry["pfu"])
         if pfu.configured or self._quarantined(pfu.index):
-            self.trace.prefetch_cancelled(
-                entry["pid"], entry["cid"], entry["pfu"], "demand"
-            )
+            self._cancel_prefetch(entry["pid"], "demand")
             return
+        # Streamed on idle bus cycles: no transfer charge, and no
+        # injector retry loop (a failed speculative checksum would simply
+        # re-stream; modelling it as free keeps the injector's RNG stream
+        # demand-only).
+        engine.cancel()
         key = IDTuple(pid=entry["pid"], cid=entry["cid"])
-        self._install_prefetched(pfu, registration, key, map_now=False)
+        moved = self.coprocessor.load_circuit(pfu.index, registration.instance)
+        self._land(pfu, registration, key, moved)
         registration.prefetched = entry["total"]
 
-    def _install_prefetched(
-        self,
-        pfu: PFU,
-        registration: Registration,
-        key: IDTuple,
-        map_now: bool = True,
-    ) -> int:
-        """Put a speculatively-streamed circuit onto its PFU.
-
-        Mirrors :meth:`_load_into` minus the transfer charge (the bytes
-        moved on idle bus cycles) and minus the injector retry loop (a
-        failed speculative checksum would simply re-stream; modelling it
-        as free keeps the injector's RNG stream demand-only).  Returns
-        the TLB-update cycles when mapping now, else 0.
-        """
-        moved = self.coprocessor.load_circuit(pfu.index, registration.instance)
-        state_bytes = registration.instance.bitstream.state_bytes
-        registration.pfu_index = pfu.index
-        registration.soft_mapped = False
-        registration.loads += 1
-        self.trace.circuit_load(
-            key.pid,
-            key.cid,
-            pfu.index,
-            registration.instance.bitstream.name,
-            max(0, moved - state_bytes),
-            min(moved, state_bytes),
-        )
-        if not map_now:
-            return 0
-        self.coprocessor.dispatch.map_hardware(key, pfu.index)
-        return self.config.tlb_update_cycles
+    def _cancel_prefetch(self, pid: int, reason: str) -> None:
+        """Abandon the in-flight speculative transfer, traced against
+        ``pid`` (the process whose action cancelled it)."""
+        entry = self.engine.cancel()
+        self.trace.prefetch_cancelled(pid, entry["cid"], entry["pfu"], reason)
 
     def _maybe_prefetch(self, process: Process, cid: int, charged: int) -> None:
         """After resolving a fault on ``cid``, consider streaming the
@@ -764,30 +771,13 @@ class CustomInstructionScheduler:
         strikes.  Transient datapath glitches below the quarantine
         threshold simply squash the corrupt result and re-issue.
         """
-        injector = self.injector
-        if injector is None:
+        if self.injector is None:
             raise KernelError("fabric fault with no fault plan active")
-        plan = injector.plan
-        cycles = self.config.fault_entry_cycles
         pfu_index = fault.pfu_index
-        strikes = injector.strike(pfu_index)
-        registration = self._registration_on(process, pfu_index)
-        if plan.recovery == "quarantine" and (
-            strikes >= plan.quarantine_strikes
-        ):
-            cycles += self._quarantine_pfu(pfu_index)
-            action = "quarantine"
-        elif plan.recovery == "fallback" and registration is not None and (
-            registration.soft_address is not None
-        ):
-            cycles += self._fallback(process, registration)
-            action = "fallback"
-        elif fault.kind == "config":
-            cycles += self._reload_region(pfu_index)
-            action = "reload"
-        else:
-            cycles += self.config.cis_decision_cycles
-            action = "retry"
+        repair, action = self._recover(
+            pfu_index, reload=fault.kind == "config"
+        )
+        cycles = self.config.fault_entry_cycles + repair
         self.trace.fault_recovered(
             process.pid, fault.kind, pfu_index, action, cycles
         )
@@ -806,27 +796,12 @@ class CustomInstructionScheduler:
         injector = self.injector
         if injector is None:
             return 0
-        plan = injector.plan
-        cycles = plan.scrub_check_cycles * len(self.coprocessor.array)
+        cycles = injector.plan.scrub_check_cycles * len(self.coprocessor.array)
         for pfu_index in injector.upset_regions():
             self.trace.fault_detected(
                 process.pid, "config", pfu_index, "scrub"
             )
-            strikes = injector.strike(pfu_index)
-            if plan.recovery == "quarantine" and (
-                strikes >= plan.quarantine_strikes
-            ):
-                repair = self._quarantine_pfu(pfu_index)
-                action = "quarantine"
-            else:
-                owner_reg = self._fallback_target(pfu_index)
-                if plan.recovery == "fallback" and owner_reg is not None:
-                    owner, registration = owner_reg
-                    repair = self._fallback(owner, registration)
-                    action = "fallback"
-                else:
-                    repair = self._reload_region(pfu_index)
-                    action = "reload"
+            repair, action = self._recover(pfu_index, reload=True)
             cycles += repair
             self.trace.fault_recovered(
                 process.pid, "config", pfu_index, action, repair
@@ -834,13 +809,27 @@ class CustomInstructionScheduler:
         self.trace.cis_charge(cycles)
         return cycles
 
-    def _registration_on(
-        self, process: Process, pfu_index: int
-    ) -> Registration | None:
-        for registration in process.registrations.values():
-            if registration.pfu_index == pfu_index:
-                return registration
-        return None
+    def _recover(self, pfu_index: int, reload: bool) -> tuple[int, str]:
+        """Strike ``pfu_index`` and repair it; returns (cycles, action).
+
+        The one recovery decision for trap-time faults and the scrub:
+        quarantine once the PFU has enough strikes, else degrade the
+        resident circuit to software, else reload the image when
+        ``reload`` applies (a configuration upset), else squash the
+        result and retry.
+        """
+        plan = self.injector.plan
+        strikes = self.injector.strike(pfu_index)
+        if plan.recovery == "quarantine" and (
+            strikes >= plan.quarantine_strikes
+        ):
+            return self._quarantine_pfu(pfu_index), "quarantine"
+        target = self._fallback_target(pfu_index)
+        if plan.recovery == "fallback" and target is not None:
+            return self._fallback(*target), "fallback"
+        if reload:
+            return self._reload_region(pfu_index), "reload"
+        return self.config.cis_decision_cycles, "retry"
 
     def _fallback_target(
         self, pfu_index: int
@@ -899,19 +888,16 @@ class CustomInstructionScheduler:
         """Retire a PFU from service; its circuit (if any) is saved off
         so replacement can place it elsewhere on the next issue."""
         cycles = self.config.cis_decision_cycles
-        if self._pinned(pfu_index):
+        engine = self.engine
+        if engine is not None and engine.pinned(pfu_index):
             # The fabric under the in-flight speculative stream just
             # went bad; abandon the transfer before retiring the PFU.
-            entry = self.engine.cancel()
-            self.trace.prefetch_cancelled(
-                entry["pid"], entry["cid"], entry["pfu"], "demand"
-            )
+            self._cancel_prefetch(engine.entry["pid"], "demand")
         pfu = self.coprocessor.pfus.pfu(pfu_index)
         pid = -1
         if pfu.configured:
             instance = pfu.instance
             pid = instance.pid
-            owner = self.processes.get(pid)
             __, state_bytes = self.coprocessor.unload_circuit(
                 pfu_index, keep_static=False
             )
@@ -919,16 +905,7 @@ class CustomInstructionScheduler:
             self.trace.circuit_evict(
                 pid, pfu_index, instance.bitstream.name, state_bytes
             )
-            if owner is not None:
-                for registration in owner.registrations.values():
-                    if registration.instance is instance:
-                        registration.pfu_index = None
-                        registration.evictions += 1
-                        if registration.prefetched:
-                            self.trace.prefetch_wasted(
-                                pid, registration.cid, pfu_index
-                            )
-                            registration.prefetched = 0
+            self._forget(instance, pfu_index)
         else:
             region = self.coprocessor.array.region(pfu_index)
             if region.resident is not None:

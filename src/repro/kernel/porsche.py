@@ -114,10 +114,6 @@ class Porsche:
         self.scheduler.add(process)
         return process
 
-    @property
-    def alive_processes(self) -> list[Process]:
-        return [p for p in self.processes.values() if p.alive]
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -239,56 +235,38 @@ class Porsche:
         cycles = self.config.syscall_cycles
         self.trace.syscall(process.pid, number)
         regs = process.cpu_state.regs
+        reason = None
         try:
             call = Syscall(number)
         except ValueError:
-            self._charge_kernel(process, cycles)
-            self._kill(process, f"unknown syscall {number}")
-            return cycles
-
-        if call is Syscall.EXIT:
-            self._charge_kernel(process, cycles)
-            self._finish(process, status=regs[0])
-            return cycles
-        if call is Syscall.REGISTER:
-            soft = regs[2] if regs[2] != 0 else None
-            try:
+            call = None
+            reason = f"unknown syscall {number}"
+        try:
+            if call is Syscall.REGISTER:
+                soft = regs[2] if regs[2] != 0 else None
                 cycles += self.cis.register(
-                    process, cid=regs[0], table_index=regs[1], soft_address=soft
+                    process, cid=regs[0], table_index=regs[1],
+                    soft_address=soft,
                 )
-            except ProcessKilled as killed:
-                self._charge_kernel(process, cycles)
-                self._kill(process, killed.reason)
-                return cycles
-            except ReproError as error:
-                self._charge_kernel(process, cycles)
-                self._kill(process, str(error))
-                return cycles
-            self._charge_kernel(process, cycles)
-            return cycles
-        if call is Syscall.YIELD:
-            self._charge_kernel(process, cycles)
-            return budget  # consume the rest of the quantum
-        if call is Syscall.WRITE:
-            process.output.append(regs[0])
-            self._charge_kernel(process, cycles)
-            return cycles
-        if call is Syscall.CLOCK:
-            regs[0] = self.clock & MASK32
-            self._charge_kernel(process, cycles)
-            return cycles
-        if call is Syscall.ALIAS:
-            try:
+            elif call is Syscall.ALIAS:
                 cycles += self.cis.register_alias(
                     process, cid=regs[0], target_cid=regs[1]
                 )
-            except ProcessKilled as killed:
-                self._charge_kernel(process, cycles)
-                self._kill(process, killed.reason)
-                return cycles
-            self._charge_kernel(process, cycles)
-            return cycles
-        raise KernelError(f"unhandled syscall {call!r}")  # pragma: no cover
+            elif call is Syscall.WRITE:
+                process.output.append(regs[0])
+            elif call is Syscall.CLOCK:
+                regs[0] = self.clock & MASK32
+        except ProcessKilled as error:
+            reason = error.reason
+        except ReproError as error:
+            reason = str(error)
+        self._charge_kernel(process, cycles)
+        if reason is not None:
+            self._kill(process, reason)
+        elif call is Syscall.EXIT:
+            self._finish(process, status=regs[0])
+        # YIELD consumes the rest of the quantum.
+        return budget if call is Syscall.YIELD else cycles
 
     def _fault(self, process: Process, fault: CustomInstructionFault) -> int:
         """Handle a custom-instruction fault; returns cycles charged."""
@@ -398,17 +376,18 @@ class Porsche:
     def _finish(self, process: Process, status: int) -> None:
         process.state = ProcessState.EXITED
         process.exit_status = status
-        process.completion_cycle = self.clock
-        self.trace.process_exit(process.pid, status=status)
-        cycles = self.cis.process_exit(process)
-        self.clock += cycles
-        self.trace.kernel_charge(process.pid, cycles, source="exit")
+        self._exit(process, status=status)
 
     def _kill(self, process: Process, reason: str) -> None:
         process.state = ProcessState.KILLED
         process.kill_reason = reason
+        self._exit(process, killed=True, reason=reason)
+
+    def _exit(self, process: Process, **details) -> None:
+        """The one exit tail: stamp completion, release the process's
+        circuits and charge the release to the clock."""
         process.completion_cycle = self.clock
-        self.trace.process_exit(process.pid, killed=True, reason=reason)
+        self.trace.process_exit(process.pid, **details)
         cycles = self.cis.process_exit(process)
         self.clock += cycles
         self.trace.kernel_charge(process.pid, cycles, source="exit")

@@ -13,6 +13,7 @@ from conftest import adder_spec
 from repro.core.dispatch import DispatchKind
 from repro.cpu.program import Program
 from repro.errors import ProcessKilled
+from repro.kernel.porsche import Porsche
 from repro.kernel.process import ProcessState
 
 
@@ -60,6 +61,22 @@ class TestCISAliases:
         assert kernel.coprocessor.resolve(process.pid, 2).kind is (
             DispatchKind.FAULT
         )
+
+    def test_swapped_out_alias_counts_one_eviction(self, config):
+        """An alias shares its target's Registration, so evicting the
+        circuit is one eviction however many CIDs name it."""
+        kernel = Porsche(config.derive(pfu_count=1))
+        owner = spawn(kernel, circuits=[adder_spec()])
+        kernel.cis.register(owner, cid=1, table_index=0, soft_address=None)
+        kernel.cis.register_alias(owner, cid=2, target_cid=1)
+        kernel.cis.handle_fault(owner, cid=1)
+        other = spawn(kernel, circuits=[adder_spec("other")])
+        kernel.cis.register(other, cid=1, table_index=0, soft_address=None)
+        __, action = kernel.cis.handle_fault(other, cid=1)
+        assert action == "swap"
+        assert kernel.cis.stats.evictions == 1
+        assert owner.registration(1).evictions == 1
+        assert owner.registration(2).pfu_index is None
 
     def test_alias_to_unregistered_cid_kills(self, kernel):
         process = spawn(kernel)

@@ -92,12 +92,6 @@ class TestManagement:
         assert u.unmap_pfu(0) == 2
         assert u.resolve(3, 3).kind is DispatchKind.HARDWARE
 
-    def test_tuples_for_pfu(self):
-        u = unit()
-        u.map_hardware(key(1, 1), 0)
-        u.map_hardware(key(2, 2), 0)
-        assert set(u.tuples_for_pfu(0)) == {key(1, 1), key(2, 2)}
-
     def test_flush_clears_everything(self):
         u = unit()
         u.map_hardware(key(1, 1), 0)

@@ -15,8 +15,6 @@ class TestArray:
     def test_build(self):
         array = FPLArray.build(4, 500)
         assert len(array) == 4
-        assert array.total_clbs() == 2000
-        assert len(array.free_regions()) == 4
 
     def test_build_rejects_zero(self):
         with pytest.raises(PlacementError):
@@ -26,12 +24,6 @@ class TestArray:
         array = FPLArray.build(2, 500)
         with pytest.raises(PlacementError):
             array.region(2)
-
-    def test_occupancy(self):
-        array = FPLArray.build(4, 500)
-        assert array.occupancy() == 0.0
-        array.region(0).load_static(bs())
-        assert array.occupancy() == 0.25
 
 
 class TestRegion:
@@ -70,10 +62,3 @@ class TestRegion:
         region.load_static(bs())
         region.unload()
         assert region.is_free
-
-    def test_find_resident(self):
-        array = FPLArray.build(2, 500)
-        array.region(1).load_static(bs("findme"))
-        found = array.find_resident("findme")
-        assert found is not None and found.index == 1
-        assert array.find_resident("nope") is None

@@ -139,14 +139,6 @@ class TestBank:
         with pytest.raises(PFUError):
             PFUBank.build(0, 500)
 
-    def test_find_instance(self):
-        bank = PFUBank.build(2, 500)
-        bank.pfu(1).load(adder_spec("findme").instantiate(7, CONFIG))
-        found = bank.find_instance(7, "findme")
-        assert found is not None and found.index == 1
-        assert bank.find_instance(8, "findme") is None
-        assert bank.find_instance(7, "other") is None
-
     def test_configured_and_free_partition(self):
         bank = PFUBank.build(3, 500)
         bank.pfu(0).load(adder_spec().instantiate(1, CONFIG))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import adder_spec, same_on_every_tier
+from repro.core.dispatch import DispatchKind
 from repro.errors import PrefetchError
 from repro.kernel.porsche import Porsche
 from repro.kernel.predict import TransferEngine, TransitionModel
@@ -21,6 +22,7 @@ from repro.sim.experiment import (
     run_experiment,
 )
 from repro.sim.runner import SweepRunner
+from repro.trace.sinks import RingBufferSink
 
 PLAN = PrefetchPlan()
 
@@ -294,6 +296,36 @@ class TestPinnedEviction:
         assert demander.registration(1).pfu_index == 0
         assert kernel.cis.engine.entry is None
         assert kernel.trace.counters.prefetch.cancelled == {"demand": 1}
+
+
+class TestPartialHit:
+    def test_fault_mid_stream_waits_out_the_remainder(self, config):
+        """A fault on the CID whose speculative stream is still in
+        flight pays only the untransferred remainder, then maps."""
+        kernel = _prefetch_kernel(config, "round_robin")
+        process = _spawn_registered(kernel, "spec", cid=1)
+        ring = kernel.trace.attach(RingBufferSink(capacity=64))
+        total = 400
+        kernel.cis.engine.start(
+            pid=process.pid, cid=1, pfu=2, total=total,
+            now=kernel.trace.now(),
+        )
+        kernel.clock += 150
+        remaining = total - 150
+        cycles, action = kernel.cis.handle_fault(process, cid=1)
+        assert action == "prefetch"
+        assert cycles == (
+            config.fault_entry_cycles + remaining + config.tlb_update_cycles
+        )
+        hits = [event for event in ring if event.kind == "prefetch_hit"]
+        assert [(hit.cid, hit.pfu, hit.overlap) for hit in hits] == [
+            (1, 2, total - remaining)
+        ]
+        assert kernel.trace.counters.prefetch.hits == 1
+        assert kernel.cis.engine.entry is None
+        resolved = kernel.coprocessor.resolve(process.pid, 1)
+        assert resolved.kind is DispatchKind.HARDWARE
+        assert resolved.pfu_index == 2
 
 
 SCALE = 1e-3
