@@ -252,14 +252,14 @@ class Porsche:
                 cycles += self.cis.register_alias(
                     process, cid=regs[0], target_cid=regs[1]
                 )
-            elif call is Syscall.WRITE:
-                process.output.append(regs[0])
-            elif call is Syscall.CLOCK:
-                regs[0] = self.clock & MASK32
         except ProcessKilled as error:
             reason = error.reason
         except ReproError as error:
             reason = str(error)
+        if call is Syscall.WRITE:
+            process.output.append(regs[0])
+        elif call is Syscall.CLOCK:
+            regs[0] = self.clock & MASK32
         self._charge_kernel(process, cycles)
         if reason is not None:
             self._kill(process, reason)
