@@ -332,3 +332,28 @@ class TestSchedulerJournalIntegration:
             assert scheduler2.recover() == 0
         finally:
             scheduler2.shutdown()
+
+    def test_older_record_with_priority_and_timeout_replays(self, tmp_path):
+        """A ``submitted`` record written with priority and timeout
+        fields is still recovered and runs to the straight outcome."""
+        from repro.machine import spec_to_dict
+        from repro.sim.experiment import ExperimentSpec, run_experiment
+        from repro.sim.jobs import Scheduler
+
+        spec = ExperimentSpec(workload="alpha", instances=1,
+                              scale=1 / 8000.0)
+        journal = Journal(tmp_path)
+        journal.append({
+            "type": "submitted", "job": 1, "tenant": "default",
+            "spec": spec_to_dict(spec), "verify": False,
+            "priority": 5, "timeout_s": 60.0, "timeout_action": "demote",
+        })
+        journal.close()
+
+        scheduler = Scheduler(workers=0, journal=Journal(tmp_path))
+        try:
+            assert scheduler.recover() == 1
+            (job,) = scheduler._jobs.values()
+            assert job.result() == run_experiment(spec, verify=False)
+        finally:
+            scheduler.shutdown()

@@ -8,6 +8,7 @@ worker resumes bit-identically on another.
 """
 
 import argparse
+import json
 import os
 import signal
 import socket
@@ -20,8 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ExperimentError
+from repro.machine import spec_to_dict
 from repro.sim.client import ServeClient
-from repro.sim.experiment import ExperimentSpec, run_experiment
+from repro.sim.experiment import (
+    ExperimentSpec,
+    outcome_from_dict,
+    run_experiment,
+)
 from repro.sim.jobs import JobState, Scheduler
 from repro.sim.runner import ResultCache, SweepRunner
 from repro.sim.serve import ServeDaemon, daemon_available
@@ -211,6 +217,50 @@ class TestRemoteExecution:
         shared = (astats.cache_hits + astats.coalesced
                   + bstats.cache_hits + bstats.coalesced)
         assert shared == len(overlap)
+
+
+class TestSubmitCommand:
+    ARGS = ["alpha", "2", "--quantum-ms", "1", "--scale", "0.000125",
+            "--quiet"]
+
+    def test_stdout_matches_repro_run(self, daemon, capsys):
+        """``repro submit`` through a live daemon prints exactly what
+        ``repro run`` prints for the same point."""
+        from repro.sim.cli import main
+
+        assert main(["submit", *self.ARGS,
+                     "--socket", str(daemon.socket_path)]) == 0
+        submitted = capsys.readouterr().out
+        assert main(["run", *self.ARGS]) == 0
+        assert submitted == capsys.readouterr().out
+
+
+class TestOlderClients:
+    def test_priority_and_timeout_fields_are_accepted(self, daemon):
+        """A raw submit from an older client, still carrying priority
+        and timeout fields, runs to the straight in-process outcome."""
+        point = spec(instances=2)
+        request = {
+            "id": 1, "op": "submit", "spec": spec_to_dict(point),
+            "tenant": "old", "verify": False,
+            "priority": 5, "timeout_s": 60.0, "timeout_action": "demote",
+        }
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(120)
+            sock.connect(str(daemon.socket_path))
+            sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
+            with sock.makefile("rb") as stream:
+                reply = json.loads(stream.readline())
+                assert reply["ok"], reply
+                for line in stream:
+                    message = json.loads(line)
+                    if message.get("event") in ("done", "failed",
+                                                "cancelled"):
+                        break
+        assert message["job"] == reply["job"]
+        assert message["state"] == "done", message
+        outcome = outcome_from_dict(message["outcome"])
+        assert outcome == run_experiment(point, verify=False)
 
 
 class TestSignalShutdown:
