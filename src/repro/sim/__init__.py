@@ -16,7 +16,7 @@ exposes all of them from the command line.
 
 from .scaling import DEFAULT_SCALE, scaled_config
 from .experiment import ExperimentSpec, RunOutcome, run_experiment
-from .jobs import Job, JobQueue, JobState, QueueFull, Scheduler
+from .jobs import Job, JobQueue, JobState, Scheduler
 from .journal import Journal, RecoveredJob, recovered_jobs
 from .runner import (
     CheckpointStore,
@@ -37,7 +37,6 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobState",
-    "QueueFull",
     "Scheduler",
     "Journal",
     "RecoveredJob",

@@ -199,13 +199,8 @@ def run_campaign(
     runner: SweepRunner | None = None,
     verify: bool = True,
     progress: SweepProgressFn | None = None,
-    priority: int | None = None,
 ) -> CampaignReport:
     """Run every (policy, trial) point and collect the metrics table.
-
-    ``priority`` overrides the runner's job priority for this campaign
-    — useful when the points go through a shared ``repro serve``
-    scheduler alongside other tenants' work.
 
     ``verify`` defaults to True here (unlike figure sweeps): silent data
     corruption is precisely what a dependability campaign must observe,
@@ -215,9 +210,7 @@ def run_campaign(
     if runner is None:
         runner = SweepRunner()
     specs = campaign_specs(config)
-    outcomes = runner.run(
-        specs, verify=verify, progress=progress, priority=priority
-    )
+    outcomes = runner.run(specs, verify=verify, progress=progress)
     report = CampaignReport(config=config)
     for spec, outcome in zip(specs, outcomes):
         assert spec.fault_plan is not None

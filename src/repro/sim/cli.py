@@ -33,8 +33,8 @@ is given.  The sweep commands (``fig2``/``fig3``/``speedup``) also take
 bit-identical to serial) and ``--no-cache`` (bypass the on-disk result
 cache keyed by experiment-spec content hashes).  When a ``repro
 serve`` daemon is listening on the socket, sweeps are submitted to it
-instead of a private pool — under ``--tenant`` / ``--priority`` —
-unless ``--no-daemon`` opts out.
+instead of a private pool — under ``--tenant``, in the daemon's one
+FIFO queue — unless ``--no-daemon`` opts out.
 
 Layout: every subcommand is one row of the :data:`COMMANDS` table —
 its help line, a function adding its arguments, and a handler taking
@@ -155,10 +155,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "submission (default %(default)s)",
     )
     parser.add_argument(
-        "--priority", type=int, default=0,
-        help="job priority when sharing a daemon (higher runs first)",
-    )
-    parser.add_argument(
         "--no-daemon", action="store_true",
         help="run in-process even when a repro serve daemon is listening",
     )
@@ -221,7 +217,6 @@ def _make_runner(args) -> SweepRunner:
         checkpoints=checkpoints,
         scheduler=scheduler,
         tenant=args.tenant,
-        priority=args.priority,
     )
 
 
@@ -247,9 +242,6 @@ def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
     preempted = (
         f"preempted {stats.preemptions} | " if stats.preemptions else ""
     )
-    timed_out = (
-        f"timed out {stats.timeouts} | " if stats.timeouts else ""
-    )
     via = (
         "daemon" if isinstance(runner.scheduler, ServeClient)
         else f"jobs {runner.jobs}"
@@ -258,7 +250,7 @@ def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
     print(
         f"sweep: {stats.points} points | cache hits {stats.cache_hits} | "
         f"executed {stats.executed} | {warm}{retried}{evicted}"
-        f"{coalesced}{preempted}{timed_out}"
+        f"{coalesced}{preempted}"
         f"{stats.elapsed:.2f}s | {via}",
         file=stream,
     )
@@ -698,12 +690,6 @@ def _args_serve(parser) -> None:
              "(default 256; 0 runs jobs to completion)",
     )
     parser.add_argument(
-        "--queue-size", type=int, default=0, metavar="N",
-        help="bound the pending-job queue (default 0: unbounded); a "
-             "full queue rejects submissions — backpressure reaches "
-             "the client",
-    )
-    parser.add_argument(
         "--rotate-workers", action="store_true",
         help="retire the worker pool at every preemption, forcing each "
              "resume onto a fresh process (migration stress mode)",
@@ -748,7 +734,6 @@ def _cmd_serve(args) -> None:
         workers=args.workers,
         cache=cache,
         checkpoints=checkpoints,
-        queue_size=args.queue_size,
         slice_quanta=args.slice_quanta or None,
         rotate_workers=args.rotate_workers,
         journal=journal,
@@ -811,28 +796,10 @@ def _cmd_serve(args) -> None:
         )
 
 
-def _args_submit(parser) -> None:
-    _add_point(parser)
-    parser.add_argument(
-        "--timeout-s", type=float, default=None, metavar="S",
-        help="per-job wall-clock budget enforced at slice boundaries",
-    )
-    parser.add_argument(
-        "--timeout-action", default="fail", choices=("fail", "demote"),
-        help="on timeout: fail the job, or checkpoint it and requeue "
-             "at lower priority (default fail)",
-    )
-
-
 def _cmd_submit(args) -> None:
     with ServeClient(args.socket) as client:
         job = client.submit(
-            _spec_from_args(args),
-            tenant=args.tenant,
-            verify=args.verify,
-            priority=args.priority,
-            timeout_s=args.timeout_s,
-            timeout_action=args.timeout_action,
+            _spec_from_args(args), tenant=args.tenant, verify=args.verify
         )
         if not args.quiet:
             job.add_listener(
@@ -1001,7 +968,7 @@ COMMANDS = {
     "submit": (
         "submit one experiment point to a running daemon and wait "
         "for (streamed) completion",
-        _args_submit, _cmd_submit,
+        _add_point, _cmd_submit,
     ),
     "chaos": (
         "seeded infra-fault campaign against a real daemon: "

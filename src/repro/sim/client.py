@@ -39,7 +39,7 @@ from typing import Callable
 from ..errors import DaemonLostError, ExperimentError
 from ..machine import spec_to_dict
 from .experiment import ExperimentSpec, RunOutcome, outcome_from_dict
-from .jobs import DEFAULT_TENANT, JobState, QueueFull
+from .jobs import DEFAULT_TENANT, JobState
 from .serve import default_socket_path
 
 __all__ = ["RemoteJob", "ServeClient"]
@@ -75,17 +75,11 @@ class RemoteJob:
         *,
         tenant: str = DEFAULT_TENANT,
         verify: bool = False,
-        priority: int = 0,
-        timeout_s: float | None = None,
-        timeout_action: str = "fail",
     ) -> None:
         self.id = job_id
         self.spec = spec
         self.tenant = tenant
         self.verify = verify
-        self.priority = priority
-        self.timeout_s = timeout_s
-        self.timeout_action = timeout_action
         self.state = JobState.PENDING
         self.outcome: RunOutcome | None = None
         self.error: str | None = None
@@ -95,7 +89,6 @@ class RemoteJob:
         self.stored_checkpoint = False
         self.retries = 0
         self.preemptions = 0
-        self.timed_out = False
         self.worker_pids: list[int] = []
         #: Times this handle was re-attached across a daemon restart.
         self.reattached = 0
@@ -150,9 +143,6 @@ class RemoteJob:
             pid = message.get("pid")
             if pid is not None:
                 self.worker_pids.append(pid)
-        elif kind == "demoted":
-            self.priority = message.get("priority", self.priority)
-            self.timed_out = True
         elif kind in ("done", "failed", "cancelled"):
             self._finish(message)
             kind = None  # _finish already notified listeners
@@ -168,8 +158,7 @@ class RemoteJob:
             self.error = message.get("error")
             self.daemon_lost = bool(message.get("daemon_lost", False))
             for field in ("cached", "coalesced", "warm_started",
-                          "stored_checkpoint", "retries", "preemptions",
-                          "timed_out", "priority"):
+                          "stored_checkpoint", "retries", "preemptions"):
                 if field in message:
                     setattr(self, field, message[field])
             if message.get("worker_pids"):
@@ -279,8 +268,6 @@ class ServeClient:
             error = reply.get("error") or "unknown daemon error"
             if reply.get("daemon_lost"):
                 raise DaemonLostError(error)
-            if "queue full" in error:
-                raise QueueFull(error)
             raise ExperimentError(f"daemon error: {error}")
         return entry
 
@@ -427,36 +414,20 @@ class ServeClient:
         *,
         tenant: str = DEFAULT_TENANT,
         verify: bool = False,
-        priority: int = 0,
-        timeout_s: float | None = None,
-        timeout_action: str = "fail",
         checkpoint: dict | None = None,
-        block: bool = True,
     ) -> RemoteJob:
-        """Submit one point to the daemon; returns its remote handle.
-
-        ``block`` is accepted for scheduler-API parity but the daemon
-        always answers immediately: a full queue comes back as
-        :class:`~repro.sim.jobs.QueueFull` either way.
-        """
+        """Submit one point to the daemon; returns its remote handle."""
         payload = {
             "op": "submit",
             "spec": spec_to_dict(spec),
             "tenant": tenant,
             "verify": verify,
-            "priority": priority,
-            "timeout_s": timeout_s,
-            "timeout_action": timeout_action,
         }
         if checkpoint is not None:
             payload["checkpoint"] = checkpoint
 
         def factory(reply: dict) -> RemoteJob:
-            job = RemoteJob(
-                reply["job"], spec, tenant=tenant, verify=verify,
-                priority=priority, timeout_s=timeout_s,
-                timeout_action=timeout_action,
-            )
+            job = RemoteJob(reply["job"], spec, tenant=tenant, verify=verify)
             # The resubmit payload must not carry the original
             # checkpoint: the recovered daemon owns a fresher one.
             job._payload = {

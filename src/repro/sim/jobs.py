@@ -6,12 +6,12 @@ shape one level up, multiplexing a pool of simulator workers between
 competing experiment *jobs* without losing progress on a preemption.
 Three pieces:
 
-* :class:`Job` — one submitted experiment point: tenant, priority,
-  optional wall-clock timeout, and a completion handle (``result()``,
-  done callbacks, streamed lifecycle events).
-* :class:`JobQueue` — a bounded priority queue: higher priority runs
-  first, FIFO within a priority band, and a full queue blocks (or
-  rejects) the submitter — backpressure instead of unbounded memory.
+* :class:`Job` — one submitted experiment point: tenant, verify flag
+  and a completion handle (``result()``, done callbacks, streamed
+  lifecycle events).
+* :class:`JobQueue` — the pending jobs in FIFO order.  A preempted job
+  rejoins at the tail, so the pool round-robins between jobs the way
+  the paper's kernel round-robins between processes.
 * :class:`Scheduler` — a worker-pool executor.  Jobs run either to
   completion or, when ``slice_quanta`` is set, in bounded *slices*:
   the worker runs the machine for at most N scheduler quanta, then
@@ -24,9 +24,8 @@ Three pieces:
 The scheduler folds in the sweep engine's robustness duties: a dead
 pool worker (:class:`BrokenProcessPool`) rebuilds the pool and retries
 the casualty from its last checkpoint, degrading to in-process
-execution after repeated failures; a timed-out job is checkpointed and
-requeued at lower priority (or failed); shutdown cancels everything
-pending and leaves no orphaned worker behind.
+execution after repeated failures; shutdown cancels everything pending
+and leaves no orphaned worker behind.
 
 Two crash-safety layers sit on top (see :mod:`repro.sim.journal`):
 
@@ -54,7 +53,7 @@ vs. straight, migrated vs. pinned.
 
 from __future__ import annotations
 
-import heapq
+import collections
 import itertools
 import multiprocessing
 import os
@@ -77,28 +76,15 @@ from .store import validate_namespace
 
 __all__ = [
     "DEFAULT_TENANT",
-    "MIN_PRIORITY",
     "Job",
     "JobState",
     "JobQueue",
-    "QueueFull",
     "Scheduler",
     "SchedulerStats",
 ]
 
 #: Namespace used when a submission names no tenant.
 DEFAULT_TENANT = "default"
-
-#: Slice size imposed on jobs that carry a timeout but whose scheduler
-#: is not otherwise slicing: timeouts are only enforceable at slice
-#: boundaries, so such jobs must be sliced.
-TIMEOUT_SLICE_QUANTA = 128
-
-#: Lowest priority band a timeout demotion can reach.  Demotion must
-#: bottom out somewhere: without a floor a repeatedly-demoted job sinks
-#: without bound, and a job that times out while already at (or below)
-#: the floor fails cleanly instead of re-emitting ``demoted`` forever.
-MIN_PRIORITY = -8
 
 #: Pool rebuilds tolerated per job before it runs inline in the parent.
 MAX_WORKER_RETRIES = 2
@@ -113,10 +99,6 @@ MAX_HANG_STRIKES = 2
 WATCHDOG_RESOLUTION = 0.25
 
 
-class QueueFull(ExperimentError):
-    """A non-blocking submit hit the queue's backpressure bound."""
-
-
 class JobState(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
@@ -126,7 +108,7 @@ class JobState(str, Enum):
 
 
 #: Lifecycle listener: ``(job, kind, payload)`` where kind is one of
-#: ``running`` / ``preempted`` / ``demoted`` / ``done`` / ``failed`` /
+#: ``running`` / ``preempted`` / ``hung`` / ``done`` / ``failed`` /
 #: ``cancelled``.  Fired on scheduler threads — listeners must be quick
 #: and thread-safe (the daemon bridges them onto its event loop).
 JobListener = Callable[["Job", str, dict], None]
@@ -142,22 +124,11 @@ class Job:
         *,
         tenant: str = DEFAULT_TENANT,
         verify: bool = False,
-        priority: int = 0,
-        timeout_s: float | None = None,
-        timeout_action: str = "fail",
     ) -> None:
-        if timeout_action not in ("fail", "demote"):
-            raise ExperimentError(
-                f"timeout_action must be 'fail' or 'demote', "
-                f"got {timeout_action!r}"
-            )
         self.id = job_id
         self.spec = spec
         self.tenant = tenant
         self.verify = verify
-        self.priority = priority
-        self.timeout_s = timeout_s
-        self.timeout_action = timeout_action
         self.state = JobState.PENDING
         self.outcome: RunOutcome | None = None
         self.error: str | None = None
@@ -180,15 +151,12 @@ class Job:
         self.recovered = False
         #: Times the job was preempted at a slice boundary.
         self.preemptions = 0
-        #: The job exceeded ``timeout_s`` at a slice boundary.
-        self.timed_out = False
         #: Coalescing identity (``spec_key:verify``), set on submit.
         self.key = ""
         #: Latest machine checkpoint (None until first preemption).
         self.checkpoint: dict | None = None
         #: Worker pids that executed slices of this job, in order.
         self.worker_pids: list[int] = []
-        self.started_at: float | None = None
         self._done = threading.Event()
         self._callbacks: list[Callable[[Job], None]] = []
         self._listeners: list[JobListener] = []
@@ -252,105 +220,54 @@ class Job:
 
 
 class JobQueue:
-    """Bounded priority queue: priority-descending, FIFO within a band.
+    """The pending jobs, first in first out.
 
-    ``maxsize=0`` means unbounded.  A full queue applies backpressure:
-    ``put`` blocks until space (or raises :class:`QueueFull` when
-    non-blocking / timed out).  ``close()`` wakes every waiter; a
-    closed queue rejects puts and hands ``None`` to getters once
-    drained.
+    ``close()`` wakes every waiter; a closed queue rejects puts and
+    hands ``None`` to getters once drained.
     """
 
-    def __init__(self, maxsize: int = 0) -> None:
-        self.maxsize = maxsize
-        self._heap: list[tuple[int, int, Job]] = []
-        self._seq = itertools.count()
-        self._mutex = threading.Lock()
-        self._not_empty = threading.Condition(self._mutex)
-        self._not_full = threading.Condition(self._mutex)
+    def __init__(self) -> None:
+        self._jobs: collections.deque[Job] = collections.deque()
+        self._not_empty = threading.Condition()
         self._closed = False
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._heap)
+        with self._not_empty:
+            return len(self._jobs)
 
-    def put(self, job: Job, block: bool = True,
-            timeout: float | None = None) -> None:
-        with self._not_full:
-            if self.maxsize > 0 and not self._closed:
-                if not block:
-                    if len(self._heap) >= self.maxsize:
-                        raise QueueFull(
-                            f"job queue full ({self.maxsize} pending)"
-                        )
-                else:
-                    deadline = (
-                        None if timeout is None
-                        else time.monotonic() + timeout
-                    )
-                    while (
-                        len(self._heap) >= self.maxsize and not self._closed
-                    ):
-                        remaining = (
-                            None if deadline is None
-                            else deadline - time.monotonic()
-                        )
-                        if remaining is not None and remaining <= 0:
-                            raise QueueFull(
-                                f"job queue full ({self.maxsize} pending)"
-                            )
-                        self._not_full.wait(remaining)
+    def put(self, job: Job) -> None:
+        with self._not_empty:
             if self._closed:
                 raise ExperimentError("job queue is closed")
-            self._push(job)
+            self._jobs.append(job)
+            self._not_empty.notify()
 
     def requeue(self, job: Job) -> None:
-        """Re-admit a preempted/retried job, ignoring the bound: the
-        job already holds queue accounting from its original admission,
-        and blocking a scheduler-internal thread would deadlock."""
-        with self._mutex:
-            if self._closed:
-                return
-            self._push(job)
-
-    def _push(self, job: Job) -> None:
-        heapq.heappush(self._heap, (-job.priority, next(self._seq), job))
-        self._not_empty.notify()
-
-    def get(self, block: bool = True,
-            timeout: float | None = None) -> Job | None:
+        """Re-admit a preempted or retried job at the tail; a closed
+        queue drops it (shutdown is cancelling the rest anyway)."""
         with self._not_empty:
-            if block:
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                while not self._heap and not self._closed:
-                    remaining = (
-                        None if deadline is None
-                        else deadline - time.monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        return None
-                    self._not_empty.wait(remaining)
-            if not self._heap:
-                return None
-            __, __, job = heapq.heappop(self._heap)
-            self._not_full.notify()
-            return job
+            if not self._closed:
+                self._jobs.append(job)
+                self._not_empty.notify()
+
+    def get(self) -> Job | None:
+        """Pop the oldest job, blocking while the queue is open and
+        empty."""
+        with self._not_empty:
+            self._not_empty.wait_for(lambda: self._jobs or self._closed)
+            return self._jobs.popleft() if self._jobs else None
 
     def drain(self) -> list[Job]:
-        """Remove and return every pending job (highest priority first)."""
-        with self._mutex:
-            jobs = [job for _, _, job in sorted(self._heap)]
-            self._heap.clear()
-            self._not_full.notify_all()
+        """Remove and return every pending job, oldest first."""
+        with self._not_empty:
+            jobs = list(self._jobs)
+            self._jobs.clear()
             return jobs
 
     def close(self) -> None:
-        with self._mutex:
+        with self._not_empty:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
 
 
 @dataclass
@@ -364,7 +281,6 @@ class SchedulerStats:
     warm_started: int = 0
     captured: int = 0
     preemptions: int = 0
-    timeouts: int = 0
     worker_retries: int = 0
     cancelled: int = 0
     #: Hung workers killed and rotated by the watchdog.
@@ -483,7 +399,6 @@ class Scheduler:
         workers: int = 1,
         cache=None,
         checkpoints=None,
-        queue_size: int = 0,
         slice_quanta: int | None = None,
         rotate_workers: bool = False,
         journal=None,
@@ -513,7 +428,7 @@ class Scheduler:
         #: past the deadline is hung, not slow); None disables it.
         self.hang_timeout_s = hang_timeout_s
         self.stats = SchedulerStats()
-        self.queue = JobQueue(maxsize=queue_size)
+        self.queue = JobQueue()
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._inflight: dict[str, Job] = {}
@@ -548,11 +463,7 @@ class Scheduler:
         *,
         tenant: str = DEFAULT_TENANT,
         verify: bool = False,
-        priority: int = 0,
-        timeout_s: float | None = None,
-        timeout_action: str = "fail",
         checkpoint: dict | None = None,
-        block: bool = True,
         resubmit: bool = False,
     ) -> Job:
         """Submit one experiment point; returns its :class:`Job` handle.
@@ -561,8 +472,6 @@ class Scheduler:
         (same spec key + verify flag) absorbs the submission instead of
         executing twice.  ``checkpoint`` warm-starts the job from an
         explicit machine checkpoint — migration *into* this scheduler.
-        A bounded queue blocks here (or raises :class:`QueueFull` when
-        ``block=False``): backpressure reaches the submitter.
 
         ``resubmit`` marks a client's idempotent re-submission after a
         reconnect: it is counted in :attr:`SchedulerStats.reconnects`
@@ -576,8 +485,7 @@ class Scheduler:
             raise ExperimentError("scheduler is draining")
         job = Job(
             next(self._ids), spec, tenant=validate_namespace(tenant),
-            verify=verify, priority=priority, timeout_s=timeout_s,
-            timeout_action=timeout_action,
+            verify=verify,
         )
         job.key = f"{spec.spec_key()}:verify={int(bool(verify))}"
         job.checkpoint = checkpoint
@@ -622,11 +530,10 @@ class Scheduler:
             self._run_inline(job)
         else:
             try:
-                self.queue.put(job, block=block)
+                self.queue.put(job)
             except ExperimentError:
-                # Rejected by backpressure (or a closing queue): release
-                # the key so the next identical submit isn't chained to
-                # a job that will never run.
+                # A closing queue: release the key so the next identical
+                # submit isn't chained to a job that will never run.
                 self._settle(
                     job, JobState.CANCELLED, error="rejected by job queue"
                 )
@@ -649,9 +556,6 @@ class Scheduler:
             "tenant": job.tenant,
             "spec": spec_to_dict(job.spec),
             "verify": job.verify,
-            "priority": job.priority,
-            "timeout_s": job.timeout_s,
-            "timeout_action": job.timeout_action,
         })
         if job.checkpoint is not None:
             # Migration/recovery submissions arrive mid-flight; record
@@ -710,19 +614,12 @@ class Scheduler:
                 checkpoint = self.journal.load_checkpoint(
                     entry.checkpoint_ref
                 )
-            try:
-                job = self.submit(
-                    spec,
-                    tenant=entry.tenant,
-                    verify=entry.verify,
-                    priority=entry.priority,
-                    timeout_s=entry.timeout_s,
-                    timeout_action=entry.timeout_action,
-                    checkpoint=checkpoint,
-                    block=False,
-                )
-            except ExperimentError:
-                continue  # backpressure: the journal still has it
+            job = self.submit(
+                spec,
+                tenant=entry.tenant,
+                verify=entry.verify,
+                checkpoint=checkpoint,
+            )
             job.recovered = True
             requeued += 1
             self.stats.jobs_recovered += 1
@@ -773,27 +670,20 @@ class Scheduler:
         )
 
     # -- execution ---------------------------------------------------------
-    def _slice_for(self, job: Job) -> int | None:
-        if job.timeout_s is not None and self.slice_quanta is None:
-            return TIMEOUT_SLICE_QUANTA
-        return self.slice_quanta
-
     def _payload(self, job: Job) -> tuple:
         capture = (
             self.checkpoints is not None
             and not job.warm_started
-            and self._slice_for(job) is None
+            and self.slice_quanta is None
         )
         return (
             job.id, job.spec, job.verify, job.checkpoint, capture,
-            self._slice_for(job),
+            self.slice_quanta,
         )
 
     def _run_inline(self, job: Job) -> None:
         """Execute in the calling thread: the serial reference path and
         the degraded mode after repeated pool failures."""
-        if job.started_at is None:
-            job.started_at = time.monotonic()
         job.state = JobState.RUNNING
         self._journal_state(job, "running")
         job._emit("running", {"pid": os.getpid()})
@@ -808,10 +698,9 @@ class Scheduler:
 
     def _dispatch_loop(self) -> None:
         while True:
-            # Hold a worker slot *before* choosing a job: the pick then
-            # happens at dispatch time, so a high-priority arrival while
-            # every worker is busy still jumps the whole queue instead
-            # of waiting behind an already-popped lower-priority job.
+            # Hold a worker slot *before* taking a job, so a job that
+            # waits for a worker still counts as queued (the daemon's
+            # ``stats`` verb) and shutdown's drain still cancels it.
             self._slots.acquire()
             job = self.queue.get()
             if job is None:
@@ -837,8 +726,6 @@ class Scheduler:
                 self._slots.release()
                 self._run_inline(job)
                 continue
-            if job.started_at is None:
-                job.started_at = time.monotonic()
             if job.state is not JobState.RUNNING:
                 job.state = JobState.RUNNING
                 self._journal_state(job, "running")
@@ -928,41 +815,7 @@ class Scheduler:
         # daemon resumes this job from here, not cycle 0.
         self._journal_checkpoint(job)
         job._emit("preempted", {"quanta": second, "pid": pid})
-        if self._timed_out(job):
-            return True
         return False
-
-    def _timed_out(self, job: Job) -> bool:
-        """Enforce the wall-clock budget at a slice boundary."""
-        if job.timeout_s is None or job.started_at is None:
-            return False
-        if time.monotonic() - job.started_at < job.timeout_s:
-            return False
-        job.timed_out = True
-        self.stats.timeouts += 1
-        if (
-            job.timeout_action == "demote"
-            and job.checkpoint is not None
-            and job.priority > MIN_PRIORITY
-        ):
-            # Checkpointed and requeued below everything it was racing:
-            # it keeps its progress but no longer holds a deadline.
-            job.priority = max(MIN_PRIORITY, job.priority - 1)
-            job.timeout_s = None
-            job._emit("demoted", {"priority": job.priority})
-            return False
-        suffix = (
-            " at lowest priority"
-            if job.timeout_action == "demote"
-            and job.priority <= MIN_PRIORITY
-            else ""
-        )
-        self._fail(
-            job,
-            f"timed out after {job.timeout_s}s "
-            f"({job.preemptions} preemptions){suffix}",
-        )
-        return True
 
     # -- completion --------------------------------------------------------
     def _complete(self, job: Job, outcome: RunOutcome,

@@ -7,7 +7,8 @@ this module, ``repro serve`` lost every queued and in-flight job the
 moment the daemon died.  Now the scheduler records every job's life in
 an append-only journal, ``journal.log`` in the cache directory:
 
-* ``submitted`` — tenant, serialised spec, verify/priority/timeout;
+* ``submitted`` — tenant, serialised spec, verify flag (fields an
+  older daemon wrote beside them are ignored on replay);
 * ``state`` — lifecycle transitions (``running`` / ``done`` /
   ``failed`` / ``cancelled``);
 * ``checkpoint`` — a *ref* to the job's latest machine checkpoint, a
@@ -263,9 +264,6 @@ class RecoveredJob:
         self.spec_dict: dict = record["spec"]
         self.tenant: str = record.get("tenant", "default")
         self.verify: bool = bool(record.get("verify", False))
-        self.priority: int = int(record.get("priority", 0))
-        self.timeout_s = record.get("timeout_s")
-        self.timeout_action: str = record.get("timeout_action", "fail")
         #: Latest journaled checkpoint ref (None: cold start).
         self.checkpoint_ref: str | None = None
 

@@ -4,10 +4,10 @@ Every figure in the paper is a sweep over (workload x policy x quantum x
 instance-count) points that are completely independent of one another,
 so they parallelise trivially.  :class:`SweepRunner` used to *be* the
 scheduler; it is now one client of :class:`~repro.sim.jobs.Scheduler`:
-each point is submitted as a job (with the runner's tenant, priority
-and optional timeout) and the outcomes are merged back **in spec
-order** regardless of completion order, so a parallel sweep is
-bit-identical to the serial reference (``jobs=1``).  Hand the runner a
+each point is submitted as a job under the runner's tenant and the
+outcomes are merged back **in spec order** regardless of completion
+order, so a parallel sweep is bit-identical to the serial reference
+(``jobs=1``).  Hand the runner a
 shared scheduler — or a :class:`~repro.sim.client.ServeClient` attached
 to a running ``repro serve`` daemon — and the same sweep rides a
 long-lived multi-tenant worker fleet instead of a private pool.
@@ -191,8 +191,6 @@ class SweepStats:
     captured: int = 0
     #: Retries after a pool worker died mid-point.
     worker_retries: int = 0
-    #: Points that hit their per-job wall-clock timeout.
-    timeouts: int = 0
     #: Slice preemptions absorbed by the scheduler for our points.
     preemptions: int = 0
     #: Corrupt cache/checkpoint files deleted during loads.
@@ -209,8 +207,8 @@ class SweepRunner:
     a private worker pool.  Passing ``scheduler`` (a live
     :class:`~repro.sim.jobs.Scheduler` or a
     :class:`~repro.sim.client.ServeClient` connected to a daemon)
-    submits through that shared backend instead — priorities, tenants,
-    preemption and all.  Results are merged back into submission order,
+    submits through that shared backend instead — tenants, preemption
+    and all.  Results are merged back into submission order,
     so the output is bit-identical in every mode.
     """
 
@@ -221,9 +219,6 @@ class SweepRunner:
         checkpoints: CheckpointStore | None = None,
         scheduler=None,
         tenant: str = DEFAULT_TENANT,
-        priority: int = 0,
-        timeout_s: float | None = None,
-        timeout_action: str = "fail",
     ) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
@@ -232,9 +227,6 @@ class SweepRunner:
         self.checkpoints = checkpoints
         self.scheduler = scheduler
         self.tenant = validate_namespace(tenant)
-        self.priority = priority
-        self.timeout_s = timeout_s
-        self.timeout_action = timeout_action
         self.stats = SweepStats()
 
     def run(
@@ -242,14 +234,10 @@ class SweepRunner:
         specs: Sequence[ExperimentSpec],
         verify: bool = False,
         progress: SweepProgressFn | None = None,
-        priority: int | None = None,
-        timeout_s: float | None = None,
     ) -> list[RunOutcome]:
         start = time.perf_counter()
         total = len(specs)
         results: list[RunOutcome | None] = [None] * total
-        priority = self.priority if priority is None else priority
-        timeout_s = self.timeout_s if timeout_s is None else timeout_s
 
         backend = self.scheduler
         owned = backend is None
@@ -288,8 +276,6 @@ class SweepRunner:
                 self.stats.captured += 1
             self.stats.worker_retries += job.retries
             self.stats.preemptions += job.preemptions
-            if job.timed_out:
-                self.stats.timeouts += 1
 
         def drain(block: bool) -> None:
             nonlocal finished
@@ -306,14 +292,7 @@ class SweepRunner:
 
         try:
             for index, spec in enumerate(specs):
-                job = backend.submit(
-                    spec,
-                    tenant=self.tenant,
-                    verify=verify,
-                    priority=priority,
-                    timeout_s=timeout_s,
-                    timeout_action=self.timeout_action,
-                )
+                job = backend.submit(spec, tenant=self.tenant, verify=verify)
                 job.add_done_callback(
                     lambda job, index=index: done_q.put((index, job))
                 )

@@ -4,13 +4,13 @@ One asyncio process listens on a local unix socket and fronts a shared
 :class:`~repro.sim.jobs.Scheduler`: many concurrent clients — sweep
 runs, campaign drivers, ad-hoc ``repro submit`` calls — submit
 experiment points into the same worker fleet, under their own tenant
-namespaces and priorities, and stream lifecycle events back as they
-happen.  The daemon slices every job (``slice_quanta``), so a
-long-running experiment can be preempted mid-quantum on one worker —
-its machine checkpointed via the proven
-:meth:`~repro.machine.Machine.checkpoint` protocol — and resumed
-bit-identically on another when priority or memory pressure demands
-the worker back.
+namespaces, and stream lifecycle events back as they happen.  Jobs
+wait in one FIFO queue.  The daemon slices every job
+(``slice_quanta``), so a long-running experiment is preempted on one
+worker — its machine checkpointed via the proven
+:meth:`~repro.machine.Machine.checkpoint` protocol — goes to the back
+of the queue, and resumes bit-identically on whichever worker frees up
+next.
 
 Wire protocol: line-delimited JSON, one connection per client.
 
@@ -18,18 +18,18 @@ Requests (``id`` is an arbitrary client-chosen correlation number)::
 
     {"id": 1, "op": "ping"}
     {"id": 2, "op": "submit", "spec": {...}, "tenant": "alice",
-     "verify": false, "priority": 5, "timeout_s": 60.0,
-     "timeout_action": "demote", "checkpoint": {...}?,
-     "resubmit": false?}
+     "verify": false, "checkpoint": {...}?, "resubmit": false?}
     {"id": 3, "op": "stats"}
     {"id": 4, "op": "shutdown"}
 
 Every request gets exactly one reply ``{"id": N, "ok": true, ...}``
-(or ``{"ok": false, "error": "..."}``).  A submit reply carries the
+(or ``{"ok": false, "error": "..."}``).  Unknown request keys are
+ignored, so an older client's extra submit fields still parse.  A
+submit reply carries the
 job id; the job's lifecycle then streams as unsolicited events on the
 same connection::
 
-    {"event": "running" | "preempted" | "demoted", "job": 7, ...}
+    {"event": "running" | "preempted" | "hung", "job": 7, ...}
     {"event": "done", "job": 7, "outcome": {...}, "preemptions": 3,
      "worker_pids": [...], ...}
     {"event": "failed" | "cancelled", "job": 7, "error": "..."}
@@ -333,14 +333,8 @@ class ServeDaemon:
             spec,
             tenant=request.get("tenant", DEFAULT_TENANT),
             verify=bool(request.get("verify", False)),
-            priority=int(request.get("priority", 0)),
-            timeout_s=request.get("timeout_s"),
-            timeout_action=request.get("timeout_action", "fail"),
             checkpoint=request.get("checkpoint"),
             resubmit=bool(request.get("resubmit", False)),
-            # Backpressure becomes a wire-level rejection: the event
-            # loop must never block on a full queue.
-            block=False,
         )
 
         def relay(job: Job, kind: str, payload: dict) -> None:
@@ -369,8 +363,6 @@ def _terminal_event(job: Job) -> dict:
         "stored_checkpoint": job.stored_checkpoint,
         "retries": job.retries,
         "preemptions": job.preemptions,
-        "timed_out": job.timed_out,
-        "priority": job.priority,
         "worker_pids": list(job.worker_pids),
     }
     if job.error is not None:

@@ -1,4 +1,4 @@
-"""The job scheduler core: queueing, slicing, migration, timeouts."""
+"""The job scheduler core: queueing, slicing, migration."""
 
 import threading
 import time
@@ -7,15 +7,8 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.sim.experiment import ExperimentSpec, run_experiment
-from repro.sim.jobs import (
-    MIN_PRIORITY,
-    Job,
-    JobQueue,
-    JobState,
-    QueueFull,
-    Scheduler,
-)
-from repro.sim.runner import ResultCache, SweepRunner
+from repro.sim.jobs import Job, JobQueue, JobState, Scheduler
+from repro.sim.runner import ResultCache
 
 SCALE = 1 / 8000
 
@@ -26,46 +19,21 @@ def spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**values)
 
 
-def make_job(job_id=1, *, priority=0, **kwargs) -> Job:
-    return Job(job_id, spec(), priority=priority, **kwargs)
+def make_job(job_id=1, **kwargs) -> Job:
+    return Job(job_id, spec(), **kwargs)
 
 
 class TestJobQueue:
-    def test_priority_descending_fifo_within_band(self):
+    def test_first_in_first_out(self):
         queue = JobQueue()
-        low = make_job(1, priority=0)
-        first_high = make_job(2, priority=5)
-        second_high = make_job(3, priority=5)
-        queue.put(low)
-        queue.put(first_high)
-        queue.put(second_high)
-        assert queue.get() is first_high  # priority wins
-        assert queue.get() is second_high  # FIFO inside the band
-        assert queue.get() is low
-
-    def test_bounded_queue_rejects_when_full(self):
-        queue = JobQueue(maxsize=1)
-        queue.put(make_job(1))
-        with pytest.raises(QueueFull):
-            queue.put(make_job(2), block=False)
-        with pytest.raises(QueueFull):
-            queue.put(make_job(3), timeout=0.05)
-
-    def test_backpressure_blocks_until_space(self):
-        queue = JobQueue(maxsize=1)
-        queue.put(make_job(1))
-        admitted = threading.Event()
-
-        def submitter():
-            queue.put(make_job(2))
-            admitted.set()
-
-        thread = threading.Thread(target=submitter, daemon=True)
-        thread.start()
-        assert not admitted.wait(0.1)  # full queue holds the submitter
-        queue.get()
-        assert admitted.wait(5.0)  # space frees it
-        thread.join()
+        first, second, third = make_job(1), make_job(2), make_job(3)
+        queue.put(first)
+        queue.put(second)
+        queue.requeue(third)  # a preempted job rejoins at the tail
+        assert queue.get() is first
+        assert queue.get() is second
+        assert queue.get() is third
+        assert len(queue) == 0
 
     def test_close_wakes_getters(self):
         queue = JobQueue()
@@ -179,94 +147,3 @@ class TestPooledScheduler:
         with Scheduler(workers=1) as scheduler:
             job = scheduler.submit(point, checkpoint=checkpoint)
             assert job.result(timeout=120) == reference
-
-
-class TestTimeouts:
-    def test_timeout_fails_job(self):
-        point = spec(instances=2)
-        with Scheduler(workers=0, slice_quanta=256) as scheduler:
-            job = scheduler.submit(point, timeout_s=0.0)
-            assert job.state is JobState.FAILED
-            assert job.timed_out
-            assert job.checkpoint is not None  # checkpointed on the way out
-            assert scheduler.stats.timeouts == 1
-            with pytest.raises(ExperimentError, match="timed out"):
-                job.result()
-
-    def test_timeout_demotes_and_finishes(self):
-        point = spec(instances=2)
-        reference = run_experiment(point, verify=False)
-        with Scheduler(workers=0, slice_quanta=256) as scheduler:
-            job = scheduler.submit(
-                point, priority=3, timeout_s=0.0, timeout_action="demote"
-            )
-            assert job.result() == reference
-            assert job.timed_out
-            assert job.priority < 3  # requeued below its old band
-            assert scheduler.stats.timeouts == 1
-
-    def test_timeout_surfaces_in_sweep_stats(self):
-        runner = SweepRunner(timeout_s=0.0, timeout_action="demote")
-        outcomes = runner.run([spec(instances=2)])
-        assert len(outcomes) == 1
-        assert runner.stats.timeouts == 1
-
-    def test_invalid_timeout_action_rejected(self):
-        with pytest.raises(ExperimentError):
-            Job(1, spec(), timeout_action="explode")
-
-    def test_demote_clamps_at_priority_floor(self):
-        """One band above the floor, a demotion lands exactly on
-        MIN_PRIORITY — never below it — and the job still finishes."""
-        point = spec(instances=2)
-        reference = run_experiment(point, verify=False)
-        with Scheduler(workers=0, slice_quanta=256) as scheduler:
-            job = scheduler.submit(
-                point, priority=MIN_PRIORITY + 1, timeout_s=0.0,
-                timeout_action="demote",
-            )
-            assert job.result() == reference
-            assert job.timed_out
-            assert job.priority == MIN_PRIORITY
-
-    def test_demote_at_floor_fails_cleanly(self):
-        """A timed-out job already at the lowest band has nowhere to
-        sink: ``demote`` must fail the job (saying why) instead of
-        looping priority underflow / ``demoted`` events forever."""
-        with Scheduler(workers=0, slice_quanta=256) as scheduler:
-            job = scheduler.submit(
-                spec(instances=2), priority=MIN_PRIORITY, timeout_s=0.0,
-                timeout_action="demote",
-            )
-            assert job.state is JobState.FAILED
-            assert job.timed_out
-            assert job.priority == MIN_PRIORITY  # no underflow
-            assert scheduler.stats.timeouts == 1
-            with pytest.raises(ExperimentError, match="lowest priority"):
-                job.result()
-
-
-class TestPriorities:
-    def test_higher_priority_dispatches_first(self):
-        """With one worker and a busy slot, queued jobs drain in
-        priority order regardless of submission order."""
-        order = []
-        lock = threading.Lock()
-
-        def track(label):
-            def callback(job):
-                with lock:
-                    order.append(label)
-            return callback
-
-        with Scheduler(workers=1, slice_quanta=256) as scheduler:
-            # Distinct seeds: distinct jobs, no coalescing.
-            filler = scheduler.submit(spec(seed=100, instances=2))
-            low = scheduler.submit(spec(seed=101), priority=0)
-            high = scheduler.submit(spec(seed=102), priority=9)
-            low.add_done_callback(track("low"))
-            high.add_done_callback(track("high"))
-            filler.result(timeout=120)
-            low.result(timeout=120)
-            high.result(timeout=120)
-        assert order.index("high") < order.index("low")

@@ -109,7 +109,7 @@ class TestProtocol:
             sock.bind(str(stale))
         args = argparse.Namespace(
             no_cache=True, warm_start=False, no_daemon=False,
-            socket=stale, jobs=1, tenant="alice", priority=0,
+            socket=stale, jobs=1, tenant="alice",
         )
         runner = _make_runner(args)
         assert runner.scheduler is None  # in-process pool, not a client
