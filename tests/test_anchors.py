@@ -19,9 +19,14 @@ store, and the last table pins whole checkpoint documents: the PFU
 regions' resident-image recipes and every circuit instance's state
 words, which warm-start and job checkpoints are rebuilt from.
 
+The thrash table pins the three points of the ``thrash_1ms`` benchmark
+workload, where nearly every quantum swaps a circuit: their makespans
+and the CIS and TLB counters at the end of each run.
+
 The event-stream table pins the order of everything the kernel and the
 CIS publish on the trace bus for whole swap-heavy runs: sharing,
-software deferral, each fault-recovery policy and the prefetcher.
+software deferral, each fault-recovery policy, the prefetcher and each
+replacement policy besides round-robin.
 """
 
 import hashlib
@@ -125,6 +130,57 @@ def test_datapath_anchor(point, tier, monkeypatch):
         for registration in kernel["processes"][pid]["registrations"]
     ]
     assert (outcome.makespan, pfus, completions) == DATAPATH_ANCHORS[point]
+
+
+#: The ``thrash_1ms`` points (round-robin at 1 ms, more instances than
+#: PFUs): (workload, instances) -> (makespan, CIS (loads, evictions,
+#: state bytes moved), per-TLB (lookups, hits, insertions, evictions)
+#: for the hardware then the software TLB), read from the end-of-run
+#: checkpoint document.  A change to the swap path that moves one load,
+#: one eviction or one TLB probe fails here even if the makespan holds.
+THRASH_ANCHORS = {
+    ("alpha", 5): (
+        282955, (15500, 15496, 2231712),
+        [(31000, 15500, 15500, 0), (15500, 0, 0, 0)],
+    ),
+    ("twofish", 5): (
+        500575, (30250, 30246, 7743488),
+        [(60500, 30250, 30250, 0), (30250, 0, 0, 0)],
+    ),
+    ("echo", 4): (
+        115215, (3904, 3900, 780480),
+        [(11712, 7808, 3904, 0), (3904, 0, 0, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("tier", ["jit", "block"])
+@pytest.mark.parametrize("point", sorted(THRASH_ANCHORS))
+def test_thrash_anchor(point, tier, monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+    workload, instances = point
+    spec = ExperimentSpec(
+        workload=workload, instances=instances, quantum_ms=1.0,
+        policy="round_robin", scale=SCALE,
+    )
+    machine = Machine.from_spec(spec)
+    machine.spawn_instances()
+    machine.run()
+    outcome = machine.outcome(verify=True)
+    assert outcome.verified
+    kernel = machine.checkpoint()["kernel"]
+    cis = kernel["counters"]["cis"]
+    dispatch = kernel["coprocessor"]["dispatch"]
+    tlbs = [
+        tuple(dispatch[tlb][field]
+              for field in ("lookups", "hits", "insertions", "evictions"))
+        for tlb in ("hardware_tlb", "software_tlb")
+    ]
+    assert (
+        outcome.makespan,
+        (cis["loads"], cis["evictions"], cis["state_bytes_moved"]),
+        tlbs,
+    ) == THRASH_ANCHORS[point]
 
 
 FAULT = FaultPlan(
@@ -368,6 +424,27 @@ EVENT_STREAMS = {
                                             **RARE_RATES)),
         51770,
         "1d07f6d78b999f529f61a00b16ce0972f8b5a2f73c48ef8cb1e27651c40bb57e",
+    ),
+    # The other replacement policies: random and LRU pick from the
+    # victim candidate list in its order, and LRU and second chance
+    # read and clear the PFU usage counters at every decision.
+    "random": (
+        ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
+                       scale=SCALE, policy="random"),
+        68533,
+        "ecb5bdab10431dc8ac45f08591786c5ea0a7bce40788ff8147117e0bd325e414",
+    ),
+    "lru": (
+        ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
+                       scale=SCALE, policy="lru"),
+        64139,
+        "92b9bfb06f3e0ab4661efb2c1e70209090d38de1a58778eb793fe9d5a5a35324",
+    ),
+    "second_chance": (
+        ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
+                       scale=SCALE, policy="second_chance"),
+        179667,
+        "ca19d828295f4e62d805e54f3c2a5b363b6044089bf84c1ee74326f35c65bd0c",
     ),
 }
 
