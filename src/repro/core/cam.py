@@ -38,7 +38,7 @@ class CAM(Generic[K]):
 
     @property
     def occupied(self) -> int:
-        return sum(self._valid)
+        return len(self._index)
 
     def match(self, key: K) -> int | None:
         """Return the entry index holding ``key``, or ``None``."""
@@ -51,16 +51,18 @@ class CAM(Generic[K]):
         rejected: hardware would then match two entries at once.
         """
         self._check_entry(entry)
-        existing = self._index.get(key)
+        index = self._index
+        existing = index.get(key)
         if existing is not None and existing != entry:
             raise TLBError(
                 f"key {key!r} already valid in entry {existing}; "
                 "duplicate CAM keys are illegal"
             )
-        self.invalidate_entry(entry)
+        if self._valid[entry]:
+            index.pop(self._keys[entry], None)
         self._keys[entry] = key
         self._valid[entry] = True
-        self._index[key] = entry
+        index[key] = entry
 
     def invalidate_entry(self, entry: int) -> None:
         self._check_entry(entry)
@@ -83,15 +85,20 @@ class CAM(Generic[K]):
         self._check_entry(entry)
         return self._keys[entry] if self._valid[entry] else None
 
-    def valid_entries(self) -> list[int]:
-        return [i for i in range(self.entries) if self._valid[i]]
+    def items(self) -> list[tuple[K, int]]:
+        """Every valid ``(key, entry)`` pair, read from the key index.
+
+        A copy, so the caller may invalidate entries while walking it;
+        the order is the order the keys were written in.
+        """
+        return list(self._index.items())
 
     def free_entry(self) -> int | None:
         """Lowest invalid entry index, or ``None`` if the CAM is full."""
-        for i in range(self.entries):
-            if not self._valid[i]:
-                return i
-        return None
+        try:
+            return self._valid.index(False)
+        except ValueError:
+            return None
 
     def _check_entry(self, entry: int) -> None:
         if not 0 <= entry < self.entries:

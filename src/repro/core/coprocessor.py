@@ -216,7 +216,7 @@ class ProteusCoprocessor:
         }
 
     def restore_context(self, saved: dict) -> None:
-        self.regfile.restore(saved["regfile"])
+        self.regfile.load(saved["regfile"])
         self.operand_regs.restore(saved["operands"])
 
     def fresh_context(self) -> dict:

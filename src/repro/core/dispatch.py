@@ -33,14 +33,6 @@ class DispatchKind(enum.Enum):
     FAULT = "fault"
 
 
-#: Trace-event outcome tag for each resolution kind.
-_OUTCOME = {
-    DispatchKind.HARDWARE: "hit",
-    DispatchKind.SOFTWARE: "soft",
-    DispatchKind.FAULT: "fault",
-}
-
-
 @dataclass(frozen=True)
 class DispatchResult:
     """Outcome of one decode-stage resolution."""
@@ -122,21 +114,34 @@ class DispatchUnit:
     def resolutions(self) -> dict[DispatchKind, int]:
         """Resolution counts by kind — a view derived from the trace bus."""
         counts = self.trace.counters.dispatch
-        return {kind: counts[_OUTCOME[kind]] for kind in DispatchKind}
+        return {
+            DispatchKind.HARDWARE: counts["hit"],
+            DispatchKind.SOFTWARE: counts["soft"],
+            DispatchKind.FAULT: counts["fault"],
+        }
 
     def resolve(self, pid: int, cid: int) -> DispatchResult:
-        """Resolve an execute instruction for the current process."""
-        key = IDTuple(pid=pid, cid=cid)
+        """Resolve an execute instruction for the current process.
+
+        Each branch names its own trace outcome tag (``hit``, ``soft`` or
+        ``fault``).
+        """
+        # A plain tuple hashes and compares equal to its IDTuple, and
+        # costs no NamedTuple constructor call on this hot path.
+        key = (pid, cid)
         pfu_index = self.hardware_tlb.lookup(key)
         if pfu_index is not None:
             result = hardware_result(pfu_index)
+            outcome = "hit"
         else:
             address = self.software_tlb.lookup(key)
             if address is not None:
                 result = software_result(address)
+                outcome = "soft"
             else:
                 result = _FAULT_RESULT
-        self.trace.dispatch_resolved(pid, cid, _OUTCOME[result.kind])
+                outcome = "fault"
+        self.trace.dispatch_resolved(pid, cid, outcome)
         return result
 
     # ---- OS-side management -----------------------------------------------

@@ -226,12 +226,6 @@ class PFUBank:
             raise PFUError(f"no PFU {index}")
         return self.pfus[index]
 
-    def free_pfus(self) -> list[PFU]:
-        return [pfu for pfu in self.pfus if not pfu.configured]
-
-    def configured_pfus(self) -> list[PFU]:
-        return [pfu for pfu in self.pfus if pfu.configured]
-
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
         return {"pfus": [pfu.snapshot() for pfu in self.pfus]}

@@ -44,6 +44,18 @@ class FPLRegisterFile:
         """Snapshot for a process context switch."""
         return list(self.words)
 
+    def load(self, saved: list[int]) -> None:
+        """Reinstate words :meth:`save` returned (a context switch).
+
+        Saved words are already 32-bit, so only the length is checked.
+        """
+        if len(saved) != self.size:
+            raise DispatchError(
+                f"register-file restore expects {self.size} words, "
+                f"got {len(saved)}"
+            )
+        self.words = list(saved)
+
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
         return {"regs": self.save()}
@@ -51,12 +63,7 @@ class FPLRegisterFile:
     def restore(self, saved: list[int] | dict) -> None:
         if isinstance(saved, dict):
             saved = saved["regs"]
-        if len(saved) != self.size:
-            raise DispatchError(
-                f"register-file restore expects {self.size} words, "
-                f"got {len(saved)}"
-            )
-        self.words = [value & MASK32 for value in saved]
+        self.load([value & MASK32 for value in saved])
 
     def check(self, index: int) -> None:
         """Raise :class:`DispatchError` if ``index`` names no register."""

@@ -99,11 +99,11 @@ class DispatchTLB:
     def remove_pid(self, pid: int) -> int:
         """Invalidate every mapping belonging to ``pid`` (process exit)."""
         self.generation += 1
+        cam = self.cam
         removed = 0
-        for entry in self.cam.valid_entries():
-            key = self.cam.key_at(entry)
-            if key is not None and key.pid == pid:
-                self.cam.invalidate_entry(entry)
+        for key, entry in cam.items():
+            if key.pid == pid:
+                cam.invalidate_entry(entry)
                 removed += 1
         return removed
 
@@ -114,21 +114,23 @@ class DispatchTLB:
         PFU must fault until the CIS reinstalls them.
         """
         self.generation += 1
+        cam = self.cam
+        ram = self.ram
         removed = 0
-        for entry in self.cam.valid_entries():
-            if self.ram[entry] == value:
-                self.cam.invalidate_entry(entry)
+        for _key, entry in cam.items():
+            if ram[entry] == value:
+                cam.invalidate_entry(entry)
                 removed += 1
         return removed
 
     def flush(self) -> int:
         """Invalidate everything (PRISC baseline behaviour, not Proteus)."""
         self.generation += 1
-        removed = 0
-        for entry in self.cam.valid_entries():
-            self.cam.invalidate_entry(entry)
-            removed += 1
-        return removed
+        cam = self.cam
+        items = cam.items()
+        for _key, entry in items:
+            cam.invalidate_entry(entry)
+        return len(items)
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
@@ -154,15 +156,9 @@ class DispatchTLB:
 
     # ---- introspection ----------------------------------------------------
     def contents(self) -> dict[IDTuple, int]:
-        out: dict[IDTuple, int] = {}
-        for entry in self.cam.valid_entries():
-            key = self.cam.key_at(entry)
-            if key is not None:
-                out[key] = self.ram[entry]
-        return out
-
-    def keys_for_value(self, value: int) -> list[IDTuple]:
-        return [k for k, v in self.contents().items() if v == value]
+        """Every live mapping, ``(PID, CID)`` tuple to RAM word."""
+        ram = self.ram
+        return {key: ram[entry] for key, entry in self.cam.items()}
 
     @property
     def occupied(self) -> int:

@@ -345,11 +345,8 @@ def _translate_one(
         soft_cost = config.soft_dispatch_branch_cycles
         fault_pc = CODE_BASE + 4 * index
         return_address = CODE_BASE + 4 * (index + 1)
-        _OUTCOMES = {
-            DispatchKind.HARDWARE: "hit",
-            DispatchKind.SOFTWARE: "soft",
-            DispatchKind.FAULT: "fault",
-        }
+        HARDWARE = DispatchKind.HARDWARE
+        SOFTWARE = DispatchKind.SOFTWARE
         cached_gen = -1  # DispatchUnit generations start at 0
         cached_resolution = None
         cached_outcome = ""
@@ -363,11 +360,11 @@ def _translate_one(
                 # bit-identical with an unmemoized resolution: hardware
                 # probes first, software only probes on a hardware miss.
                 hw_tlb.lookups += 1
-                if kind is DispatchKind.HARDWARE:
+                if kind is HARDWARE:
                     hw_tlb.hits += 1
                 else:
                     sw_tlb.lookups += 1
-                    if kind is DispatchKind.SOFTWARE:
+                    if kind is SOFTWARE:
                         sw_tlb.hits += 1
                 # Emitter looked up at call time: the bus rebinds it when
                 # event sinks attach or detach.
@@ -379,8 +376,13 @@ def _translate_one(
                 # management call can only force one extra re-resolve.
                 cached_gen = dispatch.generation
                 cached_resolution = resolution
-                cached_outcome = _OUTCOMES[kind]
-            if kind is DispatchKind.HARDWARE:
+                if kind is HARDWARE:
+                    cached_outcome = "hit"
+                elif kind is SOFTWARE:
+                    cached_outcome = "soft"
+                else:
+                    cached_outcome = "fault"
+            if kind is HARDWARE:
                 cycles, result = execute(
                     resolution.pfu_index, rd, rn, rm, max(1, budget - issue)
                 )
@@ -390,7 +392,7 @@ def _translate_one(
                 else:
                     ctx.interrupted = True
                 return issue + cycles
-            if kind is DispatchKind.SOFTWARE:
+            if kind is SOFTWARE:
                 capture(rd, rn, rm)
                 regs[14] = return_address
                 ctx.idx = (resolution.address - CODE_BASE) >> 2

@@ -33,6 +33,28 @@ engine's target PFU is pinned against eviction while the transfer is in
 flight, and mispredicts cancel deterministically — so with the plan off
 the accounting below is untouched.
 
+A fault is resolved in one pass, in this order:
+
+1. the registration is looked up (an unregistered CID kills);
+2. a loaded circuit whose tuple fell out of the TLB is remapped;
+3. an in-flight prefetch for the faulting process is settled against
+   the demand (partial hit, or cancelled as a mispredict);
+4. :meth:`~CustomInstructionScheduler._scan` walks the PFU bank once,
+   yielding the free PFU (a region still holding the circuit's static
+   image first) and the configured PFUs in index order;
+5. a free PFU takes the load;
+6. with sharing on, an idle resident instance of the same circuit has
+   only its state swapped;
+7. unless a software alternative is preferred, the victim candidates
+   are the configured PFUs of step 4 (less the predicted-hot ones when
+   a predictor runs);
+8. with no candidate the software alternative is mapped, or the process
+   is killed when it has none;
+9. otherwise the replacement policy picks a victim from the candidates,
+   its state section is saved off, and the circuit loads in its place.
+
+Only a prefetch cancelled in step 7 for want of candidates rescans.
+
 Every swap step has one implementation, whichever path takes it:
 
 * :meth:`~CustomInstructionScheduler._land` — a circuit lands on a PFU
@@ -44,7 +66,8 @@ Every swap step has one implementation, whichever path takes it:
 * :meth:`~CustomInstructionScheduler._cancel_prefetch` — the in-flight
   speculative transfer is abandoned, with its reason;
 * :meth:`~CustomInstructionScheduler._usable` — the PFUs a victim,
-  free, share or promote search may pick;
+  free, share or promote search may pick, walked by
+  :meth:`~CustomInstructionScheduler._scan`;
 * :meth:`~CustomInstructionScheduler._recover` — the quarantine →
   fallback → reload decision, for trap-time fabric faults and the
   periodic scrub alike.
@@ -220,7 +243,7 @@ class CustomInstructionScheduler:
         if registration is None:
             self.trace.cis_charge(cycles)
             self._kill(process, f"unregistered CID {cid}")
-        key = IDTuple(pid=process.pid, cid=cid)
+        key = IDTuple(process.pid, cid)
         engine = self.engine
         if engine is not None:
             # Install any speculative transfer that completed before this
@@ -277,10 +300,12 @@ class CustomInstructionScheduler:
                 self.trace.cis_charge(cycles)
                 return cycles, "prefetch"
 
-        # Free PFU available?  A free slot always beats sharing: paying
-        # one static transfer now is cheaper than serialising processes
-        # onto a single shared PFU while others sit idle.
-        free = self._pick_free_pfu(registration)
+        # One walk over the bank finds both the free PFU and the
+        # configured ones every later step chooses from.  A free slot
+        # always beats sharing: paying one static transfer now is cheaper
+        # than serialising processes onto a single shared PFU while
+        # others sit idle.
+        free, configured = self._scan(registration)
         if free is not None:
             cycles += self.config.cis_decision_cycles
             cycles += self._load_into(free, registration, key)
@@ -293,7 +318,7 @@ class CustomInstructionScheduler:
         # is resident — swap only the state section instead of moving
         # 54 KB of static configuration (§4.2, §5.1).
         if self.config.allow_sharing:
-            shared = self._find_shareable(registration)
+            shared = self._find_shareable(registration, configured)
             if shared is not None:
                 cycles += self._share_pfu(shared, registration, key)
                 self._maybe_prefetch(process, cid, cycles)
@@ -315,18 +340,18 @@ class CustomInstructionScheduler:
             self.config.prefer_software_when_full or registration.soft_mapped
         ):
             cycles += self.policy.decision_cycles(self.config)
-            candidates = self._victim_candidates()
+            candidates = self._victim_candidates(configured)
             if not candidates and engine is not None and (
                 engine.entry is not None
             ):
                 self._cancel_prefetch(process.pid, "demand")
-                free = self._pick_free_pfu(registration)
+                free, configured = self._scan(registration)
                 if free is not None:
                     cycles += self._load_into(free, registration, key)
                     self.trace.load_fault(process.pid, cid)
                     self.trace.cis_charge(cycles)
                     return cycles, "load"
-                candidates = self._victim_candidates()
+                candidates = self._victim_candidates(configured)
         if not candidates:
             if soft:
                 cycles += self._defer(registration, key)
@@ -394,32 +419,66 @@ class CustomInstructionScheduler:
     def _usable(self, pfu_index: int) -> bool:
         """In service, and not pinned by an in-flight speculative
         transfer: the PFUs every placement search may pick."""
+        if self.injector is None and self.engine is None:
+            return True
         return not self._quarantined(pfu_index) and not (
             self.engine is not None and self.engine.pinned(pfu_index)
         )
 
-    def _victim_candidates(self) -> list[PFU]:
-        """Configured PFUs the replacement policy may evict from.
+    def _scan(
+        self, registration: Registration
+    ) -> tuple[PFU | None, list[PFU]]:
+        """One walk over the bank for placing ``registration``: the free
+        PFU a load should take, and the configured PFUs in index order.
 
-        Quarantined PFUs and PFUs pinned by an in-flight prefetch are
-        never candidates.  With a predictor active, residents predicted
+        Only :meth:`_usable` PFUs count.  The free PFU is the first one
+        whose region still holds this circuit's static image when the
+        reuse optimisation is enabled, else the lowest-numbered one.  The
+        configured list feeds the share search and
+        :meth:`_victim_candidates`; its index order is the order the
+        random and LRU policies pick from.
+        """
+        check = self.injector is not None or self.engine is not None
+        wanted = (
+            registration.instance.bitstream.name
+            if self.config.reuse_resident_static
+            else None
+        )
+        regions = self.coprocessor.array.regions
+        first_free = reused = None
+        configured: list[PFU] = []
+        for pfu in self.coprocessor.pfus.pfus:
+            if check and not self._usable(pfu.index):
+                continue
+            if pfu.instance is not None:
+                configured.append(pfu)
+                continue
+            if first_free is None:
+                first_free = pfu
+            if wanted is not None and reused is None:
+                resident = regions[pfu.index].resident
+                if resident is not None and resident.name == wanted:
+                    reused = pfu
+        return (reused if reused is not None else first_free), configured
+
+    def _victim_candidates(self, configured: list[PFU]) -> list[PFU]:
+        """The configured PFUs (from :meth:`_scan`) the replacement
+        policy may evict from.
+
+        Quarantined PFUs and PFUs pinned by an in-flight prefetch were
+        never scanned in.  With a predictor active, residents predicted
         to be a live process's next circuit are preferred *against*
         eviction — but only as a soft filter: when every candidate is
         predicted-hot the unfiltered set is used, so demand loads never
         starve on account of predictions.
         """
-        candidates = [
-            pfu
-            for pfu in self.coprocessor.pfus.configured_pfus()
-            if self._usable(pfu.index)
-        ]
-        if self.predictor is not None and candidates:
+        if self.predictor is not None and configured:
             cold = [
-                pfu for pfu in candidates if not self._predicted_hot(pfu)
+                pfu for pfu in configured if not self._predicted_hot(pfu)
             ]
             if cold:
                 return cold
-        return candidates
+        return configured
 
     def _predicted_hot(self, pfu: PFU) -> bool:
         """Is the resident circuit its owner's predicted-next issue?"""
@@ -434,26 +493,6 @@ class CustomInstructionScheduler:
             return False
         registration = owner.registration(hot)
         return registration is not None and registration.instance is instance
-
-    def _pick_free_pfu(self, registration: Registration) -> PFU | None:
-        """Choose a free PFU, preferring a resident static image when the
-        reuse optimisation is enabled."""
-        free = [
-            pfu
-            for pfu in self.coprocessor.pfus.free_pfus()
-            if self._usable(pfu.index)
-        ]
-        if not free:
-            return None
-        if self.config.reuse_resident_static:
-            wanted = registration.instance.bitstream.name
-            for pfu in free:
-                region = self.coprocessor.array.region(pfu.index)
-                if region.resident is not None and (
-                    region.resident.name == wanted
-                ):
-                    return pfu
-        return free[0]
 
     def _charged_transfer(self, nbytes: int) -> int:
         """Cycles to move ``nbytes`` over the configuration port as
@@ -587,14 +626,14 @@ class CustomInstructionScheduler:
                     registration.prefetched = 0
                 return
 
-    def _find_shareable(self, registration: Registration) -> PFU | None:
+    def _find_shareable(
+        self, registration: Registration, configured: list[PFU]
+    ) -> PFU | None:
+        """The first configured PFU (from :meth:`_scan`) running an idle
+        instance of the same circuit."""
         wanted = registration.instance.spec.name
-        for pfu in self.coprocessor.pfus.configured_pfus():
-            if not self._usable(pfu.index):
-                continue
-            if pfu.instance is not None and (
-                pfu.instance.spec.name == wanted and not pfu.instance.busy
-            ):
+        for pfu in configured:
+            if pfu.instance.spec.name == wanted and not pfu.instance.busy:
                 return pfu
         return None
 
@@ -726,14 +765,14 @@ class CustomInstructionScheduler:
             registration.instance.bitstream.static_bytes
             + registration.instance.bitstream.state_bytes
         )
-        target = self._pick_free_pfu(registration)
+        target, configured = self._scan(registration)
         if target is None:
             if not self.predictor.plan.steal_victims:
                 return
             current = process.registration(cid)
             candidates = [
                 pfu
-                for pfu in self._victim_candidates()
+                for pfu in self._victim_candidates(configured)
                 if pfu.instance is not None
                 and not pfu.instance.busy
                 and not (

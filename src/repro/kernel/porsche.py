@@ -85,6 +85,9 @@ class Porsche:
             predictor=self.predictor,
         )
         self.clock = 0
+        #: ``config.quantum_cycles`` is derived on every read; the config
+        #: is frozen, so read it once.
+        self._quantum_cycles = config.quantum_cycles
         self.stats = self.trace.counters.kernel
         self._next_pid = 1
         self._last_running: Process | None = None
@@ -146,8 +149,10 @@ class Porsche:
         self, process: Process, budget_cap: int | None = None
     ) -> None:
         self._switch_to(process)
-        self.trace.quantum_start(process.pid)
-        budget = self.config.quantum_cycles
+        trace = self.trace
+        pid = process.pid
+        trace.quantum_start(pid)
+        budget = self._quantum_cycles
         if budget_cap is not None:
             budget = min(budget, max(1, budget_cap))
         if self.injector is not None:
@@ -156,6 +161,8 @@ class Porsche:
                 budget = 1
         if self.config.synthesis is not None:
             budget -= self._synth_tick(process)
+            if not process.alive:
+                return  # a rejected synthesised circuit kills
             if budget <= 0:
                 budget = 1
         if self.predictor is not None:
@@ -164,35 +171,36 @@ class Porsche:
             # incoming process's predicted-next bitstream through the
             # otherwise-idle bus; charges nothing either way.
             self.cis.prefetch_tick(process)
-        while budget > 0 and process.alive:
+        run = process.cpu.run
+        # Every way out of the process (exit, kill) leaves the loop by
+        # ``break``, so liveness is tested only after the traps that can
+        # end it.  Emitters are looked up on the bus per call: attaching
+        # an event sink rebinds them.
+        while budget > 0:
             try:
-                result = process.cpu.run(budget)
+                result = run(budget)
             except ReproError as error:
                 # Memory faults and illegal CPU states are fatal to the
                 # process (the moral equivalent of SIGSEGV), not the kernel.
                 self._kill(process, str(error))
                 break
-            self._charge_cpu(process, result)
-            budget -= result.cycles
+            cycles = result.cycles
+            self.clock += cycles
+            trace.cpu_burst(pid, cycles, result.instructions)
+            budget -= cycles
             event = result.event
             if event is None:
                 # Budget exhausted: the timer interrupt pre-empts the
                 # process (possibly mid custom-instruction, §4.4).
-                self.trace.timer_interrupt(process.pid)
+                trace.timer_interrupt(pid)
                 break
-            if isinstance(event, ExitTrap):
-                self._finish(process, status=event.status)
-            elif isinstance(event, SyscallTrap):
-                budget -= self._syscall(process, event.number, budget)
-            elif isinstance(event, FabricFault):
-                budget -= self._fabric_fault(process, event)
-                if budget <= 0 and process.alive:
-                    # Same forward-progress guarantee as below: after
-                    # recovery the faulted instruction must re-issue.
-                    budget = 1
-            elif isinstance(event, CustomInstructionFault):
+            # Exact-type dispatch, most frequent trap first.
+            kind = type(event)
+            if kind is CustomInstructionFault:
                 budget -= self._fault(process, event)
-                if budget <= 0 and process.alive:
+                if not process.alive:
+                    break
+                if budget <= 0:
                     # The fault handler consumed the rest of the quantum
                     # (a configuration load can exceed a short quantum).
                     # On return from the handler the faulting instruction
@@ -204,17 +212,33 @@ class Porsche:
                     # the PFU/state section (§4.4), so one cycle is
                     # genuine forward progress.
                     budget = 1
+            elif kind is SyscallTrap:
+                budget -= self._syscall(process, event.number, budget)
+                if not process.alive:
+                    break
+            elif kind is ExitTrap:
+                self._finish(process, status=event.status)
+                break
+            elif kind is FabricFault:
+                budget -= self._fabric_fault(process, event)
+                if not process.alive:
+                    break
+                if budget <= 0:
+                    # Same forward-progress guarantee as above: after
+                    # recovery the faulted instruction must re-issue.
+                    budget = 1
             else:  # pragma: no cover - future event kinds
                 raise KernelError(f"unhandled CPU event {event!r}")
-        if process.alive:
-            self.scheduler.preempt(process)
+        self.scheduler.preempt(process)  # a no-op once the process is gone
 
     def _switch_to(self, process: Process) -> None:
-        if self._last_running is process:
+        last = self._last_running
+        if last is process:
             return
-        if self._last_running is not None:
-            self._last_running.coproc_context = self.coprocessor.save_context()
-        self.coprocessor.restore_context(process.coproc_context)
+        coprocessor = self.coprocessor
+        if last is not None:
+            last.coproc_context = coprocessor.save_context()
+        coprocessor.restore_context(process.coproc_context)
         self._charge_kernel(process, self.config.context_switch_cycles)
         self.trace.context_switch(process.pid)
         self.on_context_switch(process)
@@ -395,10 +419,6 @@ class Porsche:
     # -------------------------------------------------------------------
     # accounting
     # -------------------------------------------------------------------
-    def _charge_cpu(self, process: Process, result) -> None:
-        self.clock += result.cycles
-        self.trace.cpu_burst(process.pid, result.cycles, result.instructions)
-
     def _charge_kernel(self, process: Process, cycles: int) -> None:
         self.clock += cycles
         self.trace.kernel_charge(process.pid, cycles)

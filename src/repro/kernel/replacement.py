@@ -69,11 +69,13 @@ class RoundRobinReplacement(ReplacementPolicy):
     def choose(self, candidates: list[PFU], bank: PFUBank) -> PFU:
         _require_candidates(candidates)
         candidate_indices = {pfu.index for pfu in candidates}
-        for _ in range(len(bank)):
+        pfus = bank.pfus
+        count = len(pfus)
+        for _ in range(count):
             index = self._hand
-            self._hand = (self._hand + 1) % len(bank)
+            self._hand = (index + 1) % count
             if index in candidate_indices:
-                return bank.pfu(index)
+                return pfus[index]
         raise KernelError("round-robin replacement found no candidate")
 
     def reset(self) -> None:

@@ -53,10 +53,6 @@ class KernelStats(_StatBag):
     fault_actions: dict[str, int] = field(default_factory=dict)
     kills: int = 0
 
-    def record_fault(self, action: str) -> None:
-        self.faults += 1
-        self.fault_actions[action] = self.fault_actions.get(action, 0) + 1
-
 
 @dataclass
 class CISStats(_StatBag):
@@ -176,6 +172,20 @@ class PrefetchStats(_StatBag):
         )
 
 
+class _PerPid(dict):
+    """pid -> :class:`ProcessStats`, creating a pid's bag on first use.
+
+    A plain subscript is the whole per-pid lookup on the counter hot
+    path; ``get`` and iteration see only the bags already created.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, pid: int) -> ProcessStats:
+        stats = self[pid] = ProcessStats()
+        return stats
+
+
 class CounterSink:
     """Rebuilds the legacy stat bags from bus callbacks.
 
@@ -197,13 +207,10 @@ class CounterSink:
         self.dispatch: dict[str, int] = {"hit": 0, "soft": 0, "fault": 0}
         self.faults = FaultStats()
         self.prefetch = PrefetchStats()
-        self._process: dict[int, ProcessStats] = {}
+        self._process: dict[int, ProcessStats] = _PerPid()
 
     def process(self, pid: int) -> ProcessStats:
-        stats = self._process.get(pid)
-        if stats is None:
-            stats = self._process[pid] = ProcessStats()
-        return stats
+        return self._process[pid]
 
     @property
     def processes(self) -> dict[int, ProcessStats]:
@@ -212,7 +219,7 @@ class CounterSink:
     # ---- kernel scheduling ------------------------------------------------
     def on_quantum_start(self, pid: int) -> None:
         self.kernel.quanta += 1
-        self.process(pid).quanta += 1
+        self._process[pid].quanta += 1
 
     def on_timer_interrupt(self, pid: int) -> None:
         self.kernel.timer_interrupts += 1
@@ -223,10 +230,13 @@ class CounterSink:
     # ---- traps ------------------------------------------------------------
     def on_syscall(self, pid: int, number: int) -> None:
         self.kernel.syscalls += 1
-        self.process(pid).syscalls += 1
+        self._process[pid].syscalls += 1
 
     def on_fault(self, pid: int, cid: int, action: str, cycles: int) -> None:
-        self.kernel.record_fault(action)
+        kernel = self.kernel
+        kernel.faults += 1
+        actions = kernel.fault_actions
+        actions[action] = actions.get(action, 0) + 1
 
     def on_dispatch(self, pid: int, cid: int, outcome: str) -> None:
         self.dispatch[outcome] += 1
@@ -240,17 +250,17 @@ class CounterSink:
 
     def on_mapping_fault(self, pid: int, cid: int) -> None:
         self.cis.mapping_faults += 1
-        self.process(pid).mapping_faults += 1
+        self._process[pid].mapping_faults += 1
 
     def on_load_fault(self, pid: int, cid: int) -> None:
-        self.process(pid).load_faults += 1
+        self._process[pid].load_faults += 1
 
     def on_soft_defer(self, pid: int, cid: int, remap: bool) -> None:
         if remap:
             self.cis.soft_remaps += 1
         else:
             self.cis.soft_deferrals += 1
-        self.process(pid).soft_deferrals += 1
+        self._process[pid].soft_deferrals += 1
 
     def on_circuit_load(
         self, pid: int, cid: int, pfu: int, static_bytes: int, state_bytes: int
@@ -320,7 +330,7 @@ class CounterSink:
     # ---- cycle charges and termination -------------------------------------
     def on_cpu_burst(self, pid: int, cycles: int, instructions: int) -> None:
         self.kernel.total_cycles += cycles
-        stats = self.process(pid)
+        stats = self._process[pid]
         stats.cpu_cycles += cycles
         stats.instructions += instructions
 
@@ -329,7 +339,7 @@ class CounterSink:
     ) -> None:
         self.kernel.total_cycles += cycles
         if source == "kernel":
-            self.process(pid).kernel_cycles += cycles
+            self._process[pid].kernel_cycles += cycles
 
     def on_process_exit(
         self, pid: int, status: int | None, killed: bool, reason: str | None

@@ -68,7 +68,7 @@ class TestCAM:
         cam.write(0, 1)
         cam.write(3, 2)
         assert cam.occupied == 2
-        assert sorted(cam.valid_entries()) == [0, 3]
+        assert [cam.key_at(i) for i in range(4)] == [1, None, None, 2]
 
     def test_entry_bounds(self):
         cam: CAM[int] = CAM(entries=2)

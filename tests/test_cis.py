@@ -156,7 +156,7 @@ class TestProcessExit:
         kernel.cis.handle_fault(process, cid=1)
         process.state = ProcessState.EXITED
         kernel.cis.process_exit(process)
-        assert len(kernel.coprocessor.pfus.free_pfus()) == kernel.config.pfu_count
+        assert not any(pfu.configured for pfu in kernel.coprocessor.pfus)
         assert kernel.coprocessor.resolve(process.pid, 1).kind is (
             DispatchKind.FAULT
         )

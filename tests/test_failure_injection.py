@@ -164,9 +164,7 @@ class TestIsolationUnderFailure:
         )
         kernel.run()
         assert doomed.state is ProcessState.KILLED
-        assert len(kernel.coprocessor.pfus.free_pfus()) == (
-            kernel.config.pfu_count
-        )
+        assert not any(pfu.configured for pfu in kernel.coprocessor.pfus)
         # A new process can use the full array.
         survivor = kernel.spawn(workload.build(items=8, seed=0))
         kernel.run()

@@ -133,7 +133,7 @@ class TestBank:
     def test_build(self):
         bank = PFUBank.build(4, 500)
         assert len(bank) == 4
-        assert len(bank.free_pfus()) == 4
+        assert not any(pfu.configured for pfu in bank)
 
     def test_build_rejects_zero(self):
         with pytest.raises(PFUError):
@@ -142,8 +142,7 @@ class TestBank:
     def test_configured_and_free_partition(self):
         bank = PFUBank.build(3, 500)
         bank.pfu(0).load(adder_spec().instantiate(1, CONFIG))
-        assert len(bank.configured_pfus()) == 1
-        assert len(bank.free_pfus()) == 2
+        assert [pfu.configured for pfu in bank] == [True, False, False]
 
     def test_index_bounds(self):
         with pytest.raises(PFUError):

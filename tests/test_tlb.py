@@ -1,5 +1,7 @@
 """The (PID, CID)-keyed dispatch TLB of §4.2."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,9 +37,7 @@ class TestBasics:
         tlb = DispatchTLB(entries=4)
         tlb.insert(key(1, 1), 2)
         tlb.insert(key(2, 5), 2)
-        assert tlb.keys_for_value(2) == [key(1, 1), key(2, 5)] or set(
-            tlb.keys_for_value(2)
-        ) == {key(1, 1), key(2, 5)}
+        assert tlb.contents() == {key(1, 1): 2, key(2, 5): 2}
 
     def test_reinsert_updates_value(self):
         tlb = DispatchTLB(entries=4)
@@ -140,3 +140,141 @@ def test_contents_never_exceed_capacity_and_are_consistent(inserts):
         assert len(contents) <= 4
         for k, v in contents.items():
             assert tlb.lookup(k) == v
+
+
+class _ReferenceTLB:
+    """A naive model of :class:`DispatchTLB`: one list slot per entry,
+    every operation a linear walk over all of them."""
+
+    def __init__(self, entries: int) -> None:
+        self.keys: list[IDTuple | None] = [None] * entries
+        self.ram = [0] * entries
+        self.hand = 0
+        self.lookups = self.hits = self.insertions = self.evictions = 0
+
+    def lookup(self, k: IDTuple) -> int | None:
+        self.lookups += 1
+        if k in self.keys:
+            self.hits += 1
+            return self.ram[self.keys.index(k)]
+        return None
+
+    def insert(self, k: IDTuple, value: int) -> IDTuple | None:
+        self.insertions += 1
+        if k in self.keys:
+            self.ram[self.keys.index(k)] = value
+            return None
+        evicted = None
+        if None in self.keys:
+            entry = self.keys.index(None)
+        else:
+            entry = self.hand
+            self.hand = (self.hand + 1) % len(self.keys)
+            evicted = self.keys[entry]
+            self.evictions += 1
+        self.keys[entry] = k
+        self.ram[entry] = value
+        return evicted
+
+    def _drop(self, doomed) -> int:
+        removed = 0
+        for entry, k in enumerate(self.keys):
+            if k is not None and doomed(entry, k):
+                self.keys[entry] = None
+                removed += 1
+        return removed
+
+    def remove(self, k: IDTuple) -> bool:
+        return self._drop(lambda _entry, held: held == k) == 1
+
+    def remove_value(self, value: int) -> int:
+        return self._drop(lambda entry, _held: self.ram[entry] == value)
+
+    def remove_pid(self, pid: int) -> int:
+        return self._drop(lambda _entry, held: held.pid == pid)
+
+    def flush(self) -> int:
+        return self._drop(lambda _entry, _held: True)
+
+    def restore(self, state: dict) -> None:
+        self.keys = [
+            IDTuple(*fields) if fields is not None else None
+            for fields in state["cam"]["keys"]
+        ]
+        self.ram = list(state["ram"])
+        self.hand = state["fifo_hand"]
+        self.lookups = state["lookups"]
+        self.hits = state["hits"]
+        self.insertions = state["insertions"]
+        self.evictions = state["evictions"]
+
+    def snapshot(self) -> dict:
+        return {
+            "cam": {
+                "entries": len(self.keys),
+                "keys": [list(k) if k is not None else None
+                         for k in self.keys],
+            },
+            "ram": list(self.ram),
+            "fifo_hand": self.hand,
+            "lookups": self.lookups,
+            "hits": self.hits,
+            "insertions": self.insertions,
+            "evictions": self.evictions,
+        }
+
+
+_PIDS = st.integers(min_value=1, max_value=3)
+_CIDS = st.integers(min_value=0, max_value=3)
+_VALUES = st.integers(min_value=0, max_value=3)
+_TLB_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _PIDS, _CIDS, _VALUES),
+        st.tuples(st.just("remove"), _PIDS, _CIDS),
+        st.tuples(st.just("remove_value"), _VALUES),
+        st.tuples(st.just("remove_pid"), _PIDS),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore"), st.integers(min_value=0, max_value=7)),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_TLB_OPS, entries=st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_tlb_and_cam_agree_with_reference_model(ops, entries):
+    """Every operation returns what the naive model returns, and after
+    each one the whole snapshot, every lookup and the CAM's occupancy
+    agree with it.  Restores replay earlier snapshots through JSON, as
+    a checkpoint would."""
+    tlb = DispatchTLB(entries=entries)
+    model = _ReferenceTLB(entries)
+    saved: list[dict] = []
+    universe = [key(pid, cid) for pid in range(1, 4) for cid in range(4)]
+    for op, *args in ops:
+        if op == "insert":
+            pid, cid, value = args
+            assert tlb.insert(key(pid, cid), value) == model.insert(
+                key(pid, cid), value
+            )
+        elif op == "remove":
+            assert tlb.remove(key(*args)) == model.remove(key(*args))
+        elif op in ("remove_value", "remove_pid"):
+            assert getattr(tlb, op)(*args) == getattr(model, op)(*args)
+        elif op == "flush":
+            assert tlb.flush() == model.flush()
+        elif op == "snapshot":
+            saved.append(json.loads(json.dumps(tlb.snapshot())))
+        elif saved:
+            state = saved[args[0] % len(saved)]
+            tlb.restore(state)
+            model.restore(state)
+        assert tlb.snapshot() == model.snapshot()
+        for k in universe:
+            assert tlb.lookup(k) == model.lookup(k)
+        assert tlb.snapshot() == model.snapshot()
+        live = {k: model.ram[e] for e, k in enumerate(model.keys)
+                if k is not None}
+        assert tlb.contents() == live
+        assert tlb.occupied == tlb.cam.occupied == len(live)
