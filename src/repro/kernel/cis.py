@@ -438,6 +438,7 @@ class CustomInstructionScheduler:
         :meth:`_victim_candidates`; its index order is the order the
         random and LRU policies pick from.
         """
+        # _usable's own early return, hoisted out of the walk.
         check = self.injector is not None or self.engine is not None
         wanted = (
             registration.instance.bitstream.name
