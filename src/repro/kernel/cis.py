@@ -36,9 +36,10 @@ the accounting below is untouched.
 A fault is resolved in one pass, in this order:
 
 1. the registration is looked up (an unregistered CID kills);
-2. a loaded circuit whose tuple fell out of the TLB is remapped;
-3. an in-flight prefetch for the faulting process is settled against
-   the demand (partial hit, or cancelled as a mispredict);
+2. a completed speculative transfer is installed, then a loaded
+   circuit whose tuple fell out of the TLB is remapped;
+3. a prefetch still in flight for the faulting process is settled
+   against the demand (partial hit, or cancelled as a mispredict);
 4. :meth:`~CustomInstructionScheduler._scan` walks the PFU bank once,
    yielding the free PFU (a region still holding the circuit's static
    image first) and the configured PFUs in index order;
