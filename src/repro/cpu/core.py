@@ -24,6 +24,7 @@ from ..core.dispatch import DispatchKind
 from ..errors import CPUError
 from .exceptions import CPUEvent, CustomInstructionFault, ExitTrap, SyscallTrap
 from .isa import (
+    CODE_BASE,
     COMPARE_OPS,
     Flags,
     Instruction,
@@ -350,7 +351,8 @@ class CPU:
 
         if op is Op.BX:
             target = regs[instruction.rn]
-            code_index(target)  # validates
+            if target < CODE_BASE or (target - CODE_BASE) % 4:
+                raise CPUError(f"BX to non-code address {target:#010x}")
             state.pc = target
             state.instructions_retired += 1
             return StepResult(cycles=config.branch_cycles)

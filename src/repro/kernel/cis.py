@@ -83,6 +83,7 @@ from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..core.pfu import PFU
 from ..core.tlb import IDTuple
+from ..cpu.isa import CODE_BASE
 from ..errors import KernelError, ProcessKilled
 from ..fabric.validate import SecurityPolicy, validate_bitstream
 from ..trace.bus import TraceBus
@@ -196,6 +197,17 @@ class CustomInstructionScheduler:
         if not report.ok:
             self.trace.registration_rejected(process.pid, cid)
             self._kill(process, f"bitstream rejected: {report.violations[0]}")
+        if soft_address:
+            # Checked once here so every tier later branches to a real
+            # instruction: a dispatch into the middle of a word or past
+            # the image has no meaning on any of them.
+            index, offset = divmod(soft_address - CODE_BASE, 4)
+            if offset or not 0 <= index < len(process.cpu.program):
+                self._kill(
+                    process,
+                    f"software alternative {soft_address:#010x} is not "
+                    "an instruction address",
+                )
         registration = Registration(
             cid=cid,
             instance=instance,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import adder_spec
+from conftest import adder_spec, same_on_every_tier
+from repro.cpu.assembler import assemble
 from repro.cpu.program import Program
 from repro.kernel.porsche import Porsche
 from repro.kernel.process import ProcessState
@@ -208,6 +209,104 @@ class TestFaultsAndKills:
         kernel.run()
         assert process.state is ProcessState.KILLED
         assert "CLB" in process.kill_reason
+
+
+#: Registers CID 1 in hardware only and CID 2 with the software
+#: alternative ``soft`` plus ``{offset}`` bytes, then issues both.  With
+#: one PFU and software preferred when full, CID 2 dispatches in
+#: software.
+SOFT_AT_OFFSET = """
+.data
+soft_ptr: .word soft
+.text
+main:
+    MOV r0, #1
+    MOV r1, #0
+    MOV r2, #0
+    SWI #1
+    MOV r0, #2
+    MOV r1, #1
+    MOV r2, #soft_ptr
+    LDR r2, [r2]
+    ADD r2, r2, #{offset}
+    SWI #1
+    MOV r4, #3
+    MOV r5, #4
+    MCR f0, r4
+    MCR f1, r5
+    CDP #1, f2, f0, f1
+    CDP #2, f2, f0, f1
+    MRC r0, f2
+    SWI #0
+soft:
+    LDO r0, #0
+    LDO r1, #1
+    MUL r0, r0, r1
+    STO r0
+    BX lr
+"""
+
+
+def run_on_every_tier(monkeypatch, source: str, circuits=(), **config):
+    """Run one process to the end under each tier; demand one outcome."""
+    from repro.config import MachineConfig
+
+    def run():
+        kernel = Porsche(
+            MachineConfig(cycles_per_ms=1000, quantum_ms=1.0, **config)
+        )
+        process = kernel.spawn(program(source, circuits=circuits))
+        kernel.run(max_cycles=1_000_000)
+        return (
+            process.state,
+            process.kill_reason,
+            process.exit_status,
+            process.completion_cycle,
+            process.cpu_state.instructions_retired,
+        )
+
+    return same_on_every_tier(monkeypatch, run)
+
+
+class TestBadControlTransfersOnEveryTier:
+    """A branch to something that is not an instruction kills only the
+    process, with the same reason on every tier."""
+
+    def test_bx_to_non_code_address(self, monkeypatch):
+        state, reason, *_ = run_on_every_tier(
+            monkeypatch, "main:\n    MOV r1, #2\n    BX r1\n    HALT\n"
+        )
+        assert state is ProcessState.KILLED
+        assert reason == "BX to non-code address 0x00000002"
+
+    @pytest.mark.parametrize("offset", [2, 0x400])
+    def test_software_alternative_off_the_image(self, monkeypatch, offset):
+        """Misaligned, or aligned but past the last instruction: the
+        registration itself is refused."""
+        soft = assemble(SOFT_AT_OFFSET.format(offset=0)).label_address("soft")
+        state, reason, *_ = run_on_every_tier(
+            monkeypatch,
+            SOFT_AT_OFFSET.format(offset=offset),
+            circuits=[adder_spec("a"), adder_spec("b")],
+            pfu_count=1,
+            prefer_software_when_full=True,
+        )
+        assert state is ProcessState.KILLED
+        assert reason == (
+            f"software alternative {soft + offset:#010x} is not an "
+            "instruction address"
+        )
+
+    def test_software_alternative_on_an_instruction_runs(self, monkeypatch):
+        state, reason, status, *_ = run_on_every_tier(
+            monkeypatch,
+            SOFT_AT_OFFSET.format(offset=0),
+            circuits=[adder_spec("a"), adder_spec("b")],
+            pfu_count=1,
+            prefer_software_when_full=True,
+        )
+        assert (state, reason) == (ProcessState.EXITED, None)
+        assert status == 12  # the software alternative multiplies 3 * 4
 
 
 class TestStarvationGuard:
