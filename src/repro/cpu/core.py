@@ -31,10 +31,16 @@ from .isa import (
     MASK32,
     Op,
     code_address,
-    code_index,
     to_signed,
 )
 from .memory import Memory
+
+
+def _pc_index(pc: int) -> int:
+    """Instruction index of ``pc``; a PC off the code grid is fatal."""
+    if pc < CODE_BASE or (pc - CODE_BASE) & 3:
+        raise CPUError(f"pc {pc:#010x} is not a code address")
+    return (pc - CODE_BASE) >> 2
 
 
 @dataclass
@@ -92,15 +98,29 @@ class StepResult:
     retired: bool = True
 
 
-@dataclass
 class RunResult:
-    """Outcome of one bounded execution burst."""
+    """Outcome of one bounded execution burst.
 
-    cycles: int
-    #: The event that ended the burst, or ``None`` if the budget expired.
-    event: CPUEvent | None = None
-    #: Instructions retired during the burst (feeds CpuBurst trace events).
-    instructions: int = 0
+    A :class:`CPU` refills and returns the same record on every burst,
+    so read its fields before the next :meth:`CPU.run`.
+    """
+
+    __slots__ = ("cycles", "event", "instructions")
+
+    def __init__(self) -> None:
+        self.cycles = 0
+        #: The event that ended the burst, or ``None`` if the budget
+        #: expired.
+        self.event: CPUEvent | None = None
+        #: Instructions retired during the burst (feeds CpuBurst trace
+        #: events).
+        self.instructions = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"RunResult(cycles={self.cycles}, event={self.event!r}, "
+            f"instructions={self.instructions})"
+        )
 
 
 class CPU:
@@ -141,8 +161,12 @@ class CPU:
         #: straight-line runs into superinstructions, "step" drives the
         #: reference interpreter.  All three are bit-identical.
         self._tier = config.exec_tier
+        #: What an event that did no work of its own costs the burst.
+        self._alu_cycles = config.alu_cycles
         self._ctx: "RunContext | None" = None
         self._ops = None
+        #: The one burst record :meth:`run` refills.
+        self._result = RunResult()
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
@@ -150,9 +174,9 @@ class CPU:
 
         The compiled tiers' :class:`~repro.cpu.translate.RunContext`
         cursor is not saved: ``run`` reloads ``ctx.idx`` from the PC on
-        entry and clears ``interrupted`` before returning, and uses
-        ``retired`` only as a difference.  An interrupted CDP re-issues
-        from the PC (§4.4), so the PC is the whole cursor.
+        entry, clears ``interrupted`` and ``event`` before returning, and
+        uses ``retired`` only as a difference.  An interrupted CDP
+        re-issues from the PC (§4.4), so the PC is the whole cursor.
         """
         return {"state": self.state.snapshot()}
 
@@ -206,77 +230,97 @@ class CPU:
         pipeline does not abandon a committed instruction); CDP
         instructions are the exception — they are interruptible and stop
         clocking exactly at the boundary.
+
+        On the compiled tiers the most frequent event, a dispatch fault
+        (:class:`CustomInstructionFault`), is not raised: the CDP closure
+        parks its prebuilt event in ``ctx.event``, sets
+        ``ctx.interrupted`` and returns 0, and this loop charges it the
+        base issue cost, as it does a raised trap.  Syscalls, exits and
+        fabric faults are rare and still arrive as exceptions.  The
+        burst record is reused (see :class:`RunResult`).
         """
         if self._tier == "step":
             return self.run_interpreted(budget)
+        result = self._result
         if budget <= 0:
-            return RunResult(cycles=0)
-        ctx, ops = (self._ctx, self._ops)
+            result.cycles = 0
+            result.event = None
+            result.instructions = 0
+            return result
+        ctx = self._ctx
+        ops = self._ops
         if ops is None:
             ctx, ops = self._compile()
         state = self.state
-        ctx.idx = code_index(state.pc)
+        regs = state.regs
+        ctx.idx = _pc_index(regs[15])
         base_retired = ctx.retired
         used = 0
         event: CPUEvent | None = None
         length = len(ops)
         retired = 0
         try:
-            while used < budget:
-                if state.halted:
-                    event = ExitTrap()
-                    break
-                index = ctx.idx
-                if not 0 <= index < length:
-                    raise CPUError(
-                        f"pc {code_address(index):#010x} outside program "
-                        f"(0..{length - 1})"
-                    )
-                used += ops[index](budget - used)
-                if ctx.interrupted:
-                    ctx.interrupted = False
-                    break
+            if state.halted:
+                # Only HALT sets ``halted``, and it raises, ending the
+                # burst: testing on entry covers every instruction.
+                event = ExitTrap()
+            else:
+                while used < budget:
+                    index = ctx.idx
+                    if not 0 <= index < length:
+                        raise CPUError(
+                            f"pc {code_address(index):#010x} outside "
+                            f"program (0..{length - 1})"
+                        )
+                    used += ops[index](budget - used)
+                    if ctx.interrupted:
+                        ctx.interrupted = False
+                        event = ctx.event
+                        if event is not None:
+                            ctx.event = None
+                            used += self._alu_cycles
+                        break
         except CPUEvent as trap:
             # The raising instruction charged no cycles itself; charge the
             # base issue cost so traps are not free.  Events that consumed
             # real work before trapping (a fabric fault caught at the
             # would-be completion) carry their own charge.
-            used += getattr(trap, "charge_cycles", self.config.alu_cycles)
+            used += getattr(trap, "charge_cycles", self._alu_cycles)
             event = trap
         finally:
-            state.pc = code_address(ctx.idx)
+            regs[15] = CODE_BASE + 4 * ctx.idx
             retired = ctx.retired - base_retired
             state.instructions_retired += retired
-        return RunResult(cycles=used, event=event, instructions=retired)
+        result.cycles = used
+        result.event = event
+        result.instructions = retired
+        return result
 
     def run_interpreted(self, budget: int) -> RunResult:
         """The same burst semantics on the reference interpreter."""
-        if budget <= 0:
-            return RunResult(cycles=0)
-        used = 0
+        result = self._result
         state = self.state
         base_retired = state.instructions_retired
-
-        def finish(event: CPUEvent | None = None) -> RunResult:
-            return RunResult(
-                cycles=used,
-                event=event,
-                instructions=state.instructions_retired - base_retired,
-            )
-
+        used = 0
+        event: CPUEvent | None = None
         while used < budget:
             if state.halted:
-                return finish(ExitTrap())
+                event = ExitTrap()
+                break
             try:
                 step = self.step(budget - used)
-            except CPUEvent as event:
-                used += getattr(event, "charge_cycles", self.config.alu_cycles)
-                return finish(event)
+            except CPUEvent as trap:
+                used += getattr(trap, "charge_cycles", self._alu_cycles)
+                event = trap
+                break
             used += step.cycles
             if not step.retired:
                 # CDP interrupted at the budget boundary.
                 break
-        return finish()
+        result.cycles = used
+        result.event = event
+        result.instructions = state.instructions_retired - base_retired
+        return result
 
     # ---------------------------------------------------------------------
     def step(self, budget: int = 1 << 30) -> StepResult:
@@ -287,7 +331,7 @@ class CPU:
         """
         state = self.state
         config = self.config
-        index = code_index(state.pc)
+        index = _pc_index(state.regs[15])
         if not 0 <= index < len(self.program):
             raise CPUError(
                 f"pc {state.pc:#010x} outside program "

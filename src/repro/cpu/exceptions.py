@@ -1,8 +1,22 @@
-"""Architecturally visible CPU events, modelled as control-flow exceptions.
+"""Architecturally visible CPU events handed to the kernel.
 
-These are *not* errors: they are the processor's trap/fault mechanism,
-raised out of the interpreter and caught by the POrSCHE kernel, exactly
-as real exceptions transfer control to an OS handler.
+These are *not* errors: they are the processor's trap/fault mechanism.
+A burst of :meth:`repro.cpu.core.CPU.run` ends with at most one of them
+in its result's ``event``, and the POrSCHE kernel handles it, as a real
+trap transfers control to an OS handler.  How an event leaves the
+interpreter depends on how often it happens:
+
+* :class:`CustomInstructionFault` is the common one — under contention
+  on a short quantum most bursts end in it.  On the compiled tiers each
+  CDP site builds its fault once, at translation, and signals it through
+  the run context (``RunContext.event`` and ``interrupted``), so
+  delivering it neither allocates nor unwinds a stack.
+* :class:`SyscallTrap`, :class:`ExitTrap` and :class:`FabricFault` are
+  rare (a few per process, or only under a fault plan) and are raised
+  on every tier; ``run`` catches them.
+
+The ``step`` tier, the readable reference, raises every event.  They
+all derive from ``Exception`` so that it, and the rare paths, can.
 """
 
 from __future__ import annotations

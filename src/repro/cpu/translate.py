@@ -10,7 +10,11 @@ of its own: the ``block`` and ``jit`` tiers (:mod:`repro.cpu.blocks`,
   list, flags, memory, coprocessor);
 * updates the instruction index in the shared :class:`RunContext`;
 * returns the cycles consumed (custom instructions receive the remaining
-  budget so they can stop clocking at the quantum boundary, §4.4).
+  budget so they can stop clocking at the quantum boundary, §4.4);
+* ends the burst early through ``RunContext.interrupted`` rather than an
+  exception when a CDP is interrupted or its dispatch faults — a fault
+  on a short quantum is the common case, so each CDP site builds its
+  :class:`~repro.cpu.exceptions.CustomInstructionFault` once, here.
 
 ``tests/test_translate.py`` checks closure-for-closure equivalence with
 the reference interpreter on both hand-written and generated programs.
@@ -41,14 +45,23 @@ OpClosure = Callable[[int], int]
 
 
 class RunContext:
-    """Mutable per-CPU execution cursor shared by all closures."""
+    """Mutable per-CPU execution cursor shared by all closures.
 
-    __slots__ = ("idx", "interrupted", "retired")
+    ``interrupted`` asks :meth:`~repro.cpu.core.CPU.run` to end the burst
+    after the current closure returns: a CDP stopped at the budget
+    boundary sets it alone, and a CDP whose dispatch faulted also parks
+    its :class:`~repro.cpu.exceptions.CustomInstructionFault` in
+    ``event``.  ``run`` clears both before it returns, so neither
+    outlives the burst that set it.
+    """
+
+    __slots__ = ("idx", "interrupted", "retired", "event")
 
     def __init__(self) -> None:
         self.idx = 0
         self.interrupted = False
         self.retired = 0
+        self.event = None
 
 
 def _cond_checker(cond: Cond) -> Callable[[Flags], bool] | None:
@@ -343,7 +356,8 @@ def _translate_one(
         capture = coprocessor.capture_operands
         issue = config.cdp_issue_cycles
         soft_cost = config.soft_dispatch_branch_cycles
-        fault_pc = CODE_BASE + 4 * index
+        # The site's fault is the same every time: build it once.
+        fault = CustomInstructionFault(cid=imm, fault_pc=CODE_BASE + 4 * index)
         return_address = CODE_BASE + 4 * (index + 1)
         HARDWARE = DispatchKind.HARDWARE
         SOFTWARE = DispatchKind.SOFTWARE
@@ -398,7 +412,11 @@ def _translate_one(
                 ctx.idx = (resolution.address - CODE_BASE) >> 2
                 ctx.retired += 1
                 return soft_cost
-            raise CustomInstructionFault(cid=imm, fault_pc=fault_pc)
+            # Signalled, not raised: ``run`` charges the issue cost and
+            # ends the burst with the PC still on this CDP.
+            ctx.event = fault
+            ctx.interrupted = True
+            return 0
 
         return handler
 

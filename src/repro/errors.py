@@ -3,9 +3,8 @@
 Every error raised by the library derives from :class:`ReproError` so
 applications can catch library failures with a single handler.  Hardware
 events that are *architecturally visible* (custom-instruction faults,
-interrupts) are modelled as control-flow exceptions in
-:mod:`repro.cpu.exceptions`, not here; this module only covers genuine
-misuse and configuration errors.
+traps) are modelled in :mod:`repro.cpu.exceptions`, not here; this
+module only covers genuine misuse and configuration errors.
 """
 
 from __future__ import annotations

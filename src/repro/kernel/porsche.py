@@ -197,9 +197,20 @@ class Porsche:
             # Exact-type dispatch, most frequent trap first.
             kind = type(event)
             if kind is CustomInstructionFault:
-                budget -= self._fault(process, event)
-                if not process.alive:
+                # Inline: only a kill (an unregistered CID) ends the
+                # process here, and it arrives as ProcessKilled.
+                try:
+                    cycles, action = self.cis.handle_fault(process, event.cid)
+                except ProcessKilled as killed:
+                    self._charge_kernel(
+                        process, self.config.fault_entry_cycles
+                    )
+                    self._kill(process, killed.reason)
                     break
+                self.clock += cycles
+                trace.kernel_charge(pid, cycles)
+                trace.fault(pid, event.cid, action, cycles)
+                budget -= cycles
                 if budget <= 0:
                     # The fault handler consumed the rest of the quantum
                     # (a configuration load can exceed a short quantum).
@@ -291,18 +302,6 @@ class Porsche:
             self._finish(process, status=regs[0])
         # YIELD consumes the rest of the quantum.
         return budget if call is Syscall.YIELD else cycles
-
-    def _fault(self, process: Process, fault: CustomInstructionFault) -> int:
-        """Handle a custom-instruction fault; returns cycles charged."""
-        try:
-            cycles, action = self.cis.handle_fault(process, fault.cid)
-        except ProcessKilled as killed:
-            self._charge_kernel(process, self.config.fault_entry_cycles)
-            self._kill(process, killed.reason)
-            return self.config.fault_entry_cycles
-        self._charge_kernel(process, cycles)
-        self.trace.fault(process.pid, fault.cid, action, cycles)
-        return cycles
 
     # -------------------------------------------------------------------
     # fabric faults (see repro.faults)

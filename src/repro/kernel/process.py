@@ -36,6 +36,12 @@ class ProcessState(enum.Enum):
     KILLED = "killed"
 
 
+#: The states of a process that has not finished.  A module constant:
+#: reading an ``Enum`` member through its class costs several times a
+#: tuple probe, and the scheduler asks once per quantum.
+_LIVE = (ProcessState.READY, ProcessState.RUNNING)
+
+
 @dataclass
 class Registration:
     """One (CID → custom instruction) registration for a process.
@@ -119,7 +125,7 @@ class Process:
 
     @property
     def alive(self) -> bool:
-        return self.state in (ProcessState.READY, ProcessState.RUNNING)
+        return self.state in _LIVE
 
     def adopt_program(self, rewritten: Program) -> None:
         """Swap in a synthesiser-rewritten image, keeping the original."""

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 from ..errors import KernelError
 from .process import Process, ProcessState
 
+#: Bound once: an ``Enum`` member read through its class is slow, and
+#: every quantum makes two of these transitions.
+_READY = ProcessState.READY
+_RUNNING = ProcessState.RUNNING
+
 
 @dataclass
 class RoundRobinScheduler:
@@ -52,14 +57,18 @@ class RoundRobinScheduler:
             if self.last_pid is not None and self.last_pid != process.pid:
                 self.switches += 1
             self.last_pid = process.pid
-            process.state = ProcessState.RUNNING
+            process.state = _RUNNING
             return process
         return None
 
     def preempt(self, process: Process) -> None:
-        """Mark the current process ready again at end of quantum."""
-        if process.alive:
-            process.state = ProcessState.READY
+        """Mark the current process ready again at end of quantum.
+
+        ``pick`` made it RUNNING; a process that exited or was killed
+        during the quantum is neither RUNNING nor made READY again.
+        """
+        if process.state is _RUNNING:
+            process.state = _READY
 
     @property
     def runnable(self) -> int:
