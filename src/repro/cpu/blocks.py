@@ -366,5 +366,7 @@ def translate_blocks(
     source = "\n\n".join(parts)
     exec(_code_for(source, "<blocks>"), env)
     for start, _end in runs:
-        ops[start] = env[f"_block_{start}"]  # type: ignore[assignment]
+        # Popped: a function its own globals hold is a reference cycle,
+        # and a block binds all it uses as defaults at definition.
+        ops[start] = env.pop(f"_block_{start}")  # type: ignore[assignment]
     return ops

@@ -286,7 +286,9 @@ class CPU:
             # real work before trapping (a fabric fault caught at the
             # would-be completion) carry their own charge.
             used += getattr(trap, "charge_cycles", self._alu_cycles)
-            event = trap
+            # The record outlives the burst; a traceback would tie it
+            # to this frame, and the CPU to the cyclic collector.
+            event = trap.with_traceback(None)
         finally:
             regs[15] = CODE_BASE + 4 * ctx.idx
             retired = ctx.retired - base_retired
@@ -311,7 +313,7 @@ class CPU:
                 step = self.step(budget - used)
             except CPUEvent as trap:
                 used += getattr(trap, "charge_cycles", self._alu_cycles)
-                event = trap
+                event = trap.with_traceback(None)  # as in run()
                 break
             used += step.cycles
             if not step.retired:

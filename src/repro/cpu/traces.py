@@ -63,6 +63,8 @@ costs one ``exec``.
 
 from __future__ import annotations
 
+import weakref
+
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..core.tlb import IDTuple
@@ -134,9 +136,15 @@ _TRACE_ENV_NAMES = dict(
 class OpList(list):
     """The ops list with its :class:`TraceManager` attached (the list is
     what :meth:`CPU._compile` hands back; tests and tooling reach the
-    manager through it)."""
+    manager through it).
 
-    __slots__ = ("manager",)
+    The list owns the manager, and the manager's profiling wrappers sit
+    in the list, so the manager refers back to it weakly: a dropped CPU
+    then frees its whole compiled program by reference counting instead
+    of leaving it to the cyclic collector.
+    """
+
+    __slots__ = ("manager", "__weakref__")
 
 
 def translate_traces(
@@ -184,7 +192,7 @@ class TraceManager:
         pid: int,
     ) -> None:
         self.program = program
-        self.ops = ops
+        self.ops = weakref.proxy(ops)  # see OpList
         self.ctx = ctx
         self.config = config
         self.pid = pid
@@ -252,7 +260,7 @@ class TraceManager:
         env["_IVD"] = lambda _entry=entry: self._invalidate(_entry)
         env["_EG"] = self.dispatch.generation
         exec(_code_for(source, "<trace>"), env)
-        fn = env[f"_trace_{entry}"]
+        fn = env.pop(f"_trace_{entry}")  # no function <-> globals cycle
         self.installed += 1
         self.ops[entry] = fn
         return fn

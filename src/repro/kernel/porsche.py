@@ -13,6 +13,8 @@ protocol (§4.4) makes the re-issue on the next quantum transparent.
 
 from __future__ import annotations
 
+import weakref
+
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..cpu.exceptions import (
@@ -54,7 +56,10 @@ class Porsche:
     ) -> None:
         self.config = config
         self.trace = trace if trace is not None else TraceBus()
-        self.trace.bind_clock(lambda: self.clock)
+        # Weakly: the bus is the kernel's, and a strong reference back
+        # would leave every finished machine to the cyclic collector.
+        kernel = weakref.ref(self)
+        self.trace.bind_clock(lambda: kernel().clock)
         self.coprocessor = ProteusCoprocessor(config=config, trace=self.trace)
         self.processes: dict[int, Process] = {}
         self.scheduler = RoundRobinScheduler()

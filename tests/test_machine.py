@@ -6,6 +6,7 @@ completion — and every measurable outcome is bit-identical to the
 uninterrupted run.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 import repro
 from repro import CheckpointError, Machine
 from repro.errors import PlacementError
-from repro.config import MachineConfig
+from repro.config import EXEC_TIERS, MachineConfig
 from repro.machine import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 from repro.sim.experiment import ExperimentSpec, run_experiment
 
@@ -68,6 +69,27 @@ class TestLifecycle:
         executed = machine.run_quanta(10**9)
         assert machine.finished
         assert executed == machine.stats.quanta
+
+    @pytest.mark.parametrize("tier", EXEC_TIERS)
+    @pytest.mark.parametrize("architecture", ["proteus", "prisc", "memmap"])
+    def test_finished_run_leaves_no_cyclic_garbage(
+        self, tier, architecture, monkeypatch
+    ):
+        """A finished machine is freed by reference counting alone.  A
+        burst allocates almost nothing, so the cyclic collector seldom
+        runs: a machine kept only by reference cycles would stay in
+        memory across the points of a sweep."""
+        monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiment(
+                spec(instances=3, soft=True, architecture=architecture),
+                verify=True,
+            )
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_architecture_selects_kernel(self):
         from repro.baselines.prisc import PriscPorsche
