@@ -203,6 +203,7 @@ class CustomInstructionScheduler:
             # the image has no meaning on any of them.
             index, offset = divmod(soft_address - CODE_BASE, 4)
             if offset or not 0 <= index < len(process.cpu.program):
+                self.trace.registration_rejected(process.pid, cid)
                 self._kill(
                     process,
                     f"software alternative {soft_address:#010x} is not "
