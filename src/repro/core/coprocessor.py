@@ -203,17 +203,21 @@ class ProteusCoprocessor:
         return instance, instance.bitstream.state_bytes
 
     # ---- OS-side: context switching ------------------------------------------
-    def save_context(self) -> dict:
+    def save_context(self, into: dict | None = None) -> dict:
         """Capture per-process coprocessor state for the PCB.
 
         Only the register file and operand registers move on a context
         switch; PFU contents and TLB mappings are PID-tagged and stay put
-        — the architectural point of the paper.
+        — the architectural point of the paper.  ``into`` is a context
+        this method or :meth:`fresh_context` made: the kernel passes the
+        outgoing process's own, and it is overwritten in place, so a
+        switch allocates nothing.
         """
-        return {
-            "regfile": self.regfile.save(),
-            "operands": self.operand_regs.save(),
-        }
+        if into is None:
+            into = self.fresh_context()
+        into["regfile"][:] = self.regfile.words
+        self.operand_regs.save_into(into["operands"])
+        return into
 
     def restore_context(self, saved: dict) -> None:
         self.regfile.load(saved["regfile"])
@@ -222,7 +226,7 @@ class ProteusCoprocessor:
     def fresh_context(self) -> dict:
         return {
             "regfile": [0] * self.config.fpl_registers,
-            "operands": (0, 0, 0, False),
+            "operands": [0, 0, 0, False],
         }
 
     # ---- machine-state protocol -------------------------------------------

@@ -70,6 +70,14 @@ class OperandRegisters:
     def save(self) -> tuple[int, int, int, bool]:
         return (self.source_a, self.source_b, self.dest_index, self.valid)
 
+    def save_into(self, out: list) -> None:
+        """:meth:`save` into an existing four-item list, allocating
+        nothing (the kernel's context switch)."""
+        out[0] = self.source_a
+        out[1] = self.source_b
+        out[2] = self.dest_index
+        out[3] = self.valid
+
     def restore(
         self, saved: tuple[int, int, int, bool] | list | dict
     ) -> None:

@@ -48,13 +48,15 @@ class FPLRegisterFile:
         """Reinstate words :meth:`save` returned (a context switch).
 
         Saved words are already 32-bit, so only the length is checked.
+        The words are copied into the existing list, never rebinding
+        it: compiled code holds ``words`` and indexes it directly.
         """
         if len(saved) != self.size:
             raise DispatchError(
                 f"register-file restore expects {self.size} words, "
                 f"got {len(saved)}"
             )
-        self.words = list(saved)
+        self.words[:] = saved
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:

@@ -35,10 +35,22 @@ per program; captured objects (register file, run context, memory
 accessors, flag setters) are bound through default arguments so the hot
 path uses local loads only.  The source thus names no machine state,
 and :func:`_code_for` compiles each distinct source once per process.
+
+**Direct memory access.**  A load or store does not call the
+:class:`~repro.cpu.memory.Memory` accessor on its common path: it tests
+the address against the guard and size (and, for words, alignment)
+inline, then indexes the bound backing ``bytearray`` (``struct``
+``unpack_from``/``pack_into`` for words).  An address off that path
+calls the accessor, which raises the fault every tier raises.  The
+guard and size are literals in the source; the binding stays exact
+because a ``Memory`` never changes its geometry and
+:meth:`~repro.cpu.memory.Memory.restore` copies into the same
+``bytearray`` (and rejects a snapshot of another layout).
 """
 
 from __future__ import annotations
 
+import struct
 from types import CodeType
 
 from ..config import MachineConfig
@@ -66,6 +78,9 @@ CODE_CACHE_SIZE = 1024
 #: object depends on its source alone, so sharing it changes no result.
 _CODE_CACHE: dict[str, CodeType] = {}
 
+#: One little-endian memory word, for the inline LDR/STR fast path.
+_WORD = struct.Struct("<I")
+
 _BINOP_EXPR = {
     Op.ADD: "({a} + {b})",
     Op.SUB: "({a} - {b})",
@@ -90,6 +105,9 @@ _ENV_NAMES = {
     "_lb": "_LB",
     "_sb": "_SB",
     "_MF": "_MFAULT",
+    "_m": "_MEM",
+    "_ldw": "_LDW",
+    "_stw": "_STW",
     "_fsub": "_FSUB",
     "_fadd": "_FADD",
     "_flog": "_FLOG",
@@ -157,6 +175,7 @@ def _emit_instruction(
     instruction: Instruction,
     offset: int,
     config: MachineConfig,
+    bounds: tuple[int, int],
     needs: set[str],
     reg=_list_reg,
     fault_extra: list[str] | tuple[str, ...] = (),
@@ -165,7 +184,9 @@ def _emit_instruction(
 
     ``offset`` is the number of block instructions retired before this
     one; memory operations use it to reconstruct the exact mid-block
-    fault state the per-instruction closures would leave.
+    fault state the per-instruction closures would leave.  ``bounds``
+    is the process memory's ``(guard_below, size)``, which the inline
+    load/store fast path compares against as literals.
 
     ``reg`` maps a register number to its source expression — the trace
     tier (:mod:`repro.cpu.traces`) substitutes Python locals for the
@@ -239,17 +260,33 @@ def _emit_instruction(
         accessor = ("_lb" if is_byte else "_lw") if is_load else (
             "_sb" if is_byte else "_sw"
         )
-        needs.add(accessor)
-        needs.add("_MF")
+        needs.update((accessor, "_MF", "_m"))
         if instruction.post_inc or not imm:
             address = reg(rn)
         else:
             address = f"({reg(rn)} + {imm}) & {MASK32}"
-        body = [
-            f"{reg(rd)} = {accessor}({address})"
-            if is_load
-            else f"{accessor}({address}, {reg(rd)})"
-        ]
+        # Inline fast path: an in-bounds (and, for words, aligned)
+        # access goes straight to the backing bytearray.  Anything else
+        # calls the Memory accessor, which raises the same fault the
+        # other tiers raise.  Core registers hold masked values, so a
+        # stored word needs no mask.
+        guard, size = bounds
+        if is_byte:
+            test = f"{guard} <= _a < {size}"
+            fast = f"{reg(rd)} = _m[_a]" if is_load else (
+                f"_m[_a] = {reg(rd)} & 255"
+            )
+        else:
+            needs.add("_ldw" if is_load else "_stw")
+            test = f"{guard} <= _a <= {size - 4} and not _a & 3"
+            fast = f"{reg(rd)} = _ldw(_m, _a)[0]" if is_load else (
+                f"_stw(_m, _a, {reg(rd)})"
+            )
+        slow = f"{reg(rd)} = {accessor}(_a)" if is_load else (
+            f"{accessor}(_a, {reg(rd)})"
+        )
+        body = [f"_a = {address}", f"if {test}:", f"    {fast}", "else:",
+                f"    {slow}"]
         if instruction.post_inc and imm:
             # Order matters for LDR rd, [rn]+imm with rd == rn: the
             # increment re-reads the register *after* the load wrote it,
@@ -272,7 +309,11 @@ def _emit_instruction(
 
 
 def _emit_block(
-    program: list[Instruction], start: int, end: int, config: MachineConfig
+    program: list[Instruction],
+    start: int,
+    end: int,
+    config: MachineConfig,
+    bounds: tuple[int, int],
 ) -> str:
     """The source of one fused-block function, ``_block_{start}``."""
     needs: set[str] = set()
@@ -280,7 +321,7 @@ def _emit_block(
     total = 0
     for offset, index in enumerate(range(start, end)):
         lines, cycles = _emit_instruction(
-            index, program[index], offset, config, needs
+            index, program[index], offset, config, bounds, needs
         )
         body.extend(lines)
         total += cycles
@@ -324,6 +365,9 @@ def _base_env(regs: list[int], ctx: RunContext, flags: Flags,
         "_LB": memory.load_byte,
         "_SB": memory.store_byte,
         "_MFAULT": MemoryFault,
+        "_MEM": memory.buffer,
+        "_LDW": _WORD.unpack_from,
+        "_STW": _WORD.pack_into,
         "_FSUB": flags.set_from_sub,
         "_FADD": flags.set_from_add,
         "_FLOG": flags.set_from_logical,
@@ -359,10 +403,11 @@ def translate_blocks(
     if not runs:
         return ops
     env = _base_env(regs, ctx, flags, memory)
+    bounds = (memory.guard_below, memory.size)
     parts = []
     for start, end in runs:
         env[f"_SINGLE_{start}"] = ops[start]
-        parts.append(_emit_block(program, start, end, config))
+        parts.append(_emit_block(program, start, end, config, bounds))
     source = "\n\n".join(parts)
     exec(_code_for(source, "<blocks>"), env)
     for start, _end in runs:

@@ -105,11 +105,24 @@ class Memory:
 
     def restore(self, state: dict) -> None:
         data = decode_bytes(state["bytes"])
-        if state["size"] != self.size or len(data) != self.size:
+        if (
+            state["size"] != self.size
+            or state["guard_below"] != self.guard_below
+            or len(data) != self.size
+        ):
             raise MemoryFault(0, "memory snapshot does not match layout")
-        # In place: the translated CPU closures hold this bytearray.
+        # In place: compiled code holds this bytearray and its bounds.
         self._bytes[:] = data
-        self.guard_below = state["guard_below"]
+
+    @property
+    def buffer(self) -> bytearray:
+        """The live backing store.
+
+        Compiled code binds it once and indexes it directly, so it is
+        never rebound (:meth:`restore` copies into it), and ``size`` and
+        ``guard_below`` never change after construction.
+        """
+        return self._bytes
 
     @property
     def stack_top(self) -> int:

@@ -44,30 +44,46 @@ mid-trace would discard committed cycles) and the recorder's
 side-effect-free TLB peek resolves it in hardware; the generated code
 then replays the memoized warm path of :mod:`repro.cpu.translate` —
 TLB statistics, ``dispatch_resolved`` event and all — behind a
-dispatch-generation guard.  Everything else (SWI, HALT, BX,
-software/faulting CDPs, translation-time raisers) ends the trace at the
-preceding instruction.
+dispatch-generation guard, and calls
+:meth:`~repro.core.coprocessor.ProteusCoprocessor.execute`.  Everything
+else (SWI, HALT, BX, software/faulting CDPs, translation-time raisers,
+and any MCR/MRC/CDP naming an FPL register the file does not have) ends
+the trace at the preceding instruction, so the block tier raises it
+with exact state.
+
+**Direct datapath access.**  Loads and stores use the block tier's
+inline memory fast path (see :mod:`repro.cpu.blocks`).  An MCR or MRC
+is a subscript of the FPL register file's bound word list — the
+register index was range-checked when the trace was recorded, and core
+registers hold 32-bit values, so nothing is left to check.  The binding
+stays exact because the word list is never rebound:
+:meth:`~repro.core.regfile.FPLRegisterFile.load` and the kernel's
+context switch copy words into it.  LDO/STO still call the operand
+registers, and flush and spill before a ``DispatchError`` propagates.
 
 **Invalidation.**  A trace containing a CDP is valid only for the
 mappings it was recorded against: its guard compares the live
 :attr:`~repro.core.dispatch.DispatchUnit.generation` with ``_eg``, the
-generation at recording, bound per install like the pid.  When a
-management call (map/unmap/flush/restore) bumps the generation, the
-guard drops the stale trace and re-installs the profiling wrapper; a
-re-heat records the path again.  A manager keeps the source it emitted
-for each recording, so a re-heat onto a path seen before emits nothing;
-the source names no machine state, so the process-wide code cache of
-:mod:`repro.cpu.blocks` usually already holds its code and a re-install
-costs one ``exec``.
+generation at recording, bound per install like the pid and the PFU
+each CDP resolved to.  When a management call (map/unmap/flush/restore)
+bumps the generation, the guard drops the stale trace and re-installs
+the profiling wrapper; a re-heat records the path again.  A manager keeps the code it compiled
+for each recording, so a re-heat onto a path seen before emits and
+compiles nothing and a re-install costs one ``exec``.  The source names
+no machine state, so the process-wide code cache of
+:mod:`repro.cpu.blocks` hands every instance of a program one shared
+code object.
 """
 
 from __future__ import annotations
 
 import weakref
+from types import CodeType
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..core.tlb import IDTuple
+from ..errors import DispatchError
 from .blocks import (
     _ENV_NAMES,
     _base_env,
@@ -91,8 +107,9 @@ HOT_THRESHOLD = 4
 #: Upper bound on instructions consumed by one trace (runaway guard).
 MAX_TRACE_INSTRUCTIONS = 512
 
-#: Ops traced as single components (budget-guarded, effects via bound
-#: coprocessor methods).  CDP is handled separately.
+#: Ops traced as single components (budget-guarded; MCR/MRC index the
+#: bound FPL words, LDO/STO call the operand registers).  CDP is handled
+#: separately.
 _SIMPLE_OPS = (Op.MCR, Op.MRC, Op.LDO, Op.STO)
 
 #: Condition -> inline predicate over the bound flags object ``_fl`` —
@@ -121,11 +138,10 @@ _TRACE_ENV_NAMES = dict(
     _hwt="_HWT",
     _dtr="_DTR",
     _exec="_EXEC",
-    _wrf="_WRF",
-    _rdf="_RDF",
+    _fw="_FPL",
+    _DE="_DFAULT",
     _rdo="_RDO",
     _sto="_STO",
-    _max="_MAX",
     _fb="_FB",
     _ivd="_IVD",
     _eg="_EG",
@@ -197,13 +213,17 @@ class TraceManager:
         self.config = config
         self.pid = pid
         self.dispatch = coprocessor.dispatch
+        #: Memory ``(guard_below, size)`` for the inline load/store
+        #: test, and the FPL register count for the transfer check.
+        self.bounds = (memory.guard_below, memory.size)
+        self.fpl_registers = coprocessor.regfile.size
         #: Ops as compiled by the block tier — the fallback every trace
         #: side-exits into, and what a dead entry unwraps back to.
         self._base: list[OpClosure] = list(ops)
-        #: Generated source per recording (entry, components,
+        #: Compiled trace per recording (entry, components,
         #: continuation, cyclic): bounded by the program's entries and
         #: the PFUs its CDPs resolve to.
-        self._sources: dict[tuple, str] = {}
+        self._codes: dict[tuple, CodeType] = {}
         #: Lifetime counters (asserted by the eviction tests).
         self.installed = 0
         self.invalidations = 0
@@ -215,11 +235,10 @@ class TraceManager:
             "_HWT": self.dispatch.hardware_tlb,
             "_DTR": self.dispatch.trace,
             "_EXEC": coprocessor.execute,
-            "_WRF": coprocessor.regfile.write,
-            "_RDF": coprocessor.regfile.read,
+            "_FPL": coprocessor.regfile.words,
+            "_DFAULT": DispatchError,
             "_RDO": coprocessor.operand_regs.read_operand,
             "_STO": coprocessor.store_soft_result,
-            "_MAX": max,
         })
         for leader in block_leaders(program):
             ops[leader] = self._profile(leader)
@@ -248,18 +267,22 @@ class TraceManager:
             self.ops[entry] = inner
             return inner
         # A re-heat after a circuit swap usually records a path seen
-        # before: reuse its source instead of emitting it again.
+        # before: reuse its code instead of emitting it again.
         key = (entry, tuple(components), continuation, cyclic)
-        source = self._sources.get(key)
-        if source is None:
-            source = self._sources[key] = self._source(
-                entry, components, continuation, cyclic
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = _code_for(
+                self._source(entry, components, continuation, cyclic),
+                "<trace>",
             )
         env = dict(self._env)
         env["_FB"] = self._base[entry]
         env["_IVD"] = lambda _entry=entry: self._invalidate(_entry)
         env["_EG"] = self.dispatch.generation
-        exec(_code_for(source, "<trace>"), env)
+        for component in components:
+            if component[0] == "cdp":
+                env[f"_P{component[1]}"] = component[2]
+        exec(code, env)
         fn = env.pop(f"_trace_{entry}")  # no function <-> globals cycle
         self.installed += 1
         self.ops[entry] = fn
@@ -298,6 +321,10 @@ class TraceManager:
                 break
             instruction = program[idx]
             op = instruction.op
+            if any(i >= self.fpl_registers for i in _fpl_indexes(instruction)):
+                # Raises on every tier; leave it to the block tier's
+                # closure, which stops on it with exact state.
+                break
             if _fusible(instruction):
                 start = idx
                 while (
@@ -360,6 +387,7 @@ class TraceManager:
         referenced, written = _register_sets(program, components)
         spill = [f"_r[{reg}] = _g{reg}" for reg in sorted(written)]
         needs: set[str] = set()
+        pfu_params: list[str] = []
         body: list[str] = []
         # Retired instructions accumulate in the local ``_n`` and flush
         # to ``ctx.retired`` at every exit (nothing reads the counter
@@ -379,8 +407,8 @@ class TraceManager:
                 total = 0
                 for offset, index in enumerate(range(start, end)):
                     emitted, cycles = _emit_instruction(
-                        index, program[index], offset, config, needs,
-                        reg=_local, fault_extra=[flush, *spill],
+                        index, program[index], offset, config, self.bounds,
+                        needs, reg=_local, fault_extra=[flush, *spill],
                     )
                     lines.extend(emitted)
                     total += cycles
@@ -451,15 +479,22 @@ class TraceManager:
                 body += [
                     "    " + line for line in [*spill, flush, "return _u"]
                 ]
-                effect, cost = _simple_effect(instruction, config, needs)
-                body.append(effect)
+                effect, cost = _simple_effect(
+                    instruction, config, needs, [flush, *spill]
+                )
+                body += effect
                 body.append("_n += 1")
                 body.append(f"_u += {cost}")
             else:  # cdp
-                _, index, pfu = component
+                _, index, _ = component
                 instruction = program[index]
-                needs.update(("_dsp", "_hwt", "_dtr", "_exec", "_max",
-                              "_ivd", "_eg", "_pid"))
+                # The PFU is bound per install (``_p{index}``), not
+                # written into the source: every instance of a program
+                # shares one code object whichever PFUs its circuits
+                # occupy.
+                pfu_params.append(f"_p{index}=_P{index}")
+                needs.update(("_dsp", "_hwt", "_dtr", "_exec", "_ivd",
+                              "_eg", "_pid"))
                 issue = config.cdp_issue_cycles
                 body.append(f"_ctx.idx = {index}")
                 body.append("if _u >= _b:")
@@ -481,10 +516,11 @@ class TraceManager:
                 body.append(
                     f"_dtr.dispatch_resolved(_pid, {instruction.imm}, 'hit')"
                 )
+                # The CDP closure's ``max(1, budget - issue)``, inline.
                 body.append(
-                    f"_c, _o = _exec({pfu}, {instruction.rd}, "
+                    f"_c, _o = _exec(_p{index}, {instruction.rd}, "
                     f"{instruction.rn}, {instruction.rm}, "
-                    f"_max(1, _b - _u - {issue}))"
+                    f"_b - _u - {issue} if _b - _u > {issue + 1} else 1)"
                 )
                 body.append("if _o is not None:")
                 body.append("    _n += 1")
@@ -504,7 +540,7 @@ class TraceManager:
                      "return _u"]
 
         name = f"_trace_{entry}"
-        params = ["_b", "_r=_REGS", "_ctx=_CTX"] + [
+        params = ["_b", "_r=_REGS", "_ctx=_CTX", *pfu_params] + [
             f"{param}={_TRACE_ENV_NAMES[param]}"
             for param in sorted(needs)
         ]
@@ -528,30 +564,55 @@ def _local(index: int) -> str:
 
 
 def _simple_effect(
-    instruction: Instruction, config: MachineConfig, needs: set[str]
-) -> tuple[str, int]:
-    """Source line + cycle cost for one MCR/MRC/LDO/STO component."""
+    instruction: Instruction,
+    config: MachineConfig,
+    needs: set[str],
+    fault_extra: list[str],
+) -> tuple[list[str], int]:
+    """Source lines + cycle cost for one MCR/MRC/LDO/STO component.
+
+    MCR/MRC index the bound FPL word list: the recorder traces only
+    transfers naming a register the file has (see :func:`_fpl_indexes`),
+    and every register value is already 32-bit.  LDO/STO raise when no
+    software dispatch is in progress, so they run ``fault_extra`` (the
+    retired flush and register spill) before the error propagates.
+    """
     op = instruction.op
     if op is Op.MCR:
-        needs.add("_wrf")
+        needs.add("_fw")
         return (
-            f"_wrf({instruction.rd}, _g{instruction.rn})",
+            [f"_fw[{instruction.rd}] = _g{instruction.rn}"],
             config.coproc_transfer_cycles,
         )
     if op is Op.MRC:
-        needs.add("_rdf")
+        needs.add("_fw")
         return (
-            f"_g{instruction.rd} = _rdf({instruction.rn})",
+            [f"_g{instruction.rd} = _fw[{instruction.rn}]"],
             config.coproc_transfer_cycles,
         )
+    needs.add("_DE")
     if op is Op.LDO:
         needs.add("_rdo")
-        return (
-            f"_g{instruction.rd} = _rdo({instruction.imm})",
-            config.operand_reg_cycles,
-        )
-    needs.add("_sto")  # STO
-    return f"_sto(_g{instruction.rn})", config.operand_reg_cycles
+        line = f"_g{instruction.rd} = _rdo({instruction.imm})"
+    else:  # STO
+        needs.add("_sto")
+        line = f"_sto(_g{instruction.rn})"
+    lines = ["try:", f"    {line}", "except _DE:"]
+    lines += ["    " + extra for extra in fault_extra]
+    lines.append("    raise")
+    return lines, config.operand_reg_cycles
+
+
+def _fpl_indexes(instruction: Instruction) -> tuple[int, ...]:
+    """The FPL registers an MCR/MRC/CDP names."""
+    op = instruction.op
+    if op is Op.MCR:
+        return (instruction.rd,)
+    if op is Op.MRC:
+        return (instruction.rn,)
+    if op is Op.CDP:
+        return (instruction.rd, instruction.rn, instruction.rm)
+    return ()
 
 
 def _register_sets(

@@ -253,7 +253,7 @@ class Porsche:
             return
         coprocessor = self.coprocessor
         if last is not None:
-            last.coproc_context = coprocessor.save_context()
+            coprocessor.save_context(last.coproc_context)
         coprocessor.restore_context(process.coproc_context)
         self._charge_kernel(process, self.config.context_switch_cycles)
         self.trace.context_switch(process.pid)

@@ -193,10 +193,11 @@ class Process:
             )
         self.state = ProcessState(state["state"])
         self.cpu.restore(state["cpu"])
+        context = state["coproc_context"]
+        operands = context["operands"]
         self.coproc_context = {
-            "regfile": list(state["coproc_context"]["regfile"]),
-            "operands": tuple(state["coproc_context"]["operands"][:3])
-            + (bool(state["coproc_context"]["operands"][3]),),
+            "regfile": list(context["regfile"]),
+            "operands": [*operands[:3], bool(operands[3])],
         }
         self.registrations = {}
         synth_program: Program | None = None

@@ -656,6 +656,28 @@ class TestTraceCodeCache:
             assert fn is not second[entry]
             assert fn.__code__ is second[entry].__code__
 
+    def test_instances_in_different_pfus_share_trace_code(self):
+        """The PFU a traced CDP resolved to is bound per install too:
+        instances whose circuits sit in different PFUs still share one
+        ``__code__``, and each clocks its own PFU."""
+        cpus = [
+            make_cpu(REMAP_LOOP, "jit", with_circuit=True, pid=pid)
+            for pid in (1, 2)
+        ]
+        coprocessor = cpus[1].coprocessor
+        instance, _moved = coprocessor.unload_circuit(0)
+        coprocessor.load_circuit(1, instance)
+        coprocessor.dispatch.map_hardware(IDTuple(2, 1), 1)
+        for cpu in cpus:
+            cpu.run(1 << 20)
+        first, second = (installed_traces(cpu) for cpu in cpus)
+        assert first and first.keys() == second.keys()
+        for entry, fn in first.items():
+            assert fn.__code__ is second[entry].__code__
+        assert cpus[0].state.regs[5] == cpus[1].state.regs[5] == 12 * 12
+        assert cpus[0].coprocessor.pfus.pfu(0).total_completions == 12
+        assert coprocessor.pfus.pfu(1).total_completions == 12
+
     def test_invalidations_retain_nothing(self, monkeypatch):
         """Every re-map invalidates the hot CDP trace; neither the
         manager nor the code cache grows with the invalidations, and

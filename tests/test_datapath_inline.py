@@ -12,6 +12,7 @@ core registers, FPL words and memory on ``step``, ``block`` and ``jit``.
 
 import pytest
 
+from conftest import adder_spec
 from repro.config import EXEC_TIERS, MachineConfig
 from repro.cpu.assembler import DATA_BASE
 from repro.cpu.program import Program
@@ -102,7 +103,59 @@ CASES = {
     SUB r9, r4, r8
     LDR r1, [r9], #4
 """, "beyond end"),
+    # The forward BNE is predicted not taken, so the trace holds the
+    # MCR/MRC of a register the file does not have; iteration 20 runs it.
+    "mcr_out_of_range": ("""
+    CMP r6, #20
+    BNE skip
+    MCR f12, r0
+skip:
+""", "out of range"),
+    "mrc_out_of_range": ("""
+    CMP r6, #20
+    BNE skip
+    MRC r5, f12
+skip:
+""", "out of range"),
+    # LDO/STO outside a software dispatch are program errors, too.
+    "ldo_without_dispatch": ("""
+    CMP r6, #20
+    BNE skip
+    LDO r5, #0
+skip:
+""", "LDO with no captured operands"),
+    "sto_without_dispatch": ("""
+    CMP r6, #20
+    BNE skip
+    STO r5
+skip:
+""", "STO with no software dispatch"),
 }
+
+#: A hot loop of hardware custom instructions; iteration 20 issues one
+#: naming f12, which the traced path holds.
+CDP_OUT_OF_RANGE = """
+main:
+    MOV r0, #1
+    MOV r1, #0
+    MOV r2, #0
+    SWI #1
+    MOV r6, #0
+loop:
+    MCR f0, r6
+    MCR f1, r6
+    CDP #1, f4, f0, f1
+    MRC r3, f4
+    ADD r6, r6, #1
+    CMP r6, #20
+    BNE skip
+    CDP #1, f12, f0, f1
+skip:
+    CMP r6, #100
+    BNE loop
+    MOV r0, #0
+    SWI #0
+"""
 
 
 def make_config(tier: str, **overrides) -> MachineConfig:
@@ -130,12 +183,14 @@ def observe(kernel: Porsche, process) -> dict:
     }
 
 
-def run_case(tier: str, tail: str) -> tuple[dict, int]:
+def run_case(tier: str, tail: str, source: str | None = None,
+             circuits=()) -> tuple[dict, int]:
     """Run one faulting loop alone; returns its observation and the
     number of traces the jit installed."""
     kernel = Porsche(make_config(tier))
     process = kernel.spawn(Program.from_source(
-        "inline", HEADER + tail + FOOTER, memory_size=MEMORY_SIZE
+        "inline", source or HEADER + tail + FOOTER,
+        circuit_table=list(circuits), memory_size=MEMORY_SIZE,
     ))
     kernel.run()
     manager = getattr(process.cpu._ops, "manager", None)
@@ -157,6 +212,20 @@ def test_fault_is_identical_on_every_tier(case):
     assert reference["regs"][6] >= 16
     for tier in EXEC_TIERS:
         assert seen[tier] == reference, tier
+
+
+def test_cdp_naming_a_missing_register_is_identical_on_every_tier():
+    seen = {}
+    for tier in EXEC_TIERS:
+        seen[tier], installed = run_case(
+            tier, "", CDP_OUT_OF_RANGE, circuits=[adder_spec()]
+        )
+        if tier == "jit":
+            assert installed >= 1
+    assert "f12 out of range" in seen["step"]["kill_reason"]
+    assert seen["step"]["regs"][6] == 20
+    for tier in EXEC_TIERS:
+        assert seen[tier] == seen["step"], tier
 
 
 def test_last_word_and_byte_of_memory_are_reachable():

@@ -119,6 +119,25 @@ class TestBulk:
         else:
             assert m.read_words(address, count) == expected
 
+    def test_restore_round_trip(self):
+        m = mem()
+        m.store_word(0x200, 0xDEADBEEF)
+        other = mem()
+        other.restore(m.snapshot())
+        assert other.load_word(0x200) == 0xDEADBEEF
+
+    @pytest.mark.parametrize("field, value", [("size", 8192),
+                                              ("guard_below", 0x200)])
+    def test_restore_rejects_a_different_layout(self, field, value):
+        """Compiled code binds the backing store and its bounds, so a
+        snapshot may refill the bytes but never move size or guard."""
+        m = mem()
+        state = m.snapshot()
+        state[field] = value
+        with pytest.raises(MemoryFault, match="does not match layout"):
+            m.restore(state)
+        assert (m.size, m.guard_below) == (4096, 0x100)
+
     def test_stack_top_word_aligned(self):
         assert Memory(size=4094).stack_top % 4 == 0
 
