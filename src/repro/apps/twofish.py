@@ -20,7 +20,9 @@ All three produce byte-identical ciphertext.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..core.circuit import CircuitSpec
 from ..cpu.program import Program
@@ -34,6 +36,9 @@ from .data import (
 from .workloads import Workload, WorkloadVariant, memory_size_for
 
 MASK32 = 0xFFFFFFFF
+
+#: One 16-byte block as four little-endian words.
+_BLOCK = struct.Struct("<4I")
 
 # ---------------------------------------------------------------------------
 # the cipher
@@ -189,8 +194,10 @@ class Twofish:
         # spec S1 = RS(m2,m3) the *outer* one (S words apply in reverse).
         self.s_inner = _rs_encode(m[0], m[1])
         self.s_outer = _rs_encode(m[2], m[3])
-        self.round_keys = self._expand(me, mo)
-        self.tables = self._full_tables()
+        # Tuples: a cipher is shared by every build and reference check
+        # of its key (see :func:`cipher_for`).
+        self.round_keys = tuple(self._expand(me, mo))
+        self.tables = tuple(tuple(column) for column in self._full_tables())
 
     def _expand(self, me: tuple[int, int], mo: tuple[int, int]) -> list[int]:
         keys = []
@@ -226,19 +233,34 @@ class Twofish:
         )
 
     def encrypt_words(self, block: list[int]) -> list[int]:
-        """Encrypt one block given as four little-endian words."""
+        """Encrypt one block given as four little-endian words.
+
+        :meth:`g`, :func:`_rol32` and :func:`_ror32` are inlined: this is
+        the reference every Twofish point's output is checked against.
+        """
         if len(block) != 4:
             raise WorkloadError("block must be four 32-bit words")
         k = self.round_keys
-        r = [block[i] ^ k[i] for i in range(4)]
-        for rnd in range(16):
-            t0 = self.g(r[0])
-            t1 = self.g(_rol32(r[1], 8))
-            f0 = (t0 + t1 + k[8 + 2 * rnd]) & MASK32
-            f1 = (t0 + 2 * t1 + k[9 + 2 * rnd]) & MASK32
-            r = [_ror32(r[2] ^ f0, 1), _rol32(r[3], 1) ^ f1, r[0], r[1]]
-        r = [r[2], r[3], r[0], r[1]]
-        return [r[i] ^ k[4 + i] for i in range(4)]
+        t0, t1, t2, t3 = self.tables
+        r0, r1, r2, r3 = (
+            (block[i] ^ k[i]) & MASK32 for i in range(4)
+        )
+        for rnd in range(8, 40, 2):
+            g0 = (t0[r0 & 0xFF] ^ t1[(r0 >> 8) & 0xFF]
+                  ^ t2[(r0 >> 16) & 0xFF] ^ t3[r0 >> 24])
+            # g(rol32(r1, 8)): the rotation only permutes the lanes.
+            g1 = (t0[r1 >> 24] ^ t1[r1 & 0xFF]
+                  ^ t2[(r1 >> 8) & 0xFF] ^ t3[(r1 >> 16) & 0xFF])
+            f0 = (g0 + g1 + k[rnd]) & MASK32
+            f1 = (g0 + 2 * g1 + k[rnd + 1]) & MASK32
+            x = r2 ^ f0
+            r0, r1, r2, r3 = (
+                ((x >> 1) | (x << 31)) & MASK32,
+                (((r3 << 1) | (r3 >> 31)) & MASK32) ^ f1,
+                r0,
+                r1,
+            )
+        return [r2 ^ k[4], r3 ^ k[5], r0 ^ k[6], r1 ^ k[7]]
 
     def decrypt_words(self, block: list[int]) -> list[int]:
         """Invert :meth:`encrypt_words`."""
@@ -269,10 +291,13 @@ class Twofish:
         """ECB-encrypt a multiple of 16 bytes (the workload's mode)."""
         if len(plaintext) % 16:
             raise WorkloadError("plaintext must be a multiple of 16 bytes")
-        return b"".join(
-            self.encrypt_block(plaintext[offset:offset + 16])
-            for offset in range(0, len(plaintext), 16)
-        )
+        out = bytearray(len(plaintext))
+        for offset in range(0, len(plaintext), 16):
+            _BLOCK.pack_into(
+                out, offset,
+                *self.encrypt_words(_BLOCK.unpack_from(plaintext, offset)),
+            )
+        return bytes(out)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) % 16:
@@ -286,6 +311,13 @@ class Twofish:
 def workload_key(seed: int) -> bytes:
     """The deterministic per-seed key the workload programs use."""
     return hashlib.sha256(f"twofish-key:{seed}".encode()).digest()[:16]
+
+
+@lru_cache(maxsize=8)
+def cipher_for(key: bytes) -> Twofish:
+    """The key-scheduled cipher for ``key``, once per process: a point's
+    program data, its circuit and its reference all read the same one."""
+    return Twofish(key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +409,7 @@ def make_twofish_circuit(key: bytes) -> CircuitSpec:
     set of lookup ROMs, which is how the spec's 500-CLB budget and
     18-cycle encrypt were arrived at in the first place.
     """
-    cipher = Twofish(key=key)
+    cipher = cipher_for(key)
     machine = PhaseMachine("twofish_enc", selector=_ST_PHASE)
 
     absorb = ElementGraph("twofish_absorb")
@@ -700,7 +732,7 @@ def build_twofish_program(
 ) -> Program:
     """Build one Twofish process image encrypting ``items`` blocks."""
     key = workload_key(seed)
-    cipher = Twofish(key=key)
+    cipher = cipher_for(key)
     plaintext = synthetic_plaintext(items, seed=seed)
     plaintext_words = bytes_to_words(plaintext)
     if variant is WorkloadVariant.ACCELERATED:
@@ -722,7 +754,7 @@ def build_twofish_program(
 
 def twofish_reference(items: int, seed: int = 0) -> bytes:
     """Expected ciphertext for a run of ``items`` blocks."""
-    cipher = Twofish(key=workload_key(seed))
+    cipher = cipher_for(workload_key(seed))
     return cipher.encrypt(synthetic_plaintext(items, seed=seed))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Protocol
 
 from ..cpu.assembler import DATA_BASE
@@ -80,7 +81,19 @@ class Workload:
         )
 
     def expected(self, items: int, seed: int = 0) -> bytes:
-        return self.reference(items, seed)
+        """The reference result, computed once per process for each
+        ``(workload, items, seed)``: every point of a sweep that shares
+        them checks its output against the same immutable bytes."""
+        return _expected(self, items, seed)
+
+
+#: References held per process (one per distinct point size of a sweep).
+REFERENCE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=REFERENCE_CACHE_SIZE)
+def _expected(workload: Workload, items: int, seed: int) -> bytes:
+    return workload.reference(items, seed)
 
 
 def build_variant(

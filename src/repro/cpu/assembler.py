@@ -173,6 +173,13 @@ def _strip_comment(line: str) -> str:
 
 def _split_operands(rest: str) -> list[str]:
     """Split an operand string on commas, keeping ``[rn, #imm]`` together."""
+    if "[" not in rest and "]" not in rest:
+        # No brackets (every ``.word`` line): every comma splits, and
+        # only a blank final piece is dropped, as in the loop below.
+        operands = [piece.strip() for piece in rest.split(",")]
+        if not operands[-1]:
+            operands.pop()
+        return operands
     operands: list[str] = []
     depth = 0
     current = ""

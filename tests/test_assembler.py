@@ -1,8 +1,15 @@
 """The two-pass assembler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cpu.assembler import DATA_BASE, assemble, format_instruction
+from repro.cpu.assembler import (
+    DATA_BASE,
+    _split_operands,
+    assemble,
+    format_instruction,
+)
 from repro.cpu.isa import CODE_BASE, Cond, Op
 from repro.errors import AssemblerError
 
@@ -277,3 +284,39 @@ class TestFormatting:
         for instr in assemble(source).instructions:
             text = format_instruction(instr)
             assert instr.op.name in text
+
+
+class TestSplitOperands:
+    """The bracket-free fast path of ``_split_operands`` must return
+    exactly what its character loop returns."""
+
+    @staticmethod
+    def reference(rest: str) -> list[str]:
+        operands: list[str] = []
+        depth = 0
+        current = ""
+        for char in rest:
+            if char == "[":
+                depth += 1
+            elif char == "]":
+                depth -= 1
+            if char == "," and depth == 0:
+                operands.append(current.strip())
+                current = ""
+            else:
+                current += char
+        if current.strip():
+            operands.append(current.strip())
+        return operands
+
+    @given(st.text(alphabet=" \t,r0x1#f[]-", max_size=24))
+    @settings(max_examples=400)
+    def test_matches_the_character_loop(self, rest):
+        assert _split_operands(rest) == self.reference(rest)
+
+    @pytest.mark.parametrize("rest", [
+        "", " ", ",", " , ", "a,", ",a", "a,,b", " 0x1 , 0x2 ,\t",
+        "r0, [r1, #4]", "r0, [r1], #4", "a], b", "[a, b",
+    ])
+    def test_edge_cases(self, rest):
+        assert _split_operands(rest) == self.reference(rest)

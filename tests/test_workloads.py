@@ -1,17 +1,22 @@
 """Workload registry, scaling, and data generators."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import data
 from repro.apps.data import (
     bytes_to_words,
     synthetic_audio,
     synthetic_image,
     synthetic_plaintext,
+    synthetic_words,
     words_to_bytes,
     words_to_directive,
 )
+from repro.apps.twofish import cipher_for, workload_key
 from repro.apps.registry import WORKLOADS, get_workload
 from repro.apps.workloads import (
     WorkloadVariant,
@@ -133,3 +138,55 @@ class TestDataGenerators:
 
     def test_words_to_directive_empty(self):
         assert ".space 0" in words_to_directive([])
+
+
+class TestSharedInputs:
+    """A point's build and its reference check read one generated copy
+    of each input; no caller can change what the next one reads."""
+
+    @pytest.mark.parametrize(
+        "generate", [synthetic_image, synthetic_audio, synthetic_words]
+    )
+    def test_caller_cannot_mutate_a_shared_input(self, generate):
+        first = generate(40, seed=5)
+        pristine = list(first)
+        first[0] ^= 1
+        first.append(7)
+        assert generate(40, seed=5) == pristine
+        assert generate(40, 5) == pristine
+
+    def test_plaintext_and_cipher_are_immutable(self):
+        assert isinstance(synthetic_plaintext(3, seed=5), bytes)
+        cipher = cipher_for(workload_key(5))
+        assert cipher is cipher_for(workload_key(5))
+        assert isinstance(cipher.round_keys, tuple)
+        assert all(isinstance(table, tuple) for table in cipher.tables)
+
+    def test_build_and_reference_generate_each_input_once(self):
+        data._image.cache_clear()
+        alpha = get_workload("alpha")
+        alpha.build(items=40, seed=11)
+        alpha.reference(40, 11)
+        info = data._image.cache_info()
+        # Two images (seed and seed + 1), each generated once.
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_fig2_sweep_computes_the_reference_once(self, monkeypatch):
+        from repro.apps import alphablend
+        from repro.sim.figures import figure2
+        from repro.sim.runner import SweepRunner
+
+        calls = []
+
+        def counting_reference(items, seed):
+            calls.append((items, seed))
+            return alphablend.alpha_reference(items, seed)
+
+        monkeypatch.setitem(WORKLOADS, "alpha", dataclasses.replace(
+            WORKLOADS["alpha"], reference=counting_reference
+        ))
+        figure = figure2(scale=1 / 8000, workloads=("alpha",),
+                         instances=(1, 2, 3), verify=True,
+                         runner=SweepRunner())
+        assert sum(len(series.points) for series in figure.series) == 12
+        assert len(calls) == 1
