@@ -46,10 +46,10 @@ then replays the memoized warm path of :mod:`repro.cpu.translate` —
 TLB statistics, ``dispatch_resolved`` event and all — behind a
 dispatch-generation guard, and calls
 :meth:`~repro.core.coprocessor.ProteusCoprocessor.execute`.  Everything
-else (SWI, HALT, BX, software/faulting CDPs, translation-time raisers,
-and any MCR/MRC/CDP naming an FPL register the file does not have) ends
-the trace at the preceding instruction, so the block tier raises it
-with exact state.
+else (SWI, HALT, BX, software/faulting CDPs, translation-time raisers
+such as an MRC or LDO into the pc, and any MCR/MRC/CDP naming an FPL
+register the file does not have) ends the trace at the preceding
+instruction, so the block tier raises it with exact state.
 
 **Direct datapath access.**  Loads and stores use the block tier's
 inline memory fast path (see :mod:`repro.cpu.blocks`).  An MCR or MRC
@@ -95,7 +95,7 @@ from .blocks import (
 )
 from .isa import CODE_BASE, Cond, Flags, Instruction, Op
 from .memory import Memory
-from .translate import OpClosure, RunContext
+from .translate import _PC_WRITERS, OpClosure, RunContext
 
 __all__ = ["translate_traces", "TraceManager", "HOT_THRESHOLD"]
 
@@ -321,7 +321,9 @@ class TraceManager:
                 break
             instruction = program[idx]
             op = instruction.op
-            if any(i >= self.fpl_registers for i in _fpl_indexes(instruction)):
+            if (op in _PC_WRITERS and instruction.rd == 15) or any(
+                i >= self.fpl_registers for i in _fpl_indexes(instruction)
+            ):
                 # Raises on every tier; leave it to the block tier's
                 # closure, which stops on it with exact state.
                 break

@@ -117,6 +117,13 @@ skip:
     MRC r5, f12
 skip:
 """, "out of range"),
+    # Writing the pc with MRC is rejected when the code is translated.
+    "mrc_to_pc": ("""
+    CMP r6, #20
+    BNE skip
+    MRC r15, f1
+skip:
+""", "direct writes to pc"),
     # LDO/STO outside a software dispatch are program errors, too.
     "ldo_without_dispatch": ("""
     CMP r6, #20
