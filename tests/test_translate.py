@@ -1,5 +1,7 @@
-"""Equivalence of the closure-compiled fast path and the reference
-interpreter, instruction by instruction and over whole programs."""
+"""Equivalence of the compiled tiers and the reference interpreter,
+instruction by instruction and over whole programs."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,20 +18,24 @@ from repro.cpu.memory import Memory
 
 CONFIG = MachineConfig(cycles_per_ms=1000)
 
+#: The compiled tiers, each checked against the reference interpreter.
+COMPILED_TIERS = ("block", "jit")
 
-def make_cpu(source: str, with_circuit: bool = False, pid: int = 1):
+
+def make_cpu(source: str, with_circuit: bool = False, pid: int = 1,
+             config: MachineConfig = CONFIG):
     program = assemble(source)
     memory = Memory(size=16 * 1024)
     memory.write_block(program.data_base, program.data)
     state = CPUState(memory=memory)
     state.pc = code_address(program.entry_index)
-    coprocessor = ProteusCoprocessor(config=CONFIG)
+    coprocessor = ProteusCoprocessor(config=config)
     if with_circuit:
-        instance = adder_spec(latency=4).instantiate(pid, CONFIG)
+        instance = adder_spec(latency=4).instantiate(pid, config)
         coprocessor.load_circuit(0, instance)
         coprocessor.dispatch.map_hardware(IDTuple(pid, 1), 0)
     return CPU(
-        config=CONFIG,
+        config=config,
         program=program.instructions,
         state=state,
         coprocessor=coprocessor,
@@ -37,9 +43,15 @@ def make_cpu(source: str, with_circuit: bool = False, pid: int = 1):
     )
 
 
-def run_both(source: str, budgets: list[int], with_circuit: bool = False):
-    """Run the same program on both paths in identical bursts."""
-    fast = make_cpu(source, with_circuit)
+def run_both(source: str, budgets: list[int], with_circuit: bool = False,
+             tier: str | None = None):
+    """Run the same program on both paths in identical bursts.
+
+    ``tier`` picks the compiled tier of the fast CPU; ``None`` keeps
+    whichever tier ``CONFIG`` selects.
+    """
+    config = CONFIG if tier is None else replace(CONFIG, exec_tier=tier)
+    fast = make_cpu(source, with_circuit, config=config)
     slow = make_cpu(source, with_circuit)
     fast_log, slow_log = [], []
     for budget in budgets:
@@ -135,17 +147,20 @@ class TestProgramEquivalence:
         assert flog == slog
         assert_same_state(fast, slow)
 
+    @pytest.mark.parametrize("tier", COMPILED_TIERS)
     @pytest.mark.parametrize("budget", [1, 2, 3, 7, 13])
-    def test_tiny_bursts(self, budget):
-        fast, slow, flog, slog = run_both(FIBONACCI, [budget] * 200)
+    def test_tiny_bursts(self, budget, tier):
+        fast, slow, flog, slog = run_both(FIBONACCI, [budget] * 200,
+                                          tier=tier)
         assert flog == slog
         assert_same_state(fast, slow)
 
-    def test_cdp_with_interruptions(self):
+    @pytest.mark.parametrize("tier", COMPILED_TIERS)
+    def test_cdp_with_interruptions(self, tier):
         """Quantum boundaries land mid-CDP; both paths must agree."""
         for budget in (2, 3, 5, 100):
             fast, slow, flog, slog = run_both(
-                CDP_PROGRAM, [budget] * 50, with_circuit=True
+                CDP_PROGRAM, [budget] * 50, with_circuit=True, tier=tier
             )
             assert flog == slog, budget
             assert_same_state(fast, slow)
@@ -223,42 +238,87 @@ class TestCompileTimeChecks:
             self._cpu(program).run(100)
 
 
-ALU_OPS = ["ADD", "SUB", "RSB", "AND", "ORR", "EOR", "BIC", "LSL", "LSR",
-           "ASR", "ROR"]
+ALU_OPS = ["ADD", "SUB", "RSB", "AND", "ORR", "EOR", "BIC"]
+SHIFT_OPS = ["LSL", "LSR", "ASR", "ROR"]
+CONDITIONS = ["EQ", "NE", "LT", "LE", "GT", "GE", "CC", "CS", "HI", "LS",
+              "MI", "PL"]
+#: Base register of every load and store; set to ``buf`` before each.
+BASE = 10
+
+
+@st.composite
+def simple_instruction(draw):
+    """One random register, flag or memory instruction over r0-r9."""
+    kind = draw(st.sampled_from(
+        ["alu", "mul", "cmp", "shift", "move", "mem", "nop"]
+    ))
+    rd = draw(st.integers(0, 9))
+    rn = draw(st.integers(0, 9))
+    rm = draw(st.integers(0, 9))
+    if kind == "alu":
+        op = draw(st.sampled_from(ALU_OPS))
+        if draw(st.booleans()):
+            return [f"{op} r{rd}, r{rn}, #{draw(st.integers(-100, 100))}"]
+        return [f"{op} r{rd}, r{rn}, r{rm}"]
+    if kind == "mul":
+        return [f"MUL r{rd}, r{rn}, r{rm}"]
+    if kind == "cmp":
+        op = draw(st.sampled_from(["CMP", "CMN", "TST"]))
+        if draw(st.booleans()):
+            return [f"{op} r{rn}, #{draw(st.integers(-100, 100))}"]
+        return [f"{op} r{rn}, r{rm}"]
+    if kind == "shift":
+        op = draw(st.sampled_from(SHIFT_OPS))
+        if draw(st.booleans()):
+            return [f"{op} r{rd}, r{rn}, #{draw(st.integers(0, 40))}"]
+        return [f"{op} r{rd}, r{rn}, r{rm}"]
+    if kind == "move":
+        op = draw(st.sampled_from(["MOV", "MVN"]))
+        if draw(st.booleans()):
+            return [f"{op} r{rd}, #{draw(st.integers(-1000, 1000))}"]
+        return [f"{op} r{rd}, r{rm}"]
+    if kind == "nop":
+        return ["NOP"]
+    op = draw(st.sampled_from(["LDR", "LDRB", "STR", "STRB"]))
+    # rd == rn: the base is also the loaded or stored register.
+    rd = BASE if draw(st.integers(0, 3)) == 0 else rd
+    step = 1 if op.endswith("B") else 4
+    amount = step * draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        access = f"{op} r{rd}, [r{BASE}], #{amount}"
+    else:
+        access = f"{op} r{rd}, [r{BASE}, #{amount}]"
+    return [f"MOV r{BASE}, #buf", access]
 
 
 @st.composite
 def straight_line_program(draw):
-    """A random straight-line program over r0-r9 ending in SWI #0."""
+    """A random forward-only program over r0-r10 ending in HALT.
+
+    Register, flag and memory instructions (loads and stores go to a
+    ``.data`` buffer), with forward conditional branches over some.
+    """
     lines = [f"MOV r{i}, #{draw(st.integers(-1000, 1000))}" for i in range(4)]
     count = draw(st.integers(min_value=1, max_value=25))
-    for _ in range(count):
-        kind = draw(st.sampled_from(["alu", "mul", "cmp", "shift_imm"]))
-        rd = draw(st.integers(0, 9))
-        rn = draw(st.integers(0, 9))
-        rm = draw(st.integers(0, 9))
-        if kind == "alu":
-            op = draw(st.sampled_from(ALU_OPS[:7]))
-            if draw(st.booleans()):
-                lines.append(f"{op} r{rd}, r{rn}, #{draw(st.integers(-100, 100))}")
-            else:
-                lines.append(f"{op} r{rd}, r{rn}, r{rm}")
-        elif kind == "mul":
-            lines.append(f"MUL r{rd}, r{rn}, r{rm}")
-        elif kind == "cmp":
-            lines.append(f"CMP r{rn}, r{rm}")
+    for label in range(count):
+        if draw(st.integers(0, 5)) == 0:
+            cond = draw(st.sampled_from(CONDITIONS))
+            lines.append(f"B{cond} skip{label}")
+            for _ in range(draw(st.integers(1, 3))):
+                lines += draw(simple_instruction())
+            lines.append(f"skip{label}:")
         else:
-            op = draw(st.sampled_from(["LSL", "LSR", "ASR", "ROR"]))
-            lines.append(f"{op} r{rd}, r{rn}, #{draw(st.integers(0, 40))}")
+            lines += draw(simple_instruction())
     lines.append("MOV r0, #0")
     lines.append("HALT")
-    return "\n".join(lines)
+    return ".data\nbuf: .space 64\n.text\nmain:\n" + "\n".join(lines)
 
 
 class TestRandomPrograms:
+    @pytest.mark.parametrize("tier", COMPILED_TIERS)
     @given(source=straight_line_program(), burst=st.integers(1, 50))
     @settings(max_examples=80, deadline=None)
-    def test_equivalence(self, source, burst):
-        fast, slow, flog, slog = run_both(source, [burst] * 80)
+    def test_equivalence(self, tier, source, burst):
+        fast, slow, flog, slog = run_both(source, [burst] * 80, tier=tier)
         assert flog == slog
         assert_same_state(fast, slow)
