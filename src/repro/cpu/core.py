@@ -30,6 +30,7 @@ from .isa import (
     Instruction,
     MASK32,
     Op,
+    PC_WRITERS,
     code_address,
     to_signed,
 )
@@ -342,6 +343,10 @@ class CPU:
         instruction = self.program[index]
         op = instruction.op
         regs = state.regs
+        # Rejected before any operand is read, as the compiled tiers
+        # reject it when they translate the program.
+        if op in PC_WRITERS and instruction.rd == 15:
+            raise CPUError("direct writes to pc are not supported; use B/BL/BX")
 
         # ---- data processing ------------------------------------------------
         if op is Op.MOV or op is Op.MVN:
@@ -387,11 +392,14 @@ class CPU:
 
         # ---- branches --------------------------------------------------------
         if op is Op.B or op is Op.BL:
+            target = index + 1 + instruction.imm
+            if not 0 <= target < len(self.program):
+                raise CPUError(f"branch target index {target} out of program")
             if not state.flags.passes(instruction.cond):
                 return self._retire(config.alu_cycles)
             if op is Op.BL:
                 regs[14] = code_address(index + 1)
-            state.pc = code_address(index + 1 + instruction.imm)
+            state.pc = code_address(target)
             state.instructions_retired += 1
             return StepResult(cycles=config.branch_cycles)
 
@@ -531,10 +539,6 @@ class CPU:
         return self._retire(self.config.alu_cycles)
 
     def _write_reg(self, index: int, value: int) -> None:
-        if index == 15:
-            raise CPUError(
-                "direct writes to pc are not supported; use B/BL/BX"
-            )
         self.state.regs[index] = value & MASK32
 
     def _retire(self, cycles: int) -> StepResult:

@@ -119,6 +119,12 @@ MEMORY_OPS = frozenset({Op.LDR, Op.STR, Op.LDRB, Op.STRB})
 #: Branch ops taking a label.
 BRANCH_OPS = frozenset({Op.B, Op.BL})
 
+#: Every op whose ``rd`` is a general-register destination.  Writing the
+#: pc this way is rejected before the op reads anything, on every tier.
+PC_WRITERS = THREE_OPERAND_OPS | TWO_OPERAND_OPS | {
+    Op.MUL, Op.LDR, Op.LDRB, Op.MRC, Op.LDO,
+}
+
 #: Ops that end a basic block: control (possibly) leaves this index, so
 #: the instruction after one — and every branch target — is a block
 #: leader (see :mod:`repro.cpu.blocks`).

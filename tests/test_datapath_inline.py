@@ -43,11 +43,13 @@ loop:
     ADD r6, r6, #1
 """
 
+#: ``past_end`` labels the index one past the last instruction.
 FOOTER = """
     CMP r6, #100
     BNE loop
     MOV r0, #0
     SWI #0
+past_end:
 """
 
 #: name -> (loop-body tail that faults part-way through, reason fragment)
@@ -137,6 +139,34 @@ skip:
     STO r5
 skip:
 """, "STO with no software dispatch"),
+    # A pc write is rejected before it reads an operand, memory or an
+    # FPL register, so none of these dies on what it would have read.
+    "ldo_to_pc": ("""
+    CMP r6, #20
+    BNE skip
+    LDO r15, #0
+skip:
+""", "direct writes to pc"),
+    "mrc_to_pc_out_of_range": ("""
+    CMP r6, #20
+    BNE skip
+    MRC r15, f12
+skip:
+""", "direct writes to pc"),
+    "ldr_to_pc_guard": ("""
+    CMP r6, #20
+    BNE skip
+    MOV r9, #0
+    LDR r15, [r9]
+skip:
+""", "direct writes to pc"),
+    # A branch out of the program is rejected even when not taken.
+    "branch_past_end_not_taken": ("""
+    CMP r6, #20
+    BNE skip
+    BNE past_end
+skip:
+""", "branch target index"),
 }
 
 #: A hot loop of hardware custom instructions; iteration 20 issues one
