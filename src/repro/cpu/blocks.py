@@ -1,11 +1,16 @@
-"""Basic-block superinstruction compiler — the ``block`` execution tier.
+"""Generated-code compiler — the ``block`` execution tier.
 
-:mod:`repro.cpu.translate` compiles one closure per instruction; this
-module overlays that list with *fused* closures covering straight-line
-runs of simple instructions, so a burst dispatches once per basic block
-instead of once per instruction.  The tier is purely a simulator-speed
-choice: cycle accounting, trace counters, fault state and checkpoint
-bytes are bit-identical to the ``step`` tier.
+Every instruction but CDP gets a generated one-instruction Python
+function, and straight-line runs of simple instructions are *fused*
+into one function per run, so a burst dispatches once per basic block
+instead of once per instruction.  :func:`_emit_instruction` is the one
+source of each op's compiled semantics: the one-instruction functions,
+the fused runs and the traces of :mod:`repro.cpu.traces` are all
+emitted from it.  A CDP keeps a hand-written closure
+(:func:`repro.cpu.translate.cdp_closure`), because its per-site memo is
+mutable state.  The tier is purely a simulator-speed choice: cycle
+accounting, trace counters, fault state and checkpoint bytes are
+bit-identical to the ``step`` tier.
 
 **Partitioning.**  Block leaders are instruction 0, every static branch
 target, and the instruction after each terminator (B/BL/BX/SWI/HALT/CDP
@@ -17,26 +22,31 @@ write); runs of at least two instructions are fused.
 **Why fusion preserves semantics.**  A fused run contains no control
 flow, no traps, and nothing that sets ``halted`` or ``interrupted``, so
 the per-iteration checks of :meth:`repro.cpu.core.CPU.run` cannot fire
-inside it.  Each fused closure guards on its precomputed cycle total and
-falls back to the leader's original per-instruction closure when the
+inside it.  Each fused function guards on its precomputed cycle total
+and falls back to the leader's one-instruction function when the
 remaining budget is smaller — in exactly those bursts the reference
 interpreter also steps the run one instruction at a time, so quantum
 boundaries and the overrun of the final committed instruction land on
 the same instruction with the same cycle count.  Memory operations keep
 their own ``except MemoryFault`` bookkeeping so a faulting instruction
 leaves ``ctx.idx`` on itself and ``ctx.retired`` counting its completed
-predecessors, as the unfused closures do.  Indexes *inside* a run keep
-their per-instruction closures, so BX targets, software-dispatch
-returns, and checkpoints restored mid-run enter the middle of a block
-correctly.
+predecessors, as stepping does.  Every index keeps its one-instruction
+function, so BX targets, software-dispatch returns, and checkpoints
+restored mid-run enter the middle of a block correctly.
 
-The fused bodies are generated as Python source and ``exec``-ed once
-per program; captured objects (register file, run context, memory
-accessors, flag setters) are bound through default arguments so the hot
-path uses local loads only.  The source thus names no machine state,
-and :func:`_code_for` compiles each distinct source once per process.
+**Translation-time raisers.**  A pc write (``rd=15``), a branch out of
+the program and an opcode no tier implements are rejected when the
+program is translated: the instruction's entry is a closure that raises
+the error :meth:`~repro.cpu.core.CPU.step` raises, when it executes.
 
-**Direct memory access.**  A load or store does not call the
+All functions of a program are generated as one Python source and
+``exec``-ed once per program; captured objects (register file, run
+context, memory accessors, flag setters) are bound through default
+arguments so the hot path uses local loads only.  The source thus names
+no machine state, and :func:`_code_for` compiles each distinct source
+once per process.
+
+**Direct datapath access.**  A load or store does not call the
 :class:`~repro.cpu.memory.Memory` accessor on its common path: it tests
 the address against the guard and size (and, for words, alignment)
 inline, then indexes the bound backing ``bytearray`` (``struct``
@@ -45,30 +55,41 @@ calls the accessor, which raises the fault every tier raises.  The
 guard and size are literals in the source; the binding stays exact
 because a ``Memory`` never changes its geometry and
 :meth:`~repro.cpu.memory.Memory.restore` copies into the same
-``bytearray`` (and rejects a snapshot of another layout).
+``bytearray`` (and rejects a snapshot of another layout).  An MCR or
+MRC is a subscript of the FPL register file's bound word list, which is
+never rebound either (:meth:`~repro.core.regfile.FPLRegisterFile.load`
+copies into it); core registers hold 32-bit values, so nothing is left
+to mask.  One naming a register the file does not have calls the
+file's range check first, which raises what ``step`` raises.
 """
 
 from __future__ import annotations
 
 import struct
 from types import CodeType
+from typing import NamedTuple
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..errors import CPUError, MemoryFault
-from .isa import BLOCK_TERMINATORS, FUSIBLE_OPS, Flags, Instruction, MASK32, Op
-from .memory import Memory
-from .translate import (
-    OpClosure,
-    RunContext,
-    _PC_WRITERS,
-    _SHIFTERS,
-    translate,
+from .exceptions import ExitTrap, SyscallTrap
+from .isa import (
+    BLOCK_TERMINATORS,
+    CODE_BASE,
+    Cond,
+    FUSIBLE_OPS,
+    Flags,
+    Instruction,
+    MASK32,
+    Op,
+    PC_WRITERS,
 )
+from .memory import Memory
+from .translate import OpClosure, RunContext, _SHIFTERS, cdp_closure
 
 __all__ = ["translate_blocks", "fusible_runs", "block_leaders"]
 
-#: Runs shorter than this are left to the per-instruction closures.
+#: Runs shorter than this are left to the one-instruction functions.
 MIN_RUN = 2
 
 #: Distinct generated sources kept compiled; a full cache starts over.
@@ -98,6 +119,27 @@ _BINOP_EXPR = {
 #: ``a``.  ADD/SUB/RSB can overflow or go negative and keep the mask.
 _MASKLESS_BINOPS = frozenset((Op.AND, Op.ORR, Op.EOR, Op.BIC))
 
+#: Condition -> inline predicate over the bound flags object ``_fl`` —
+#: exactly :meth:`repro.cpu.isa.Flags.passes`, without the call.
+_COND_EXPR = {
+    Cond.EQ: "_fl.z",
+    Cond.NE: "not _fl.z",
+    Cond.LT: "_fl.n != _fl.v",
+    Cond.LE: "_fl.z or _fl.n != _fl.v",
+    Cond.GT: "not _fl.z and _fl.n == _fl.v",
+    Cond.GE: "_fl.n == _fl.v",
+    Cond.CC: "not _fl.c",
+    Cond.CS: "_fl.c",
+    Cond.HI: "_fl.c and not _fl.z",
+    Cond.LS: "not _fl.c or _fl.z",
+    Cond.MI: "_fl.n",
+    Cond.PL: "not _fl.n",
+}
+
+#: Ops whose emitted lines leave the function themselves (return or
+#: raise); they are only ever emitted as one-instruction functions.
+_TRANSFERS = frozenset((Op.B, Op.BL, Op.BX, Op.SWI, Op.HALT))
+
 #: Generated-parameter name → key in the codegen environment.
 _ENV_NAMES = {
     "_lw": "_LW",
@@ -115,7 +157,27 @@ _ENV_NAMES = {
     "_lsr": "_LSR",
     "_asr": "_ASR",
     "_ror": "_ROR",
+    "_fl": "_FL",
+    "_fw": "_FPL",
+    "_fck": "_FCHECK",
+    "_rdo": "_RDO",
+    "_sto": "_STO",
+    "_CE": "_CPUERROR",
+    "_SWI": "_SYSCALL",
+    "_EXIT": "_EXITTRAP",
+    "_st": "_STATE",
 }
+
+
+class Layout(NamedTuple):
+    """What generated code compares against as literals: the process
+    memory's geometry, the FPL register count and the program length.
+    None of them changes for the life of a compiled program."""
+
+    guard_below: int
+    memory_size: int
+    fpl_registers: int
+    length: int
 
 
 def block_leaders(program: list[Instruction]) -> set[int]:
@@ -138,8 +200,8 @@ def _fusible(instruction: Instruction) -> bool:
     op = instruction.op
     if op not in FUSIBLE_OPS:
         return False
-    if op in _PC_WRITERS and instruction.rd == 15:
-        return False  # translate emits a raiser; leave it unfused
+    if op in PC_WRITERS and instruction.rd == 15:
+        return False  # a translation-time raiser; leave it unfused
     return True
 
 
@@ -175,28 +237,32 @@ def _emit_instruction(
     instruction: Instruction,
     offset: int,
     config: MachineConfig,
-    bounds: tuple[int, int],
+    layout: Layout,
     needs: set[str],
     reg=_list_reg,
-    fault_extra: list[str] | tuple[str, ...] = (),
 ) -> tuple[list[str], int]:
-    """Source lines + cycle cost for one fused instruction.
+    """Source lines + cycle cost for one instruction at ``index``.
 
-    ``offset`` is the number of block instructions retired before this
-    one; memory operations use it to reconstruct the exact mid-block
-    fault state the per-instruction closures would leave.  ``bounds``
-    is the process memory's ``(guard_below, size)``, which the inline
-    load/store fast path compares against as literals.
+    The lines perform the op's effect; the caller advances ``ctx`` and
+    charges the cost.  A control transfer (B/BL/BX/SWI/HALT) is the
+    exception: its lines advance ``ctx`` and return or raise
+    themselves, and its reported cost is 0.
 
-    ``reg`` maps a register number to its source expression — the trace
+    ``offset`` is the number of instructions retired before this one
+    since ``ctx`` was last advanced; memory operations use it to
+    reconstruct the exact fault state stepping would leave.  ``reg`` maps a register number to its source expression — the trace
     tier (:mod:`repro.cpu.traces`) substitutes Python locals for the
-    register-file subscripts, and supplies ``fault_extra`` (its spill
-    code) to run before a :class:`~repro.errors.MemoryFault` propagates.
+    register-file subscripts.
+
+    Raises :class:`~repro.errors.CPUError` for an instruction that is
+    rejected at translation time (see the module docstring).
     """
     op = instruction.op
     rd, rn, rm, imm = (
         instruction.rd, instruction.rn, instruction.rm, instruction.imm,
     )
+    if op in PC_WRITERS and rd == 15:
+        raise CPUError("direct writes to pc are not supported; use B/BL/BX")
 
     if op in _BINOP_EXPR:
         b = str(imm & MASK32) if instruction.uses_imm else reg(rm)
@@ -270,7 +336,7 @@ def _emit_instruction(
         # calls the Memory accessor, which raises the same fault the
         # other tiers raise.  Core registers hold masked values, so a
         # stored word needs no mask.
-        guard, size = bounds
+        guard, size = layout.guard_below, layout.memory_size
         if is_byte:
             test = f"{guard} <= _a < {size}"
             fast = f"{reg(rd)} = _m[_a]" if is_load else (
@@ -290,14 +356,13 @@ def _emit_instruction(
         if instruction.post_inc and imm:
             # Order matters for LDR rd, [rn]+imm with rd == rn: the
             # increment re-reads the register *after* the load wrote it,
-            # exactly as the unfused closure does.
+            # exactly as stepping does.
             body.append(f"{reg(rn)} = ({reg(rn)} + {imm}) & {MASK32}")
         lines = ["try:"]
         lines += ["    " + line for line in body]
         lines += ["except _MF:", f"    _ctx.idx = {index}"]
         if offset:
             lines.append(f"    _ctx.retired += {offset}")
-        lines += ["    " + line for line in fault_extra]
         lines.append("    raise")
         cycles = config.load_cycles if is_load else config.store_cycles
         return lines, cycles
@@ -305,41 +370,110 @@ def _emit_instruction(
     if op is Op.NOP:
         return [], config.alu_cycles
 
-    raise CPUError(f"opcode {op.name} is not fusible")
+    if op is Op.MCR or op is Op.MRC:
+        fpl = rd if op is Op.MCR else rn
+        needs.add("_fw")
+        lines = []
+        if fpl >= layout.fpl_registers:
+            needs.add("_fck")
+            lines.append(f"_fck({fpl})")  # raises: no such register
+        if op is Op.MCR:
+            lines.append(f"_fw[{rd}] = {reg(rn)}")
+        else:
+            lines.append(f"{reg(rd)} = _fw[{rn}]")
+        return lines, config.coproc_transfer_cycles
+
+    if op is Op.LDO:
+        needs.add("_rdo")
+        return [f"{reg(rd)} = _rdo({imm})"], config.operand_reg_cycles
+
+    if op is Op.STO:
+        needs.add("_sto")
+        return [f"_sto({reg(rn)})"], config.operand_reg_cycles
+
+    if op is Op.B or op is Op.BL:
+        target = index + 1 + imm
+        if not 0 <= target < layout.length:
+            raise CPUError(f"branch target index {target} out of program")
+        lines = []
+        if instruction.cond is not Cond.AL:
+            needs.add("_fl")
+            lines += [
+                f"if not ({_COND_EXPR[instruction.cond]}):",
+                f"    _ctx.idx = {index + 1}",
+                "    _ctx.retired += 1",
+                f"    return {config.alu_cycles}",
+            ]
+        if op is Op.BL:
+            lines.append(f"{reg(14)} = {CODE_BASE + 4 * (index + 1)}")
+        lines += [f"_ctx.idx = {target}", "_ctx.retired += 1",
+                  f"return {config.branch_cycles}"]
+        return lines, 0
+
+    if op is Op.BX:
+        needs.add("_CE")
+        return [
+            f"_a = {reg(rn)}",
+            f"if _a < {CODE_BASE} or (_a - {CODE_BASE}) % 4:",
+            '    raise _CE(f"BX to non-code address {_a:#010x}")',
+            f"_ctx.idx = (_a - {CODE_BASE}) >> 2",
+            "_ctx.retired += 1",
+            f"return {config.branch_cycles}",
+        ], 0
+
+    if op is Op.SWI:
+        needs.add("_SWI")
+        return [f"_ctx.idx = {index + 1}", "_ctx.retired += 1",
+                f"raise _SWI(number={imm})"], 0
+
+    if op is Op.HALT:
+        needs.update(("_st", "_EXIT"))
+        return ["_st.halted = True", "_ctx.retired += 1",
+                f"raise _EXIT(status={reg(0)})"], 0
+
+    raise CPUError(f"unimplemented opcode {op.name}")
 
 
-def _emit_block(
+def _emit_function(
     program: list[Instruction],
     start: int,
     end: int,
     config: MachineConfig,
-    bounds: tuple[int, int],
+    layout: Layout,
 ) -> str:
-    """The source of one fused-block function, ``_block_{start}``."""
+    """The source of the function running instructions ``start..end``.
+
+    One instruction makes ``_op_{start}``; a fused run makes
+    ``_block_{start}``, which hands a budget shortfall to
+    ``_op_{start}`` (emitted earlier in the same source).
+    """
     needs: set[str] = set()
     body: list[str] = []
     total = 0
     for offset, index in enumerate(range(start, end)):
         lines, cycles = _emit_instruction(
-            index, program[index], offset, config, bounds, needs
+            index, program[index], offset, config, layout, needs
         )
         body.extend(lines)
         total += cycles
-    params = ", ".join(
-        [f"_single=_SINGLE_{start}", "_r=_REGS", "_ctx=_CTX"]
-        + [f"{name}={_ENV_NAMES[name]}" for name in sorted(needs)]
-    )
-    out = [
-        f"def _block_{start}(_b, {params}):",
-        f"    if _b < {total}:",
-        "        return _single(_b)",
-    ]
+    params = ["_r=_REGS", "_ctx=_CTX"]
+    params += [f"{name}={_ENV_NAMES[name]}" for name in sorted(needs)]
+    if end - start == 1:
+        out = [f"def _op_{start}(_b, {', '.join(params)}):"]
+    else:
+        out = [
+            f"def _block_{start}(_b, _single=_op_{start}, "
+            f"{', '.join(params)}):",
+            f"    if _b < {total}:",
+            "        return _single(_b)",
+        ]
     out += ["    " + line for line in body]
-    out += [
-        f"    _ctx.idx = {end}",
-        f"    _ctx.retired += {end - start}",
-        f"    return {total}",
-    ]
+    if program[start].op not in _TRANSFERS:
+        out += [
+            f"    _ctx.idx = {end}",
+            f"    _ctx.retired += {end - start}",
+            f"    return {total}",
+        ]
     return "\n".join(out)
 
 
@@ -353,9 +487,16 @@ def _code_for(source: str, filename: str) -> CodeType:
     return code
 
 
+def _layout(program: list[Instruction], memory: Memory,
+            coprocessor: ProteusCoprocessor) -> Layout:
+    return Layout(memory.guard_below, memory.size, coprocessor.regfile.size,
+                  len(program))
+
+
 def _base_env(regs: list[int], ctx: RunContext, flags: Flags,
-             memory: Memory) -> dict[str, object]:
-    """The binding environment shared by fused blocks and traces."""
+              memory: Memory,
+              coprocessor: ProteusCoprocessor) -> dict[str, object]:
+    """The binding environment shared by blocks and traces."""
     return {
         "__builtins__": {},
         "_REGS": regs,
@@ -375,7 +516,22 @@ def _base_env(regs: list[int], ctx: RunContext, flags: Flags,
         "_LSR": _SHIFTERS[Op.LSR],
         "_ASR": _SHIFTERS[Op.ASR],
         "_ROR": _SHIFTERS[Op.ROR],
+        "_FL": flags,
+        "_FPL": coprocessor.regfile.words,
+        "_FCHECK": coprocessor.regfile.check,
+        "_RDO": coprocessor.operand_regs.read_operand,
+        "_STO": coprocessor.store_soft_result,
+        "_CPUERROR": CPUError,
+        "_SYSCALL": SyscallTrap,
+        "_EXITTRAP": ExitTrap,
     }
+
+
+def _raiser(message: str) -> OpClosure:
+    def handler(_budget: int) -> int:
+        raise CPUError(message)
+
+    return handler
 
 
 def translate_blocks(
@@ -389,29 +545,43 @@ def translate_blocks(
     pid: int,
     state,
 ) -> list[OpClosure]:
-    """Compile a program, then fuse its straight-line runs in place.
+    """Compile a program into one callable per instruction index.
 
-    Drop-in replacement for :func:`repro.cpu.translate.translate`: the
-    returned list still holds one callable per instruction index, with
-    fused closures installed at run leaders and the original closures
-    everywhere else (so mid-block entry needs no special casing).
+    Each index holds its one-instruction function (a closure for a CDP
+    or a translation-time raiser), except that run leaders hold their
+    fused run's function instead — so mid-block entry needs no special
+    casing.
     """
-    ops = translate(
-        program, ctx, regs, flags, memory, coprocessor, config, pid, state
-    )
+    layout = _layout(program, memory, coprocessor)
+    ops: list = [None] * len(program)
+    parts: list[str] = []
+    for index, instruction in enumerate(program):
+        if instruction.op is Op.CDP:
+            ops[index] = cdp_closure(
+                instruction, index, ctx, regs, coprocessor, config, pid
+            )
+            continue
+        try:
+            parts.append(
+                _emit_function(program, index, index + 1, config, layout)
+            )
+        except CPUError as error:
+            ops[index] = _raiser(str(error))
     runs = fusible_runs(program)
-    if not runs:
+    parts += [
+        _emit_function(program, start, end, config, layout)
+        for start, end in runs
+    ]
+    if not parts:
         return ops
-    env = _base_env(regs, ctx, flags, memory)
-    bounds = (memory.guard_below, memory.size)
-    parts = []
-    for start, end in runs:
-        env[f"_SINGLE_{start}"] = ops[start]
-        parts.append(_emit_block(program, start, end, config, bounds))
-    source = "\n\n".join(parts)
-    exec(_code_for(source, "<blocks>"), env)
+    env = _base_env(regs, ctx, flags, memory, coprocessor)
+    env["_STATE"] = state
+    exec(_code_for("\n\n".join(parts), "<blocks>"), env)
+    # Popped: a function its own globals hold is a reference cycle, and
+    # a function binds all it uses as defaults at definition.
+    for index, op in enumerate(ops):
+        if op is None:
+            ops[index] = env.pop(f"_op_{index}")
     for start, _end in runs:
-        # Popped: a function its own globals hold is a reference cycle,
-        # and a block binds all it uses as defaults at definition.
-        ops[start] = env.pop(f"_block_{start}")  # type: ignore[assignment]
+        ops[start] = env.pop(f"_block_{start}")
     return ops

@@ -11,9 +11,10 @@ hardware-resolved CDPs — and emits one straight-line Python function for
 the whole trace:
 
 * **registers as locals** — every core register the trace touches is
-  loaded into a Python local once on entry and spilled back at every
-  exit, so the hot path runs on ``LOAD_FAST``/``STORE_FAST`` instead of
-  list subscripts;
+  loaded into a Python local once on entry and the written ones are
+  spilled back once, by a ``finally`` every exit passes through, so the
+  hot path runs on ``LOAD_FAST``/``STORE_FAST`` instead of list
+  subscripts;
 * **bulk cycle accounting** — each fused segment charges its precomputed
   cycle total in one addition, exactly like a block superinstruction;
 * **loop closure** — a trace whose path returns to its own entry becomes
@@ -42,7 +43,8 @@ components — MCR/MRC/LDO/STO.  A CDP joins a trace only when no fault
 plan is active (a :class:`~repro.cpu.exceptions.FabricFault` raised
 mid-trace would discard committed cycles) and the recorder's
 side-effect-free TLB peek resolves it in hardware; the generated code
-then replays the memoized warm path of :mod:`repro.cpu.translate` —
+then replays the memoized warm path of
+:func:`repro.cpu.translate.cdp_closure` —
 TLB statistics, ``dispatch_resolved`` event and all — behind a
 dispatch-generation guard, and calls
 :meth:`~repro.core.coprocessor.ProteusCoprocessor.execute`.  Everything
@@ -51,15 +53,15 @@ such as an MRC or LDO into the pc, and any MCR/MRC/CDP naming an FPL
 register the file does not have) ends the trace at the preceding
 instruction, so the block tier raises it with exact state.
 
-**Direct datapath access.**  Loads and stores use the block tier's
-inline memory fast path (see :mod:`repro.cpu.blocks`).  An MCR or MRC
-is a subscript of the FPL register file's bound word list — the
-register index was range-checked when the trace was recorded, and core
-registers hold 32-bit values, so nothing is left to check.  The binding
-stays exact because the word list is never rebound:
-:meth:`~repro.core.regfile.FPLRegisterFile.load` and the kernel's
-context switch copy words into it.  LDO/STO still call the operand
-registers, and flush and spill before a ``DispatchError`` propagates.
+**One emitter.**  Every traced instruction but CDP and the branches is
+emitted by :func:`repro.cpu.blocks._emit_instruction`, the code the
+block tier runs, with Python locals in place of register-file
+subscripts; branch conditions come from its ``_COND_EXPR`` table.  So
+loads and stores use the inline memory fast path, and an MCR or MRC is
+a subscript of the FPL register file's bound word list (see
+:mod:`repro.cpu.blocks`).  An exception from any instruction passes
+through the same ``finally`` as a return, so it leaves the registers
+spilled and the retired count flushed.
 
 **Invalidation.**  A trace containing a CDP is valid only for the
 mappings it was recorded against: its guard compares the live
@@ -83,19 +85,20 @@ from types import CodeType
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..core.tlb import IDTuple
-from ..errors import DispatchError
 from .blocks import (
+    _COND_EXPR,
     _ENV_NAMES,
     _base_env,
     _code_for,
     _emit_instruction,
     _fusible,
+    _layout,
     block_leaders,
     translate_blocks,
 )
-from .isa import CODE_BASE, Cond, Flags, Instruction, Op
+from .isa import CODE_BASE, Cond, Flags, Instruction, Op, PC_WRITERS
 from .memory import Memory
-from .translate import _PC_WRITERS, OpClosure, RunContext
+from .translate import OpClosure, RunContext
 
 __all__ = ["translate_traces", "TraceManager", "HOT_THRESHOLD"]
 
@@ -107,41 +110,18 @@ HOT_THRESHOLD = 4
 #: Upper bound on instructions consumed by one trace (runaway guard).
 MAX_TRACE_INSTRUCTIONS = 512
 
-#: Ops traced as single components (budget-guarded; MCR/MRC index the
-#: bound FPL words, LDO/STO call the operand registers).  CDP is handled
-#: separately.
+#: Ops traced as single components, budget-guarded with the cursor
+#: pinned on them.  CDP is handled separately.
 _SIMPLE_OPS = (Op.MCR, Op.MRC, Op.LDO, Op.STO)
-
-#: Condition -> inline predicate over the bound flags object ``_fl`` —
-#: exactly :meth:`repro.cpu.isa.Flags.passes`, without the call.
-_COND_EXPR = {
-    Cond.EQ: "_fl.z",
-    Cond.NE: "not _fl.z",
-    Cond.LT: "_fl.n != _fl.v",
-    Cond.LE: "_fl.z or _fl.n != _fl.v",
-    Cond.GT: "not _fl.z and _fl.n == _fl.v",
-    Cond.GE: "_fl.n == _fl.v",
-    Cond.CC: "not _fl.c",
-    Cond.CS: "_fl.c",
-    Cond.HI: "_fl.c and not _fl.z",
-    Cond.LS: "not _fl.c or _fl.z",
-    Cond.MI: "_fl.n",
-    Cond.PL: "not _fl.n",
-}
 
 #: Parameter name -> environment key for trace codegen, extending the
 #: block compiler's table with the trace-only bindings.
 _TRACE_ENV_NAMES = dict(
     _ENV_NAMES,
-    _fl="_FL",
     _dsp="_DSP",
     _hwt="_HWT",
     _dtr="_DTR",
     _exec="_EXEC",
-    _fw="_FPL",
-    _DE="_DFAULT",
-    _rdo="_RDO",
-    _sto="_STO",
     _fb="_FB",
     _ivd="_IVD",
     _eg="_EG",
@@ -213,10 +193,8 @@ class TraceManager:
         self.config = config
         self.pid = pid
         self.dispatch = coprocessor.dispatch
-        #: Memory ``(guard_below, size)`` for the inline load/store
-        #: test, and the FPL register count for the transfer check.
-        self.bounds = (memory.guard_below, memory.size)
-        self.fpl_registers = coprocessor.regfile.size
+        #: The literals generated code compares against.
+        self.layout = _layout(program, memory, coprocessor)
         #: Ops as compiled by the block tier — the fallback every trace
         #: side-exits into, and what a dead entry unwraps back to.
         self._base: list[OpClosure] = list(ops)
@@ -227,18 +205,13 @@ class TraceManager:
         #: Lifetime counters (asserted by the eviction tests).
         self.installed = 0
         self.invalidations = 0
-        self._env = _base_env(regs, ctx, flags, memory)
+        self._env = _base_env(regs, ctx, flags, memory, coprocessor)
         self._env.update({
             "_PID": pid,
-            "_FL": flags,
             "_DSP": self.dispatch,
             "_HWT": self.dispatch.hardware_tlb,
             "_DTR": self.dispatch.trace,
             "_EXEC": coprocessor.execute,
-            "_FPL": coprocessor.regfile.words,
-            "_DFAULT": DispatchError,
-            "_RDO": coprocessor.operand_regs.read_operand,
-            "_STO": coprocessor.store_soft_result,
         })
         for leader in block_leaders(program):
             ops[leader] = self._profile(leader)
@@ -321,11 +294,12 @@ class TraceManager:
                 break
             instruction = program[idx]
             op = instruction.op
-            if (op in _PC_WRITERS and instruction.rd == 15) or any(
-                i >= self.fpl_registers for i in _fpl_indexes(instruction)
+            if (op in PC_WRITERS and instruction.rd == 15) or any(
+                i >= self.layout.fpl_registers
+                for i in _fpl_indexes(instruction)
             ):
-                # Raises on every tier; leave it to the block tier's
-                # closure, which stops on it with exact state.
+                # Raises on every tier; leave it to the block tier,
+                # which stops on it with exact state.
                 break
             if _fusible(instruction):
                 start = idx
@@ -343,7 +317,7 @@ class TraceManager:
             elif op is Op.B or op is Op.BL:
                 target = idx + 1 + instruction.imm
                 if not 0 <= target < length:
-                    break  # translate emits a raiser; end before it
+                    break  # a translation-time raiser; end before it
                 # Static prediction: unconditional and backward branches
                 # taken, forward conditionals fall through.
                 taken = instruction.cond is Cond.AL or target <= idx
@@ -383,23 +357,26 @@ class TraceManager:
         continuation: int,
         cyclic: bool,
     ) -> str:
-        """The trace function's source for one recording."""
+        """The trace function's source for one recording.
+
+        The body runs inside one ``try``/``finally`` that flushes the
+        retired count and spills the written registers, so an exit only
+        pins ``_ctx.idx`` and returns.  Retired instructions accumulate
+        in the local ``_n`` (nothing reads the counter mid-burst),
+        saving an attribute read-modify-write per component per loop
+        iteration.
+        """
         program = self.program
         config = self.config
         referenced, written = _register_sets(program, components)
-        spill = [f"_r[{reg}] = _g{reg}" for reg in sorted(written)]
         needs: set[str] = set()
         pfu_params: list[str] = []
         body: list[str] = []
-        # Retired instructions accumulate in the local ``_n`` and flush
-        # to ``ctx.retired`` at every exit (nothing reads the counter
-        # mid-burst), saving an attribute read-modify-write per
-        # component per loop iteration.
-        flush = "_ctx.retired += _n"
+        entry_total = None
 
-        def exit_to(index: int, extra: int = 0) -> list[str]:
-            retired = f"{flush} + {extra}" if extra else flush
-            return [*spill, retired, f"_ctx.idx = {index}", "return _u"]
+        def exit_at(index: int, cycles: str = "_u") -> list[str]:
+            """An exit, indented for the ``if`` it ends."""
+            return [f"    _ctx.idx = {index}", f"    return {cycles}"]
 
         for position, component in enumerate(components):
             kind = component[0]
@@ -409,24 +386,18 @@ class TraceManager:
                 total = 0
                 for offset, index in enumerate(range(start, end)):
                     emitted, cycles = _emit_instruction(
-                        index, program[index], offset, config, self.bounds,
-                        needs, reg=_local, fault_extra=[flush, *spill],
+                        index, program[index], offset, config, self.layout,
+                        needs, reg=_local,
                     )
                     lines.extend(emitted)
                     total += cycles
-                guard = [f"if _b - _u < {total}:"]
                 if position == 0:
-                    # The entry guard must make progress when nothing is
-                    # committed yet: delegate the whole burst remainder
-                    # to the pre-trace closure instead of re-dispatching
-                    # this trace forever.
-                    needs.add("_fb")
-                    guard += ["    if _u:"]
-                    guard += ["        " + line for line in exit_to(start)]
-                    guard += ["    return _fb(_b)"]
-                else:
-                    guard += ["    " + line for line in exit_to(start)]
-                body += guard
+                    # Tested ahead of the ``try`` (see below); a loop
+                    # re-tests it on every later iteration.
+                    entry_total = total
+                if position or cyclic:
+                    body.append(f"if _b - _u < {total}:")
+                    body += exit_at(start)
                 body += lines
                 body.append(f"_u += {total}")
                 body.append(f"_n += {end - start}")
@@ -437,52 +408,37 @@ class TraceManager:
                 return_address = CODE_BASE + 4 * (index + 1)
                 conditional = instruction.cond is not Cond.AL
                 body.append("if _u >= _b:")
-                body += ["    " + line for line in exit_to(index)]
+                body += exit_at(index)
                 if conditional:
                     needs.add("_fl")
                     predicate = _COND_EXPR[instruction.cond]
                 if taken:
                     if conditional:
                         body.append(f"if not ({predicate}):")
-                        body += [
-                            "    " + line
-                            for line in [
-                                *spill,
-                                f"{flush} + 1",
-                                f"_ctx.idx = {index + 1}",
-                                f"return _u + {config.alu_cycles}",
-                            ]
-                        ]
+                        body.append("    _n += 1")
+                        body += exit_at(index + 1, f"_u + {config.alu_cycles}")
                     if link:
                         body.append(f"_g14 = {return_address}")
                     body.append("_n += 1")
                     body.append(f"_u += {config.branch_cycles}")
                 else:
                     body.append(f"if {predicate}:")
-                    off_trace = []
                     if link:
-                        off_trace.append(f"_g14 = {return_address}")
-                    off_trace += [
-                        *spill,
-                        f"{flush} + 1",
-                        f"_ctx.idx = {target}",
-                        f"return _u + {config.branch_cycles}",
-                    ]
-                    body += ["    " + line for line in off_trace]
+                        body.append(f"    _g14 = {return_address}")
+                    body.append("    _n += 1")
+                    body += exit_at(target, f"_u + {config.branch_cycles}")
                     body.append("_n += 1")
                     body.append(f"_u += {config.alu_cycles}")
             elif kind == "simple":
                 _, index = component
-                instruction = program[index]
                 # Pin the cursor first so even a fatal coprocessor error
-                # propagates with the same pc as the unfused closures.
+                # propagates with the same pc as stepping.
                 body.append(f"_ctx.idx = {index}")
                 body.append("if _u >= _b:")
-                body += [
-                    "    " + line for line in [*spill, flush, "return _u"]
-                ]
-                effect, cost = _simple_effect(
-                    instruction, config, needs, [flush, *spill]
+                body.append("    return _u")
+                effect, cost = _emit_instruction(
+                    index, program[index], 0, config, self.layout, needs,
+                    reg=_local,
                 )
                 body += effect
                 body.append("_n += 1")
@@ -500,18 +456,14 @@ class TraceManager:
                 issue = config.cdp_issue_cycles
                 body.append(f"_ctx.idx = {index}")
                 body.append("if _u >= _b:")
-                body += [
-                    "    " + line for line in [*spill, flush, "return _u"]
-                ]
+                body.append("    return _u")
                 # Mapping-state guard: any management call since the
                 # recording bumped the generation, so this trace's
                 # resolution (and its arithmetic TLB replay) is stale.
                 body.append("if _dsp.generation != _eg:")
-                body += [
-                    "    " + line
-                    for line in [*spill, flush, "_ivd()", "return _u"]
-                ]
-                # The memoized warm path of translate.py, unrolled:
+                body.append("    _ivd()")
+                body.append("    return _u")
+                # The memoized warm path of the CDP closure, unrolled:
                 # hardware probe hit, counters replayed arithmetically.
                 body.append("_hwt.lookups += 1")
                 body.append("_hwt.hits += 1")
@@ -528,33 +480,35 @@ class TraceManager:
                 body.append("    _n += 1")
                 body.append(f"    _u += {issue} + _c")
                 body.append("else:")
-                body += [
-                    "    " + line
-                    for line in [
-                        *spill,
-                        flush,
-                        "_ctx.interrupted = True",
-                        f"return _u + {issue} + _c",
-                    ]
-                ]
+                body.append("    _ctx.interrupted = True")
+                body.append(f"    return _u + {issue} + _c")
         if not cyclic:
-            body += [*spill, flush, f"_ctx.idx = {continuation}",
-                     "return _u"]
+            body += [f"_ctx.idx = {continuation}", "return _u"]
 
-        name = f"_trace_{entry}"
+        out = []
+        if entry_total is not None:
+            # The entry guard must make progress when nothing is
+            # committed yet: delegate the whole burst remainder to the
+            # pre-trace entry instead of re-dispatching this trace
+            # forever.  Ahead of the ``try``, so the ``finally`` never
+            # spills stale locals over what ``_fb`` wrote.
+            needs.add("_fb")
+            out += [f"    if _b < {entry_total}:", "        return _fb(_b)"]
+        out += ["    _u = 0", "    _n = 0"]
+        out += [f"    _g{reg} = _r[{reg}]" for reg in sorted(referenced)]
+        out.append("    try:")
+        if cyclic:
+            out.append("        while True:")
+            out += ["            " + line for line in body]
+        else:
+            out += ["        " + line for line in body]
+        out += ["    finally:", "        _ctx.retired += _n"]
+        out += [f"        _r[{reg}] = _g{reg}" for reg in sorted(written)]
         params = ["_b", "_r=_REGS", "_ctx=_CTX", *pfu_params] + [
             f"{param}={_TRACE_ENV_NAMES[param]}"
             for param in sorted(needs)
         ]
-        out = [f"def {name}({', '.join(params)}):", "    _u = 0",
-               "    _n = 0"]
-        out += [f"    _g{reg} = _r[{reg}]" for reg in sorted(referenced)]
-        if cyclic:
-            out.append("    while True:")
-            out += ["        " + line for line in body]
-        else:
-            out += ["    " + line for line in body]
-        return "\n".join(out)
+        return "\n".join([f"def _trace_{entry}({', '.join(params)}):"] + out)
 
 
 # ---------------------------------------------------------------------------
@@ -563,46 +517,6 @@ class TraceManager:
 
 def _local(index: int) -> str:
     return f"_g{index}"
-
-
-def _simple_effect(
-    instruction: Instruction,
-    config: MachineConfig,
-    needs: set[str],
-    fault_extra: list[str],
-) -> tuple[list[str], int]:
-    """Source lines + cycle cost for one MCR/MRC/LDO/STO component.
-
-    MCR/MRC index the bound FPL word list: the recorder traces only
-    transfers naming a register the file has (see :func:`_fpl_indexes`),
-    and every register value is already 32-bit.  LDO/STO raise when no
-    software dispatch is in progress, so they run ``fault_extra`` (the
-    retired flush and register spill) before the error propagates.
-    """
-    op = instruction.op
-    if op is Op.MCR:
-        needs.add("_fw")
-        return (
-            [f"_fw[{instruction.rd}] = _g{instruction.rn}"],
-            config.coproc_transfer_cycles,
-        )
-    if op is Op.MRC:
-        needs.add("_fw")
-        return (
-            [f"_g{instruction.rd} = _fw[{instruction.rn}]"],
-            config.coproc_transfer_cycles,
-        )
-    needs.add("_DE")
-    if op is Op.LDO:
-        needs.add("_rdo")
-        line = f"_g{instruction.rd} = _rdo({instruction.imm})"
-    else:  # STO
-        needs.add("_sto")
-        line = f"_sto(_g{instruction.rn})"
-    lines = ["try:", f"    {line}", "except _DE:"]
-    lines += ["    " + extra for extra in fault_extra]
-    lines.append("    raise")
-    return lines, config.operand_reg_cycles
 
 
 def _fpl_indexes(instruction: Instruction) -> tuple[int, ...]:
