@@ -39,12 +39,12 @@ the program and an opcode no tier implements are rejected when the
 program is translated: the instruction's entry is a closure that raises
 the error :meth:`~repro.cpu.core.CPU.step` raises, when it executes.
 
-All functions of a program are generated as one Python source and
-``exec``-ed once per program; captured objects (register file, run
-context, memory accessors, flag setters) are bound through default
-arguments so the hot path uses local loads only.  The source thus names
-no machine state, and :func:`_code_for` compiles each distinct source
-once per process.
+All functions of a program are generated as Python source, in pieces
+of at most :data:`SOURCE_CHUNK` characters, and ``exec``-ed once per
+program; captured objects (register file, run context, memory
+accessors, flag setters) are bound through default arguments so the hot
+path uses local loads only.  The source thus names no machine state,
+and :func:`_code_for` compiles each distinct source once per process.
 
 **Direct datapath access.**  A load or store does not call the
 :class:`~repro.cpu.memory.Memory` accessor on its common path: it tests
@@ -94,6 +94,12 @@ MIN_RUN = 2
 
 #: Distinct generated sources kept compiled; a full cache starts over.
 CODE_CACHE_SIZE = 1024
+
+#: Generated source per ``compile`` call, in characters: ``compile``
+#: holds a whole source's syntax tree at once, about 140 bytes per
+#: source character, so one large program's source would set the
+#: process's peak memory.
+SOURCE_CHUNK = 16_384
 
 #: Process-wide code cache: generated source -> code object.  A code
 #: object depends on its source alone, so sharing it changes no result.
@@ -250,8 +256,9 @@ def _emit_instruction(
 
     ``offset`` is the number of instructions retired before this one
     since ``ctx`` was last advanced; memory operations use it to
-    reconstruct the exact fault state stepping would leave.  ``reg`` maps a register number to its source expression — the trace
-    tier (:mod:`repro.cpu.traces`) substitutes Python locals for the
+    reconstruct the exact fault state stepping would leave.  ``reg``
+    maps a register number to its source expression — the trace tier
+    (:mod:`repro.cpu.traces`) substitutes Python locals for the
     register-file subscripts.
 
     Raises :class:`~repro.errors.CPUError` for an instruction that is
@@ -487,6 +494,22 @@ def _code_for(source: str, filename: str) -> CodeType:
     return code
 
 
+def _sources(parts: list[str]) -> list[str]:
+    """``parts`` joined, in order, into sources of at most
+    :data:`SOURCE_CHUNK` characters (a longer part stands alone)."""
+    sources: list[str] = []
+    chunk: list[str] = []
+    size = 0
+    for part in parts:
+        if chunk and size + len(part) > SOURCE_CHUNK:
+            sources.append("\n\n".join(chunk))
+            chunk, size = [], 0
+        chunk.append(part)
+        size += len(part) + 2  # and the separator after it
+    sources.append("\n\n".join(chunk))
+    return sources
+
+
 def _layout(program: list[Instruction], memory: Memory,
             coprocessor: ProteusCoprocessor) -> Layout:
     return Layout(memory.guard_below, memory.size, coprocessor.regfile.size,
@@ -576,7 +599,8 @@ def translate_blocks(
         return ops
     env = _base_env(regs, ctx, flags, memory, coprocessor)
     env["_STATE"] = state
-    exec(_code_for("\n\n".join(parts), "<blocks>"), env)
+    for source in _sources(parts):
+        exec(_code_for(source, "<blocks>"), env)
     # Popped: a function its own globals hold is a reference cycle, and
     # a function binds all it uses as defaults at definition.
     for index, op in enumerate(ops):

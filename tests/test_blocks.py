@@ -303,7 +303,7 @@ class TestTierEquivalence:
 
     def test_post_increment_load_with_same_base_and_dest(self):
         """LDR r4, [r4], #4 — the increment must observe the loaded
-        value, exactly as the per-instruction closures do."""
+        value, exactly as stepping does."""
         source = """
         .data
         buf: .word 0x1010, 2, 3
@@ -731,6 +731,28 @@ class TestTraceCodeCache:
         assert late > early >= 1
         assert installed_late > installed_early
         assert emitted_late == emitted_early
+
+    def test_long_program_compiles_in_bounded_sources(self, monkeypatch):
+        """A program whose generated source exceeds ``SOURCE_CHUNK``
+        compiles in several sources, none longer than that (``compile``
+        holds a whole source's syntax tree at once), and runs exactly as
+        stepping does, entered mid-run too."""
+        monkeypatch.setattr(blocks, "_CODE_CACHE", {})
+        sources = []
+
+        def recording_compile(source, filename, mode):
+            if filename == "<blocks>":
+                sources.append(source)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(blocks, "compile", recording_compile,
+                            raising=False)
+        body = "\n".join(
+            f"    ADD r{1 + i % 4}, r{1 + i % 4}, #{i}" for i in range(300)
+        )
+        run_tiers(f"main:\n{body}\n    HALT", [7, 30, 3, 500, 1000])
+        assert len(sources) > 1
+        assert all(len(source) <= blocks.SOURCE_CHUNK for source in sources)
 
 
 # ---------------------------------------------------------------------------
