@@ -147,23 +147,23 @@ class TestProgramEquivalence:
         assert flog == slog
         assert_same_state(fast, slow)
 
-    @pytest.mark.parametrize("tier", COMPILED_TIERS)
     @pytest.mark.parametrize("budget", [1, 2, 3, 7, 13])
-    def test_tiny_bursts(self, budget, tier):
-        fast, slow, flog, slog = run_both(FIBONACCI, [budget] * 200,
-                                          tier=tier)
-        assert flog == slog
-        assert_same_state(fast, slow)
-
-    @pytest.mark.parametrize("tier", COMPILED_TIERS)
-    def test_cdp_with_interruptions(self, tier):
-        """Quantum boundaries land mid-CDP; both paths must agree."""
-        for budget in (2, 3, 5, 100):
-            fast, slow, flog, slog = run_both(
-                CDP_PROGRAM, [budget] * 50, with_circuit=True, tier=tier
-            )
-            assert flog == slog, budget
+    def test_tiny_bursts(self, budget):
+        for tier in COMPILED_TIERS:
+            fast, slow, flog, slog = run_both(FIBONACCI, [budget] * 200,
+                                              tier=tier)
+            assert flog == slog, tier
             assert_same_state(fast, slow)
+
+    def test_cdp_with_interruptions(self):
+        """Quantum boundaries land mid-CDP; both paths must agree."""
+        for tier in COMPILED_TIERS:
+            for budget in (2, 3, 5, 100):
+                fast, slow, flog, slog = run_both(
+                    CDP_PROGRAM, [budget] * 50, with_circuit=True, tier=tier
+                )
+                assert flog == slog, (tier, budget)
+                assert_same_state(fast, slow)
 
     def test_fault_equivalence(self):
         source = "CDP #9, f0, f0, f0\nMOV r0, #0\nHALT"
@@ -315,10 +315,11 @@ def straight_line_program(draw):
 
 
 class TestRandomPrograms:
-    @pytest.mark.parametrize("tier", COMPILED_TIERS)
     @given(source=straight_line_program(), burst=st.integers(1, 50))
     @settings(max_examples=80, deadline=None)
-    def test_equivalence(self, tier, source, burst):
-        fast, slow, flog, slog = run_both(source, [burst] * 80, tier=tier)
-        assert flog == slog
-        assert_same_state(fast, slow)
+    def test_equivalence(self, source, burst):
+        for tier in COMPILED_TIERS:
+            fast, slow, flog, slog = run_both(source, [burst] * 80,
+                                              tier=tier)
+            assert flog == slog, tier
+            assert_same_state(fast, slow)
