@@ -46,7 +46,7 @@ PAPER_CYCLES_PER_MS = 100_000
 
 #: CPU execution tiers, fastest first (see :mod:`repro.cpu`):
 #: ``jit`` trace-compiles hot paths to generated Python, ``block`` fuses
-#: straight-line runs into superinstruction closures, ``step`` is the
+#: straight-line runs into superinstruction functions, ``step`` is the
 #: readable reference interpreter.  All three are bit-identical.
 EXEC_TIERS = ("jit", "block", "step")
 

@@ -80,7 +80,7 @@ class CPUState:
         }
 
     def restore(self, state: dict) -> None:
-        # In place: the translated closures capture the register list,
+        # In place: the compiled tiers capture the register list,
         # flags object and memory; rebinding any of them would desync
         # the compiled program from the architectural state.
         self.regs[:] = [value & MASK32 for value in state["regs"]]
@@ -132,10 +132,11 @@ class CPU:
 
     * ``"step"`` — the readable reference interpreter (:meth:`step`,
       driven in bursts by :meth:`run_interpreted`);
-    * ``"block"`` — bounded bursts over one compiled closure per
-      instruction (see :mod:`repro.cpu.translate`), with straight-line
-      runs fused into basic-block superinstructions (see
-      :mod:`repro.cpu.blocks`);
+    * ``"block"`` — bounded bursts over one generated function per
+      instruction, with straight-line runs fused into basic-block
+      superinstructions, all emitted from one source of each op's
+      compiled semantics (see :mod:`repro.cpu.blocks`); a CDP runs a
+      hand-written closure (see :mod:`repro.cpu.translate`);
     * ``"jit"`` — the block tier plus a trace compiler that turns hot
       paths into generated straight-line Python (see
       :mod:`repro.cpu.traces`), the default and fastest tier.

@@ -133,7 +133,7 @@ BLOCK_TERMINATORS = frozenset({Op.B, Op.BL, Op.BX, Op.SWI, Op.HALT, Op.CDP})
 #: Ops a basic-block superinstruction may fuse: straight-line, with
 #: config-constant cycle costs, touching only registers, flags and
 #: process memory.  Coprocessor transfers (MCR/MRC/LDO/STO) and traps are
-#: deliberately excluded — they run on their per-instruction closures.
+#: deliberately excluded — they run on their one-instruction functions.
 FUSIBLE_OPS = frozenset(
     {
         Op.NOP,

@@ -1,7 +1,7 @@
 """Trace-JIT compiler — the ``jit`` execution tier.
 
 The ``block`` tier (:mod:`repro.cpu.blocks`) fuses straight-line runs
-into superinstruction closures, but a burst still dispatches once per
+into superinstruction functions, but a burst still dispatches once per
 basic block and every register access is a list subscript.  This module
 adds a third tier on top of it: when a block leader gets hot (a counted
 block-entry / back-edge threshold), the recorder walks the program along
@@ -69,9 +69,10 @@ mappings it was recorded against: its guard compares the live
 generation at recording, bound per install like the pid and the PFU
 each CDP resolved to.  When a management call (map/unmap/flush/restore)
 bumps the generation, the guard drops the stale trace and re-installs
-the profiling wrapper; a re-heat records the path again.  A manager keeps the code it compiled
-for each recording, so a re-heat onto a path seen before emits and
-compiles nothing and a re-install costs one ``exec``.  The source names
+the profiling wrapper; a re-heat records the path again.  A manager
+keeps the code it compiled for each recording, so a re-heat onto a path
+seen before emits and compiles nothing and a re-install costs one
+``exec``.  The source names
 no machine state, so the process-wide code cache of
 :mod:`repro.cpu.blocks` hands every instance of a program one shared
 code object.

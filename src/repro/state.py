@@ -9,7 +9,7 @@ the same two-method protocol:
   dicts only; byte blobs go through :func:`encode_bytes`);
 * ``restore(state)`` — reinstate a snapshot **in place**, mutating the
   existing object rather than rebinding it.  In-place restoration is
-  load-bearing: the translated CPU closures capture the register list,
+  load-bearing: the compiled CPU tiers capture the register list,
   flags and memory objects by reference, so a restore must never replace
   them.
 
