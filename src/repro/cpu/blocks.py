@@ -452,7 +452,7 @@ def _emit_function(
 
     One instruction makes ``_op_{start}``; a fused run makes
     ``_block_{start}``, which hands a budget shortfall to
-    ``_op_{start}`` (emitted earlier in the same source).
+    ``_op_{start}`` (``exec``-ed earlier into the same environment).
     """
     needs: set[str] = set()
     body: list[str] = []
