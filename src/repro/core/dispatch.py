@@ -141,7 +141,7 @@ class DispatchUnit:
             else:
                 result = _FAULT_RESULT
                 outcome = "fault"
-        self.trace.dispatch_resolved(pid, cid, outcome)
+        self.trace.dispatch(pid, cid, outcome)
         return result
 
     # ---- OS-side management -----------------------------------------------

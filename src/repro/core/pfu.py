@@ -159,20 +159,6 @@ class PFU:
         self.total_completions += 1
         return needed, result
 
-    def issue(self, a: int, b: int) -> None:
-        """Drive the PFU with an invocation instruction, clocking it for
-        no cycles: latch the operands (status 1) or continue (status 0)."""
-        self.step(a, b, 0)
-
-    def clock(self, max_cycles: int) -> tuple[int, int | None]:
-        """Clock an issued instruction for at most ``max_cycles``;
-        returns :meth:`step`'s ``(cycles_consumed, result)``."""
-        if self.instance is not None and self.status != 0:
-            raise PFUError(f"PFU {self.index}: clocked while idle")
-        if max_cycles < 0:
-            raise PFUError("cannot clock by negative cycles")
-        return self.step(0, 0, max_cycles)
-
     # ---- OS side --------------------------------------------------------------
     def read_and_clear_usage(self) -> int:
         """Read the completion counter and reset it (§4.5)."""

@@ -45,7 +45,7 @@ mid-trace would discard committed cycles) and the recorder's
 side-effect-free TLB peek resolves it in hardware; the generated code
 then replays the memoized warm path of
 :func:`repro.cpu.translate.cdp_closure` —
-TLB statistics, ``dispatch_resolved`` event and all — behind a
+TLB statistics, ``dispatch`` event and all — behind a
 dispatch-generation guard, and calls
 :meth:`~repro.core.coprocessor.ProteusCoprocessor.execute`.  Everything
 else (SWI, HALT, BX, software/faulting CDPs, translation-time raisers
@@ -468,7 +468,7 @@ class TraceManager:
                 body.append("_hwt.lookups += 1")
                 body.append("_hwt.hits += 1")
                 body.append(
-                    f"_dtr.dispatch_resolved(_pid, {instruction.imm}, 'hit')"
+                    f"_dtr.dispatch(_pid, {instruction.imm}, 'hit')"
                 )
                 # The CDP closure's ``max(1, budget - issue)``, inline.
                 body.append(

@@ -110,7 +110,7 @@ def cdp_closure(
                     sw_tlb.hits += 1
             # Emitter looked up at call time: the bus rebinds it when
             # event sinks attach or detach.
-            dispatch.trace.dispatch_resolved(pid, imm, cached_outcome)
+            dispatch.trace.dispatch(pid, imm, cached_outcome)
         else:
             resolution = resolve(pid, imm)
             kind = resolution.kind

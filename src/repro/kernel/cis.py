@@ -193,7 +193,7 @@ class CustomInstructionScheduler:
             pid=process.pid, config=self.config, seed=self.config.seed
         )
         report = validate_bitstream(instance.bitstream, self.security)
-        self.trace.cis_charge(cycles)
+        self.trace.cis_charge(-1, cycles)
         if not report.ok:
             self.trace.registration_rejected(process.pid, cid)
             self._kill(process, f"bitstream rejected: {report.violations[0]}")
@@ -231,7 +231,7 @@ class CustomInstructionScheduler:
         instance (and hence the same PFU); each gets its own TLB tuple.
         """
         cycles = self.config.syscall_cycles
-        self.trace.cis_charge(cycles)
+        self.trace.cis_charge(-1, cycles)
         target = process.registration(target_cid)
         if target is None:
             self._kill(
@@ -255,7 +255,7 @@ class CustomInstructionScheduler:
         cycles = self.config.fault_entry_cycles
         registration = process.registration(cid)
         if registration is None:
-            self.trace.cis_charge(cycles)
+            self.trace.cis_charge(-1, cycles)
             self._kill(process, f"unregistered CID {cid}")
         key = IDTuple(process.pid, cid)
         engine = self.engine
@@ -279,7 +279,7 @@ class CustomInstructionScheduler:
                 )
                 registration.prefetched = 0
             self._maybe_prefetch(process, cid, cycles)
-            self.trace.cis_charge(cycles)
+            self.trace.cis_charge(-1, cycles)
             return cycles, "mapping"
 
         entry = engine.entry if engine is not None else None
@@ -311,7 +311,7 @@ class CustomInstructionScheduler:
                 )
                 self.trace.load_fault(process.pid, cid)
                 self._maybe_prefetch(process, cid, cycles)
-                self.trace.cis_charge(cycles)
+                self.trace.cis_charge(-1, cycles)
                 return cycles, "prefetch"
 
         # One walk over the bank finds both the free PFU and the
@@ -325,7 +325,7 @@ class CustomInstructionScheduler:
             cycles += self._load_into(free, registration, key)
             self.trace.load_fault(process.pid, cid)
             self._maybe_prefetch(process, cid, cycles)
-            self.trace.cis_charge(cycles)
+            self.trace.cis_charge(-1, cycles)
             return cycles, "load"
 
         # Array full but another process's instance of the same circuit
@@ -336,7 +336,7 @@ class CustomInstructionScheduler:
             if shared is not None:
                 cycles += self._share_pfu(shared, registration, key)
                 self._maybe_prefetch(process, cid, cycles)
-                self.trace.cis_charge(cycles)
+                self.trace.cis_charge(-1, cycles)
                 return cycles, "share"
 
         # Array full: evict a victim and load — unless a software
@@ -363,15 +363,15 @@ class CustomInstructionScheduler:
                 if free is not None:
                     cycles += self._load_into(free, registration, key)
                     self.trace.load_fault(process.pid, cid)
-                    self.trace.cis_charge(cycles)
+                    self.trace.cis_charge(-1, cycles)
                     return cycles, "load"
                 candidates = self._victim_candidates(configured)
         if not candidates:
             if soft:
                 cycles += self._defer(registration, key)
-                self.trace.cis_charge(cycles)
+                self.trace.cis_charge(-1, cycles)
                 return cycles, "soft"
-            self.trace.cis_charge(cycles)
+            self.trace.cis_charge(-1, cycles)
             self._kill(
                 process,
                 f"CID {cid} unserviceable: every PFU is quarantined and "
@@ -382,7 +382,7 @@ class CustomInstructionScheduler:
         cycles += self._load_into(victim, registration, key)
         self.trace.load_fault(process.pid, cid)
         self._maybe_prefetch(process, cid, cycles)
-        self.trace.cis_charge(cycles)
+        self.trace.cis_charge(-1, cycles)
         return cycles, "swap"
 
     # ------------------------------------------------------------------
@@ -418,7 +418,7 @@ class CustomInstructionScheduler:
         if self.config.promote_on_free:
             for pfu_index in freed:
                 cycles += self._promote_into(pfu_index)
-        self.trace.cis_charge(cycles)
+        self.trace.cis_charge(-1, cycles)
         return cycles
 
     # ------------------------------------------------------------------
@@ -835,7 +835,7 @@ class CustomInstructionScheduler:
         self.trace.fault_recovered(
             process.pid, fault.kind, pfu_index, action, cycles
         )
-        self.trace.cis_charge(cycles)
+        self.trace.cis_charge(-1, cycles)
         return cycles, action
 
     def scrub_fabric(self, process: Process) -> int:
@@ -860,7 +860,7 @@ class CustomInstructionScheduler:
             self.trace.fault_recovered(
                 process.pid, "config", pfu_index, action, repair
             )
-        self.trace.cis_charge(cycles)
+        self.trace.cis_charge(-1, cycles)
         return cycles
 
     def _recover(self, pfu_index: int, reload: bool) -> tuple[int, str]:

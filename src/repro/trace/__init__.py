@@ -12,9 +12,16 @@ capability:
 * :class:`TimelineAggregator` — per-process cycle attribution and
   FPL-occupancy timelines (``repro trace`` on the command line).
 
-With no event sink attached the bus allocates nothing: emits are a bool
-test plus one scalar counter callback, so the simulation's cycle counts
-and (to within noise) wall-clock are unchanged from the pre-trace code.
+One table, :data:`repro.trace.events.EVENTS`, declares every event
+class.  Each class's ``kind`` names its emitter on the bus and its
+``CounterSink.on_<kind>`` callback, and both take the class's fields
+after ``cycle``; adding an event is one dataclass in ``EVENTS`` plus one
+``on_<kind>``.  The bus rebinds its emitters when sinks attach or
+detach, so every emit site looks the emitter up on the bus at call time.
+
+With no event sink attached the bus allocates nothing: each emit is one
+counter callback, so the simulation's cycle counts and (to within noise)
+wall-clock are unchanged from the pre-trace code.
 """
 
 from . import events

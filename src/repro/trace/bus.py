@@ -13,14 +13,21 @@ of subscriber:
   :mod:`~repro.trace.events` objects are constructed *only* while at
   least one event sink is subscribed.
 
-With the event tier empty the hottest emitters — per-burst and
-per-instruction-class callbacks such as :meth:`TraceBus.cpu_burst` and
-:meth:`TraceBus.dispatch_resolved` — are *rebound* to the counter sink's
-callbacks directly, so an emit is one bound-method call with no
-``recording`` test and no wrapper frame.  Attaching the first sink (or
-detaching the last) swaps the bindings; emit sites must therefore look
-the emitter up on the bus at call time (``bus.cpu_burst(...)``) rather
-than capturing it once, which every caller in the tree does.
+The bus has one emitter per class in :data:`~repro.trace.events.EVENTS`,
+named by the class's ``kind`` and taking its fields after ``cycle``
+(``bus.cpu_burst(pid, cycles, instructions)``).  No emitter is written
+out by hand: :meth:`TraceBus._rebind` binds them all from that table.
+With the event tier empty each emitter *is* the counter sink's
+``on_<kind>`` bound method, so an emit is one counter call with no
+wrapper frame.  With a sink attached it is one generic closure that
+calls the counter and then hands the sinks ``cls(now(), *args)``.  The
+one special case is the prefetcher's dispatch observer
+(:meth:`bind_predictor`), which runs after the counter and before the
+event is recorded.
+
+Attaching the first sink (or detaching the last) swaps the bindings, so
+every emit site looks the emitter up on the bus at call time
+(``bus.cpu_burst(...)``) rather than capturing it once.
 
 The kernel binds the bus to its clock with :meth:`bind_clock`; cycle
 stamps on recorded events come from that callable.
@@ -46,19 +53,29 @@ def _clock_unbound() -> int:
     return 0
 
 
-#: Emitters rebound to counter-sink callbacks while no event sink is
-#: attached (the counter-only fast path).  Maps slot name → CounterSink
-#: callback name; the signatures match pairwise.
-_HOT_EMITTERS = {
-    "quantum_start": "on_quantum_start",
-    "timer_interrupt": "on_timer_interrupt",
-    "context_switch": "on_context_switch",
-    "syscall": "on_syscall",
-    "fault": "on_fault",
-    "dispatch_resolved": "on_dispatch",
-    "cpu_burst": "on_cpu_burst",
-    "kernel_charge": "on_kernel_charge",
-}
+def _observed(count: Callable, observe: Callable) -> Callable:
+    """``count`` followed by the dispatch observer, as one callback."""
+
+    def dispatch(pid: int, cid: int, outcome: str) -> None:
+        count(pid, cid, outcome)
+        observe(pid, cid, outcome)
+
+    return dispatch
+
+
+def _recording(
+    cls: type[ev.TraceEvent],
+    count: Callable,
+    now: Callable[[], int],
+    record: Callable[[ev.TraceEvent], None],
+) -> Callable:
+    """The emitter of ``cls`` while an event sink is attached."""
+
+    def emit(*args, **kw) -> None:
+        count(*args, **kw)
+        record(cls(now(), *args, **kw))
+
+    return emit
 
 
 class TraceBus:
@@ -70,17 +87,7 @@ class TraceBus:
         "_sinks",
         "_now",
         "_predictor",
-        # Hot emitters are per-instance bindings (see _HOT_EMITTERS):
-        # counter callbacks while no event sink is attached, the _*_full
-        # recording variants otherwise.
-        "quantum_start",
-        "timer_interrupt",
-        "context_switch",
-        "syscall",
-        "fault",
-        "dispatch_resolved",
-        "cpu_burst",
-        "kernel_charge",
+        *(cls.kind for cls in ev.EVENTS),
     )
 
     def __init__(self, counters: CounterSink | None = None) -> None:
@@ -99,6 +106,7 @@ class TraceBus:
     def bind_clock(self, now: Callable[[], int]) -> None:
         """Provide the cycle source used to stamp recorded events."""
         self._now = now
+        self._rebind()
 
     def now(self) -> int:
         """The bound kernel clock (0 before :meth:`bind_clock`)."""
@@ -127,224 +135,35 @@ class TraceBus:
         self._rebind()
 
     def _rebind(self) -> None:
-        """Point the hot emitters at the tier the sink set requires."""
-        if self.recording:
-            for name in _HOT_EMITTERS:
-                setattr(self, name, getattr(self, f"_{name}_full"))
-        else:
-            for name, callback in _HOT_EMITTERS.items():
-                setattr(self, name, getattr(self.counters, callback))
-            if self._predictor is not None:
-                # Chain counter + model into one closure so dispatch
-                # stays a single attribute lookup on the fast path.
-                on_dispatch = self.counters.on_dispatch
-                observe = self._predictor
+        """Bind one emitter per event kind for the current sink set.
 
-                def dispatch_resolved(pid: int, cid: int,
-                                      outcome: str) -> None:
-                    on_dispatch(pid, cid, outcome)
-                    observe(pid, cid, outcome)
+        The closures hold the counter sink, the clock and the sink tuple
+        but not the bus, so a recording bus forms no reference cycle."""
+        counters = self.counters
+        callbacks = {
+            cls.kind: getattr(counters, "on_" + cls.kind) for cls in ev.EVENTS
+        }
+        if self._predictor is not None:
+            callbacks["dispatch"] = _observed(
+                callbacks["dispatch"], self._predictor
+            )
+        if not self._sinks:
+            for kind, callback in callbacks.items():
+                setattr(self, kind, callback)
+            return
+        sinks = self._sinks
 
-                self.dispatch_resolved = dispatch_resolved
+        def record(event: ev.TraceEvent) -> None:
+            for sink in sinks:
+                sink.on_event(event)
+
+        for cls in ev.EVENTS:
+            setattr(
+                self,
+                cls.kind,
+                _recording(cls, callbacks[cls.kind], self._now, record),
+            )
 
     @property
     def sinks(self) -> tuple[EventSink, ...]:
         return self._sinks
-
-    def _record(self, event: ev.TraceEvent) -> None:
-        for sink in self._sinks:
-            sink.on_event(event)
-
-    # ---- kernel scheduling --------------------------------------------------
-    def _quantum_start_full(self, pid: int) -> None:
-        self.counters.on_quantum_start(pid)
-        self._record(ev.QuantumStart(self._now(), pid))
-
-    def _timer_interrupt_full(self, pid: int) -> None:
-        self.counters.on_timer_interrupt(pid)
-        self._record(ev.TimerInterrupt(self._now(), pid))
-
-    def _context_switch_full(self, pid: int) -> None:
-        self.counters.on_context_switch(pid)
-        self._record(ev.ContextSwitch(self._now(), pid))
-
-    # ---- traps --------------------------------------------------------------
-    def _syscall_full(self, pid: int, number: int) -> None:
-        self.counters.on_syscall(pid, number)
-        self._record(ev.SyscallEvent(self._now(), pid, number))
-
-    def _fault_full(self, pid: int, cid: int, action: str, cycles: int) -> None:
-        self.counters.on_fault(pid, cid, action, cycles)
-        self._record(ev.FaultEvent(self._now(), pid, cid, action, cycles))
-
-    def _dispatch_resolved_full(
-        self, pid: int, cid: int, outcome: str
-    ) -> None:
-        self.counters.on_dispatch(pid, cid, outcome)
-        if self._predictor is not None:
-            self._predictor(pid, cid, outcome)
-        self._record(ev.DispatchResolved(self._now(), pid, cid, outcome))
-
-    # ---- CIS management ------------------------------------------------------
-    def registered(self, pid: int, cid: int) -> None:
-        self.counters.on_registered(pid, cid)
-        if self.recording:
-            self._record(ev.Registered(self._now(), pid, cid))
-
-    def registration_rejected(self, pid: int, cid: int) -> None:
-        self.counters.on_registration_rejected(pid, cid)
-        if self.recording:
-            self._record(ev.RegistrationRejected(self._now(), pid, cid))
-
-    def mapping_fault(self, pid: int, cid: int) -> None:
-        self.counters.on_mapping_fault(pid, cid)
-        if self.recording:
-            self._record(ev.MappingFault(self._now(), pid, cid))
-
-    def load_fault(self, pid: int, cid: int) -> None:
-        self.counters.on_load_fault(pid, cid)
-        if self.recording:
-            self._record(ev.LoadFault(self._now(), pid, cid))
-
-    def soft_defer(self, pid: int, cid: int, remap: bool) -> None:
-        self.counters.on_soft_defer(pid, cid, remap)
-        if self.recording:
-            self._record(ev.SoftDefer(self._now(), pid, cid, remap))
-
-    def circuit_load(
-        self,
-        pid: int,
-        cid: int,
-        pfu: int,
-        circuit: str,
-        static_bytes: int,
-        state_bytes: int,
-    ) -> None:
-        self.counters.on_circuit_load(pid, cid, pfu, static_bytes, state_bytes)
-        if self.recording:
-            self._record(
-                ev.CircuitLoad(
-                    self._now(), pid, cid, pfu, circuit, static_bytes,
-                    state_bytes,
-                )
-            )
-
-    def circuit_evict(
-        self, pid: int, pfu: int, circuit: str, state_bytes: int
-    ) -> None:
-        self.counters.on_circuit_evict(pid, pfu, state_bytes)
-        if self.recording:
-            self._record(
-                ev.CircuitEvict(self._now(), pid, pfu, circuit, state_bytes)
-            )
-
-    def circuit_unload(self, pid: int, pfu: int, circuit: str) -> None:
-        self.counters.on_circuit_unload(pid, pfu)
-        if self.recording:
-            self._record(ev.CircuitUnload(self._now(), pid, pfu, circuit))
-
-    def circuit_promote(self, pid: int, cid: int, pfu: int) -> None:
-        self.counters.on_circuit_promote(pid, cid, pfu)
-        if self.recording:
-            self._record(ev.CircuitPromote(self._now(), pid, cid, pfu))
-
-    def state_swap(self, pid: int, cid: int, pfu: int) -> None:
-        self.counters.on_state_swap(pid, cid, pfu)
-        if self.recording:
-            self._record(ev.StateSwap(self._now(), pid, cid, pfu))
-
-    def cis_charge(self, cycles: int) -> None:
-        self.counters.on_cis_charge(cycles)
-        if self.recording:
-            self._record(ev.CisCharge(self._now(), -1, cycles))
-
-    def cis_kill(self, pid: int) -> None:
-        self.counters.on_cis_kill(pid)
-        if self.recording:
-            self._record(ev.CisKill(self._now(), pid))
-
-    # ---- fabric faults (see repro.faults) -----------------------------------
-    def fault_injected(self, pid: int, fault: str, target: int) -> None:
-        self.counters.on_fault_injected(pid, fault, target)
-        if self.recording:
-            self._record(ev.FaultInjected(self._now(), pid, fault, target))
-
-    def fault_detected(
-        self, pid: int, fault: str, target: int, via: str
-    ) -> None:
-        self.counters.on_fault_detected(pid, fault, target, via)
-        if self.recording:
-            self._record(
-                ev.FaultDetected(self._now(), pid, fault, target, via)
-            )
-
-    def fault_recovered(
-        self, pid: int, fault: str, target: int, action: str, cycles: int
-    ) -> None:
-        self.counters.on_fault_recovered(pid, fault, target, action, cycles)
-        if self.recording:
-            self._record(
-                ev.FaultRecovered(
-                    self._now(), pid, fault, target, action, cycles
-                )
-            )
-
-    def pfu_quarantined(self, pid: int, pfu: int) -> None:
-        self.counters.on_pfu_quarantined(pid, pfu)
-        if self.recording:
-            self._record(ev.PfuQuarantined(self._now(), pid, pfu))
-
-    # ---- speculative prefetch (see repro.prefetch) ---------------------------
-    def prefetch_issued(
-        self, pid: int, cid: int, pfu: int, cycles: int
-    ) -> None:
-        self.counters.on_prefetch_issued(pid, cid, pfu, cycles)
-        if self.recording:
-            self._record(
-                ev.PrefetchIssued(self._now(), pid, cid, pfu, cycles)
-            )
-
-    def prefetch_hit(
-        self, pid: int, cid: int, pfu: int, overlap: int
-    ) -> None:
-        self.counters.on_prefetch_hit(pid, cid, pfu, overlap)
-        if self.recording:
-            self._record(ev.PrefetchHit(self._now(), pid, cid, pfu, overlap))
-
-    def prefetch_wasted(self, pid: int, cid: int, pfu: int) -> None:
-        self.counters.on_prefetch_wasted(pid, cid, pfu)
-        if self.recording:
-            self._record(ev.PrefetchWasted(self._now(), pid, cid, pfu))
-
-    def prefetch_cancelled(
-        self, pid: int, cid: int, pfu: int, reason: str
-    ) -> None:
-        self.counters.on_prefetch_cancelled(pid, cid, pfu, reason)
-        if self.recording:
-            self._record(
-                ev.PrefetchCancelled(self._now(), pid, cid, pfu, reason)
-            )
-
-    # ---- cycle charges and termination ---------------------------------------
-    def _cpu_burst_full(self, pid: int, cycles: int, instructions: int) -> None:
-        self.counters.on_cpu_burst(pid, cycles, instructions)
-        self._record(ev.CpuBurst(self._now(), pid, cycles, instructions))
-
-    def _kernel_charge_full(
-        self, pid: int, cycles: int, source: str = "kernel"
-    ) -> None:
-        self.counters.on_kernel_charge(pid, cycles, source)
-        self._record(ev.KernelCharge(self._now(), pid, cycles, source))
-
-    def process_exit(
-        self,
-        pid: int,
-        status: int | None = None,
-        killed: bool = False,
-        reason: str | None = None,
-    ) -> None:
-        self.counters.on_process_exit(pid, status, killed, reason)
-        if self.recording:
-            self._record(
-                ev.ProcessExit(self._now(), pid, status, killed, reason)
-            )

@@ -10,12 +10,17 @@ working.
 
 The counter fan-out is the bus's hot path: every callback takes scalars
 and allocates nothing, which is what keeps tracing free when no event
-sink is attached.
+sink is attached.  There is one callback per event class in
+:data:`~repro.trace.events.EVENTS`: ``on_<kind>`` takes exactly the
+event's fields after ``cycle``, in order.  While no event sink is
+attached the bus's emitters *are* these bound methods, and
+:meth:`CounterSink.consume` replays a recorded event through the same
+callback, so there is no separate replay table.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import events as ev
 
@@ -262,18 +267,19 @@ class CounterSink:
             self.cis.soft_deferrals += 1
         self._process[pid].soft_deferrals += 1
 
-    def on_circuit_load(
-        self, pid: int, cid: int, pfu: int, static_bytes: int, state_bytes: int
-    ) -> None:
+    def on_circuit_load(self, pid: int, cid: int, pfu: int, circuit: str,
+                        static_bytes: int, state_bytes: int) -> None:
         self.cis.loads += 1
         self.cis.static_bytes_moved += static_bytes
         self.cis.state_bytes_moved += state_bytes
 
-    def on_circuit_evict(self, pid: int, pfu: int, state_bytes: int) -> None:
+    def on_circuit_evict(
+        self, pid: int, pfu: int, circuit: str, state_bytes: int
+    ) -> None:
         self.cis.evictions += 1
         self.cis.state_bytes_moved += state_bytes
 
-    def on_circuit_unload(self, pid: int, pfu: int) -> None:
+    def on_circuit_unload(self, pid: int, pfu: int, circuit: str) -> None:
         pass  # exit-time cleanup moves no state and is not an eviction
 
     def on_circuit_promote(self, pid: int, cid: int, pfu: int) -> None:
@@ -282,7 +288,7 @@ class CounterSink:
     def on_state_swap(self, pid: int, cid: int, pfu: int) -> None:
         self.cis.state_swaps += 1
 
-    def on_cis_charge(self, cycles: int) -> None:
+    def on_cis_charge(self, pid: int, cycles: int) -> None:
         self.cis.kernel_cycles += cycles
 
     def on_cis_kill(self, pid: int) -> None:
@@ -341,9 +347,9 @@ class CounterSink:
         if source == "kernel":
             self._process[pid].kernel_cycles += cycles
 
-    def on_process_exit(
-        self, pid: int, status: int | None, killed: bool, reason: str | None
-    ) -> None:
+    def on_process_exit(self, pid: int, status: int | None = None,
+                        killed: bool = False,
+                        reason: str | None = None) -> None:
         if killed:
             self.kernel.kills += 1
 
@@ -390,61 +396,6 @@ class CounterSink:
     # ---- replay ------------------------------------------------------------
     def consume(self, event: ev.TraceEvent) -> None:
         """Apply one recorded event, as the live counter path would."""
-        handler = _REPLAY.get(type(event))
-        if handler is not None:
-            handler(self, event)
-
-
-_REPLAY = {
-    ev.QuantumStart: lambda s, e: s.on_quantum_start(e.pid),
-    ev.TimerInterrupt: lambda s, e: s.on_timer_interrupt(e.pid),
-    ev.ContextSwitch: lambda s, e: s.on_context_switch(e.pid),
-    ev.SyscallEvent: lambda s, e: s.on_syscall(e.pid, e.number),
-    ev.FaultEvent: lambda s, e: s.on_fault(e.pid, e.cid, e.action, e.cycles),
-    ev.DispatchResolved: lambda s, e: s.on_dispatch(e.pid, e.cid, e.outcome),
-    ev.Registered: lambda s, e: s.on_registered(e.pid, e.cid),
-    ev.RegistrationRejected: lambda s, e: s.on_registration_rejected(
-        e.pid, e.cid
-    ),
-    ev.MappingFault: lambda s, e: s.on_mapping_fault(e.pid, e.cid),
-    ev.LoadFault: lambda s, e: s.on_load_fault(e.pid, e.cid),
-    ev.SoftDefer: lambda s, e: s.on_soft_defer(e.pid, e.cid, e.remap),
-    ev.CircuitLoad: lambda s, e: s.on_circuit_load(
-        e.pid, e.cid, e.pfu, e.static_bytes, e.state_bytes
-    ),
-    ev.CircuitEvict: lambda s, e: s.on_circuit_evict(
-        e.pid, e.pfu, e.state_bytes
-    ),
-    ev.CircuitUnload: lambda s, e: s.on_circuit_unload(e.pid, e.pfu),
-    ev.CircuitPromote: lambda s, e: s.on_circuit_promote(e.pid, e.cid, e.pfu),
-    ev.StateSwap: lambda s, e: s.on_state_swap(e.pid, e.cid, e.pfu),
-    ev.CpuBurst: lambda s, e: s.on_cpu_burst(e.pid, e.cycles, e.instructions),
-    ev.KernelCharge: lambda s, e: s.on_kernel_charge(
-        e.pid, e.cycles, e.source
-    ),
-    ev.CisCharge: lambda s, e: s.on_cis_charge(e.cycles),
-    ev.CisKill: lambda s, e: s.on_cis_kill(e.pid),
-    ev.ProcessExit: lambda s, e: s.on_process_exit(
-        e.pid, e.status, e.killed, e.reason
-    ),
-    ev.FaultInjected: lambda s, e: s.on_fault_injected(
-        e.pid, e.fault, e.target
-    ),
-    ev.FaultDetected: lambda s, e: s.on_fault_detected(
-        e.pid, e.fault, e.target, e.via
-    ),
-    ev.FaultRecovered: lambda s, e: s.on_fault_recovered(
-        e.pid, e.fault, e.target, e.action, e.cycles
-    ),
-    ev.PfuQuarantined: lambda s, e: s.on_pfu_quarantined(e.pid, e.pfu),
-    ev.PrefetchIssued: lambda s, e: s.on_prefetch_issued(
-        e.pid, e.cid, e.pfu, e.cycles
-    ),
-    ev.PrefetchHit: lambda s, e: s.on_prefetch_hit(
-        e.pid, e.cid, e.pfu, e.overlap
-    ),
-    ev.PrefetchWasted: lambda s, e: s.on_prefetch_wasted(e.pid, e.cid, e.pfu),
-    ev.PrefetchCancelled: lambda s, e: s.on_prefetch_cancelled(
-        e.pid, e.cid, e.pfu, e.reason
-    ),
-}
+        getattr(self, "on_" + event.kind)(
+            *[getattr(event, f.name) for f in fields(event)[1:]]
+        )

@@ -1,15 +1,24 @@
-"""Typed, cycle-stamped machine events.
+"""Typed, cycle-stamped machine events: the one declaration of the
+trace surface.
 
 Every accounting-relevant moment in the simulated machine — quanta,
 context switches, traps, dispatch resolutions, configuration movement,
-process termination — is modelled as one small frozen dataclass.  The
-event stream is *complete*: a :class:`~repro.trace.counters.CounterSink`
+process termination — is modelled as one small frozen dataclass, and
+:data:`EVENTS` lists them all.  Each class's ``kind`` names both its
+emitter on the :class:`~repro.trace.bus.TraceBus` (``bus.<kind>(...)``)
+and its counter callback (``CounterSink.on_<kind>``), and its fields
+after ``cycle`` are, in order, the arguments both take.  So adding an
+event is one dataclass here, appended to :data:`EVENTS`, plus one
+``on_<kind>`` method; the bus and replay follow from the table.
+
+The event stream is *complete*: a :class:`~repro.trace.counters.CounterSink`
 replayed over a recorded stream reconstructs every legacy statistic
-exactly (``tests/test_trace.py`` checks this on a mixed workload).
+exactly (``tests/test_trace.py`` checks this for every kind and on a
+mixed workload).
 
 Events are only ever *constructed* when at least one event sink is
-attached to the :class:`~repro.trace.bus.TraceBus`; the counter fan-out
-path passes scalars and allocates nothing.
+attached to the bus; the counter path passes scalars and allocates
+nothing.
 
 ``cycle`` is the kernel clock when the event was emitted.  Events raised
 from inside a CPU burst (``DispatchResolved``) are stamped with the
@@ -23,6 +32,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 __all__ = [
+    "EVENTS",
     "TraceEvent",
     "QuantumStart",
     "TimerInterrupt",
@@ -254,13 +264,16 @@ class KernelCharge(TraceEvent):
     """
 
     cycles: int
-    source: str
+    source: str = "kernel"
     kind = "kernel_charge"
 
 
 @dataclass(frozen=True, slots=True)
 class CisCharge(TraceEvent):
-    """Cycles attributed to the Custom Instruction Scheduler itself."""
+    """Cycles attributed to the Custom Instruction Scheduler itself.
+
+    ``pid`` is -1: the CIS charges these cycles to no process.
+    """
 
     cycles: int
     kind = "cis_charge"
@@ -277,9 +290,9 @@ class CisKill(TraceEvent):
 class ProcessExit(TraceEvent):
     """A process left the machine."""
 
-    status: int | None
-    killed: bool
-    reason: str | None
+    status: int | None = None
+    killed: bool = False
+    reason: str | None = None
     kind = "process_exit"
 
 
@@ -385,3 +398,16 @@ class PrefetchCancelled(TraceEvent):
     pfu: int
     reason: str
     kind = "prefetch_cancelled"
+
+
+#: Every event class, one per kind: the table the bus binds its emitters
+#: from and :meth:`~repro.trace.counters.CounterSink.consume` replays by.
+EVENTS = (
+    QuantumStart, TimerInterrupt, ContextSwitch,
+    SyscallEvent, FaultEvent, DispatchResolved,
+    Registered, RegistrationRejected, MappingFault, LoadFault, SoftDefer,
+    CircuitLoad, CircuitEvict, CircuitUnload, CircuitPromote, StateSwap,
+    CpuBurst, KernelCharge, CisCharge, CisKill, ProcessExit,
+    FaultInjected, FaultDetected, FaultRecovered, PfuQuarantined,
+    PrefetchIssued, PrefetchHit, PrefetchWasted, PrefetchCancelled,
+)

@@ -41,8 +41,7 @@ class TestLoading:
     def test_load_in_flight_instance_sets_status_low(self):
         """A circuit evicted mid-instruction resumes with init low."""
         source = loaded_pfu()
-        source.issue(1, 2)
-        source.clock(2)  # 2 of 4 cycles
+        source.step(1, 2, 2)  # 2 of 4 cycles
         instance = source.unload()
         dest = PFU(index=1, clb_capacity=500)
         dest.load(instance)
@@ -52,37 +51,31 @@ class TestLoading:
 class TestExecution:
     def test_complete_in_one_burst(self):
         pfu = loaded_pfu()
-        pfu.issue(10, 20)
-        cycles, result = pfu.clock(10)
-        assert (cycles, result) == (4, 30)
+        assert pfu.step(10, 20, 10) == (4, 30)
         assert pfu.status == 1
 
     def test_interrupt_and_transparent_reissue(self):
         """§4.4: re-issuing with status low continues, ignoring operands."""
         pfu = loaded_pfu()
-        pfu.issue(10, 20)
-        cycles, result = pfu.clock(1)
-        assert (cycles, result) == (1, None)
+        assert pfu.step(10, 20, 1) == (1, None)
         assert pfu.status == 0
         # Re-issue with *different* operands: they must be ignored.
-        pfu.issue(999, 999)
-        cycles, result = pfu.clock(10)
-        assert (cycles, result) == (3, 30)
+        assert pfu.step(999, 999, 10) == (3, 30)
 
     def test_issue_without_circuit_rejected(self):
         with pytest.raises(PFUError):
-            PFU(index=0, clb_capacity=500).issue(1, 2)
+            PFU(index=0, clb_capacity=500).step(1, 2, 0)
 
-    def test_clock_while_idle_rejected(self):
+    def test_status_low_with_nothing_in_flight_rejected(self):
+        pfu = loaded_pfu()
+        pfu.status = 0
         with pytest.raises(PFUError):
-            loaded_pfu().clock(1)
+            pfu.step(1, 2, 10)
 
     def test_busy_cycle_accounting(self):
         pfu = loaded_pfu()
-        pfu.issue(1, 2)
-        pfu.clock(3)
-        pfu.issue(0, 0)
-        pfu.clock(5)
+        pfu.step(1, 2, 3)
+        pfu.step(0, 0, 5)
         assert pfu.total_busy_cycles == 4
 
     @given(cuts=st.lists(st.integers(min_value=1, max_value=3), max_size=8))
@@ -91,17 +84,17 @@ class TestExecution:
         """Any interruption pattern yields the same result and the same
         total busy cycles as uninterrupted execution."""
         pfu = loaded_pfu(adder_spec(latency=7))
-        pfu.issue(123, 456)
         total = 0
         result = None
+        operands = (123, 456)
         for cut in cuts:
-            cycles, result = pfu.clock(cut)
+            cycles, result = pfu.step(*operands, cut)
             total += cycles
             if result is not None:
                 break
-            pfu.issue(0, 0)  # transparent re-issue
+            operands = (0, 0)  # transparent re-issue
         if result is None:
-            cycles, result = pfu.clock(100)
+            cycles, result = pfu.step(*operands, 100)
             total += cycles
         assert result == 579
         assert total == 7
@@ -112,18 +105,15 @@ class TestUsageCounters:
         """§4.5: the count is taken at the END of the instruction so
         interrupted-and-reissued instructions count once."""
         pfu = loaded_pfu()
-        pfu.issue(1, 2)
-        pfu.clock(1)  # interrupted
+        pfu.step(1, 2, 1)  # interrupted
         assert pfu.usage_counter == 0
-        pfu.issue(0, 0)
-        pfu.clock(10)  # completes
+        pfu.step(0, 0, 10)  # completes
         assert pfu.usage_counter == 1
 
     def test_read_and_clear(self):
         pfu = loaded_pfu(adder_spec(latency=1))
         for _ in range(3):
-            pfu.issue(1, 1)
-            pfu.clock(5)
+            pfu.step(1, 1, 5)
         assert pfu.read_and_clear_usage() == 3
         assert pfu.read_and_clear_usage() == 0
         assert pfu.total_completions == 3  # lifetime stat unaffected

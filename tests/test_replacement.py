@@ -28,9 +28,7 @@ def loaded_bank(count: int = 4) -> PFUBank:
 
 
 def complete_one(bank: PFUBank, index: int) -> None:
-    pfu = bank.pfu(index)
-    pfu.issue(1, 2)
-    pfu.clock(100)
+    bank.pfu(index).step(1, 2, 100)
 
 
 class TestFactory:

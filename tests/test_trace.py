@@ -2,6 +2,9 @@
 
 import json
 import tracemalloc
+from dataclasses import fields
+
+import pytest
 
 from conftest import adder_spec
 from repro.cpu.program import Program
@@ -15,6 +18,21 @@ from repro.trace import (
 )
 from repro.trace import events as ev
 from repro.trace import bus as bus_module
+
+#: One sample argument per event field name, so every kind can be
+#: emitted by its fields alone.
+SAMPLE_ARGS = {
+    "pid": 2, "cid": 5, "pfu": 1, "number": 3, "action": "swap",
+    "cycles": 40, "outcome": "soft", "remap": True, "circuit": "c0",
+    "static_bytes": 1000, "state_bytes": 16, "instructions": 9,
+    "source": "kernel", "status": 0, "killed": True, "reason": "bad cid",
+    "fault": "config", "target": 1, "via": "parity", "overlap": 12,
+}
+
+
+def sample_args(cls) -> list:
+    """Arguments for ``cls``'s emitter: its fields after ``cycle``."""
+    return [SAMPLE_ARGS[f.name] for f in fields(cls)[1:]]
 
 
 def program(source: str, circuits=(), name="p") -> Program:
@@ -101,12 +119,7 @@ class TestEventStream:
         for event in ring:
             replayed.consume(event)
 
-        assert replayed.kernel == live.kernel
-        assert replayed.cis == live.cis
-        assert replayed.dispatch == live.dispatch
-        assert set(replayed.processes) == set(live.processes)
-        for pid, stats in live.processes.items():
-            assert replayed.processes[pid] == stats
+        assert replayed.snapshot() == live.snapshot()
 
     def test_events_know_their_kind(self, config):
         ring = RingBufferSink(capacity=1_000_000)
@@ -131,8 +144,10 @@ class TestDisabledBusCost:
             for __ in range(iterations):
                 bus.cpu_burst(1, 5, 3)
                 bus.kernel_charge(1, 2)
-                bus.dispatch_resolved(1, 1, "hit")
+                bus.dispatch(1, 1, "hit")
                 bus.quantum_start(1)
+                bus.circuit_load(1, 1, 0, "c0", 100, 8)
+                bus.cis_charge(-1, 7)
             snapshot = tracemalloc.take_snapshot().filter_traces(filters)
         finally:
             tracemalloc.stop()
@@ -150,6 +165,34 @@ class TestDisabledBusCost:
         bus.attach(RingBufferSink(capacity=16))
         assert bus.recording
         assert self._traced_bytes(bus) > 0
+
+
+class TestEveryKind:
+    """The :data:`~repro.trace.events.EVENTS` table is the whole trace
+    surface: one emitter and one counter callback per class."""
+
+    def test_table_lists_every_event_class_once(self):
+        classes = {
+            getattr(ev, name)
+            for name in ev.__all__
+            if isinstance(getattr(ev, name), type)
+        } - {ev.TraceEvent}
+        assert set(ev.EVENTS) == classes
+        assert len(ev.EVENTS) == len(classes)
+        kinds = [cls.kind for cls in ev.EVENTS]
+        assert len(set(kinds)) == len(kinds)
+
+    @pytest.mark.parametrize("cls", ev.EVENTS, ids=lambda cls: cls.kind)
+    def test_emit_records_and_replays_exactly(self, cls):
+        bus = TraceBus()
+        bus.bind_clock(lambda: 77)
+        ring = bus.attach(RingBufferSink(capacity=4))
+        args = sample_args(cls)
+        getattr(bus, cls.kind)(*args)
+        assert ring.events == [cls(77, *args)]
+        replayed = CounterSink()
+        replayed.consume(ring.events[0])
+        assert replayed.snapshot() == bus.counters.snapshot()
 
 
 class TestSinks:
@@ -206,24 +249,43 @@ class TestTimeline:
 
 
 class TestFastPathRebinding:
-    """With no event sink, the hot emitters are the counter sink's own
-    bound methods; attaching a sink swaps in the recording variants."""
+    """With no event sink, every emitter is the counter sink's own bound
+    method; attaching a sink swaps in the recording closures."""
 
     def test_quiet_bus_binds_hot_emitters_to_counter_sink(self):
         bus = TraceBus()
-        for name, callback in bus_module._HOT_EMITTERS.items():
-            emitter = getattr(bus, name)
-            assert emitter.__self__ is bus.counters, name
-            assert emitter.__func__.__name__ == callback
+        for cls in ev.EVENTS:
+            emitter = getattr(bus, cls.kind)
+            assert emitter.__self__ is bus.counters, cls.kind
+            assert emitter.__func__.__name__ == "on_" + cls.kind
 
     def test_attach_and_detach_swap_the_bindings(self):
         bus = TraceBus()
         sink = bus.attach(RingBufferSink(capacity=4))
-        for name in bus_module._HOT_EMITTERS:
-            assert getattr(bus, name).__self__ is bus, name
+        for cls in ev.EVENTS:
+            emitter = getattr(bus, cls.kind)
+            assert getattr(emitter, "__self__", None) is not bus.counters, (
+                cls.kind
+            )
         bus.detach(sink)
-        for name in bus_module._HOT_EMITTERS:
-            assert getattr(bus, name).__self__ is bus.counters, name
+        for cls in ev.EVENTS:
+            assert getattr(bus, cls.kind).__self__ is bus.counters, cls.kind
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_dispatch_observer_runs_between_counter_and_record(
+        self, recording
+    ):
+        bus = TraceBus()
+        ring = bus.attach(RingBufferSink(capacity=4)) if recording else ()
+        seen = []
+        bus.bind_predictor(
+            lambda *args: seen.append(
+                (args, bus.counters.dispatch["hit"], len(ring))
+            )
+        )
+        bus.dispatch(1, 2, "hit")
+        assert seen == [((1, 2, "hit"), 1, 0)]
+        assert len(ring) == recording
 
     def test_counters_identical_with_and_without_sink(self, config):
         quiet, __ = run_mixed_workload(config)
