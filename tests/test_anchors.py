@@ -26,7 +26,9 @@ and the CIS and TLB counters at the end of each run.
 The event-stream table pins the order of everything the kernel and the
 CIS publish on the trace bus for whole swap-heavy runs: sharing,
 software deferral, each fault-recovery policy, the prefetcher and each
-replacement policy besides round-robin.
+replacement policy besides round-robin.  One more point pins the
+dispatch events of a run whose circuits all stay resident, where
+nearly every custom instruction is issued from a compiled trace.
 """
 
 import hashlib
@@ -445,6 +447,14 @@ EVENT_STREAMS = {
                        scale=SCALE, policy="second_chance"),
         179667,
         "ca19d828295f4e62d805e54f3c2a5b363b6044089bf84c1ee74326f35c65bd0c",
+    ),
+    # The custom-instruction datapath: every circuit stays resident, so
+    # the stream is the traced CDPs' dispatch events.
+    "datapath": (
+        ExperimentSpec(workload="twofish", instances=4, quantum_ms=10.0,
+                       scale=SCALE),
+        8876,
+        "5f94a1aa2f8d91a934c40b01c9be66c4e90c59e424cf0c19f810098fde8a7422",
     ),
 }
 
