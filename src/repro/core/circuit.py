@@ -34,14 +34,24 @@ MASK32 = 0xFFFFFFFF
 EXECUTION_CONTEXT_WORDS = 4
 
 
+#: ``compute(a, b, state) -> result``: may mutate ``state`` in place.
+Compute = Callable[[int, int, list[int]], int]
+
+
 class CircuitBehaviour(Protocol):
-    """Functional and timing model of a custom instruction."""
+    """Functional and timing model of a custom instruction.
 
-    def latency(self, a: int, b: int, state: list[int]) -> int:
-        """Cycles from init to completion for these operands."""
+    The PFU asks it one question per issue or continuation:
+    :meth:`select`.
+    """
 
-    def compute(self, a: int, b: int, state: list[int]) -> int:
-        """Produce the 32-bit result; may mutate ``state`` in place."""
+    def select(
+        self, a: int, b: int, state: list[int]
+    ) -> tuple[int, Compute]:
+        """``(latency, compute)`` for these operands: the cycles from
+        init to completion, and the function the PFU calls once, when
+        the instruction completes, to produce the result (the PFU masks
+        it to 32 bits)."""
 
 
 @dataclass(frozen=True)
@@ -52,17 +62,16 @@ class FunctionBehaviour:
     ``latency_fn(a, b, state) -> cycles``.
     """
 
-    fn: Callable[[int, int, list[int]], int]
+    fn: Compute
     fixed_latency: int = 1
     latency_fn: Callable[[int, int, list[int]], int] | None = None
 
-    def latency(self, a: int, b: int, state: list[int]) -> int:
+    def select(
+        self, a: int, b: int, state: list[int]
+    ) -> tuple[int, Compute]:
         if self.latency_fn is not None:
-            return max(1, self.latency_fn(a, b, state))
-        return max(1, self.fixed_latency)
-
-    def compute(self, a: int, b: int, state: list[int]) -> int:
-        return self.fn(a, b, state) & MASK32
+            return max(1, self.latency_fn(a, b, state)), self.fn
+        return max(1, self.fixed_latency), self.fn
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,7 @@ class CircuitInstance:
         """Cycles still needed to complete the in-flight invocation."""
         if not self.busy:
             raise PFUError(f"{self.spec.name}: no invocation in flight")
-        total = self.spec.behaviour.latency(
+        total, _ = self.spec.behaviour.select(
             self.latched_a, self.latched_b, self.state
         )
         return max(0, total - self.cycles_done)

@@ -105,14 +105,18 @@ class PFU:
         operands latch); with status 0 it is a transparent continuation
         of an interrupted instruction and the operands are ignored,
         because the latched values are part of the preserved CLB state.
-        The circuit's latency is evaluated once.  If the budget runs out
-        first the instruction is interrupted (its context stays in the
-        instance); otherwise it completes: the result is computed, the
-        status register goes high and the usage counter counts it.
+        The circuit is asked once for its latency and compute function.
+        If the budget runs out first the instruction is interrupted (its
+        context stays in the instance, status low); otherwise it
+        completes: the result is computed, the status register goes high
+        and the usage counter counts it.  Either way each field is
+        written once.
 
         ``fault``, if given, is called as ``fault(pfu, needed)`` just
-        before a completion computes; it returns an XOR mask for the
-        result (0 for none) or raises, in which case nothing completes.
+        before a completion computes, with the instruction marked in
+        flight so that the hook may step it again; it returns an XOR
+        mask for the result (0 for none) or raises, in which case
+        nothing completes.
 
         Returns ``(cycles_consumed, result)`` where ``result`` is
         ``None`` if the instruction did not complete.
@@ -125,9 +129,7 @@ class PFU:
             b &= MASK32
             instance.latched_a = a
             instance.latched_b = b
-            instance.busy = True
-            instance.cycles_done = done = 0
-            self.status = 0
+            done = 0
         elif instance.busy:
             a = instance.latched_a
             b = instance.latched_b
@@ -136,20 +138,25 @@ class PFU:
             raise PFUError(
                 f"PFU {self.index}: status low but no invocation in flight"
             )
-        behaviour = instance.spec.behaviour
         state = instance.state
-        needed = behaviour.latency(a, b, state) - done
+        latency, compute = instance.spec.behaviour.select(a, b, state)
+        needed = latency - done
         if max_cycles < needed:
+            instance.busy = True
             instance.cycles_done = done + max_cycles
+            self.status = 0
             self.total_busy_cycles += max_cycles
             return max_cycles, None
         if needed < 0:
             needed = 0
         if fault is None:
-            result = behaviour.compute(a, b, state) & MASK32
+            result = compute(a, b, state) & MASK32
         else:
+            instance.busy = True
+            instance.cycles_done = done
+            self.status = 0
             mask = fault(self, needed)
-            result = (behaviour.compute(a, b, state) ^ mask) & MASK32
+            result = (compute(a, b, state) ^ mask) & MASK32
         instance.busy = False
         instance.cycles_done = 0
         instance.completions += 1

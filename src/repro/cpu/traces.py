@@ -46,8 +46,12 @@ side-effect-free TLB peek resolves it in hardware; the generated code
 then replays the memoized warm path of
 :func:`repro.cpu.translate.cdp_closure` —
 TLB statistics, ``dispatch`` event and all — behind a
-dispatch-generation guard, and calls
-:meth:`~repro.core.coprocessor.ProteusCoprocessor.execute`.  Everything
+dispatch-generation guard, and makes one call,
+:meth:`~repro.core.pfu.PFU.step` of the resolved PFU, on operands read
+from the FPL word list, writing a completed result back to it.  The
+recorder's admission rules are what
+:meth:`~repro.core.coprocessor.ProteusCoprocessor.execute` would check:
+the registers exist and no fault hook is needed.  Everything
 else (SWI, HALT, BX, software/faulting CDPs, translation-time raisers
 such as an MRC or LDO into the pc, and any MCR/MRC/CDP naming an FPL
 register the file does not have) ends the trace at the preceding
@@ -66,13 +70,13 @@ spilled and the retired count flushed.
 **Invalidation.**  A trace containing a CDP is valid only for the
 mappings it was recorded against: its guard compares the live
 :attr:`~repro.core.dispatch.DispatchUnit.generation` with ``_eg``, the
-generation at recording, bound per install like the pid and the PFU
-each CDP resolved to.  When a management call (map/unmap/flush/restore)
-bumps the generation, the guard drops the stale trace and re-installs
-the profiling wrapper; a re-heat records the path again.  A manager
-keeps the code it compiled for each recording, so a re-heat onto a path
-seen before emits and compiles nothing and a re-install costs one
-``exec``.  The source names no machine state, so the process-wide code
+generation at recording, bound per install like the pid and the
+``step`` of the PFU each CDP resolved to.  When a management call
+(map/unmap/flush/restore) bumps the generation, the guard drops the
+stale trace and re-installs the profiling wrapper; a re-heat records
+the path again.  A manager keeps the code it compiled for each
+recording, so a re-heat onto a path seen before emits and compiles
+nothing and a re-install costs one ``exec``.  The source names no machine state, so the process-wide code
 cache of :mod:`repro.cpu.blocks` hands every instance of a program one
 shared code object.
 """
@@ -121,7 +125,6 @@ _TRACE_ENV_NAMES = dict(
     _dsp="_DSP",
     _hwt="_HWT",
     _dtr="_DTR",
-    _exec="_EXEC",
     _fb="_FB",
     _ivd="_IVD",
     _eg="_EG",
@@ -211,8 +214,8 @@ class TraceManager:
             "_DSP": self.dispatch,
             "_HWT": self.dispatch.hardware_tlb,
             "_DTR": self.dispatch.trace,
-            "_EXEC": coprocessor.execute,
         })
+        self._pfus = coprocessor.pfus.pfus
         for leader in block_leaders(program):
             ops[leader] = self._profile(leader)
 
@@ -254,7 +257,7 @@ class TraceManager:
         env["_EG"] = self.dispatch.generation
         for component in components:
             if component[0] == "cdp":
-                env[f"_P{component[1]}"] = component[2]
+                env[f"_P{component[1]}"] = self._pfus[component[2]].step
         exec(code, env)
         fn = env.pop(f"_trace_{entry}")  # no function <-> globals cycle
         self.installed += 1
@@ -446,12 +449,12 @@ class TraceManager:
             else:  # cdp
                 _, index, _ = component
                 instruction = program[index]
-                # The PFU is bound per install (``_p{index}``), not
-                # written into the source: every instance of a program
-                # shares one code object whichever PFUs its circuits
-                # occupy.
+                # The resolved PFU's ``step`` is bound per install
+                # (``_p{index}``), not written into the source: every
+                # instance of a program shares one code object whichever
+                # PFUs its circuits occupy.
                 pfu_params.append(f"_p{index}=_P{index}")
-                needs.update(("_dsp", "_hwt", "_dtr", "_exec", "_ivd",
+                needs.update(("_dsp", "_hwt", "_dtr", "_fw", "_ivd",
                               "_eg", "_pid"))
                 issue = config.cdp_issue_cycles
                 body.append(f"_ctx.idx = {index}")
@@ -471,12 +474,15 @@ class TraceManager:
                     f"_dtr.dispatch(_pid, {instruction.imm}, 'hit')"
                 )
                 # The CDP closure's ``max(1, budget - issue)``, inline.
+                # The recorder admitted only in-range FPL registers and
+                # no fault plan, so the PFU is stepped with no hook.
                 body.append(
-                    f"_c, _o = _exec(_p{index}, {instruction.rd}, "
-                    f"{instruction.rn}, {instruction.rm}, "
+                    f"_c, _o = _p{index}(_fw[{instruction.rn}], "
+                    f"_fw[{instruction.rm}], "
                     f"_b - _u - {issue} if _b - _u > {issue + 1} else 1)"
                 )
                 body.append("if _o is not None:")
+                body.append(f"    _fw[{instruction.rd}] = _o")
                 body.append("    _n += 1")
                 body.append(f"    _u += {issue} + _c")
                 body.append("else:")

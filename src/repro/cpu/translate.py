@@ -13,7 +13,11 @@ holds what that source runs against:
   through ``RunContext.interrupted`` rather than an exception when it is
   interrupted or its dispatch faults — a fault on a short quantum is the
   common case, so each site builds its
-  :class:`~repro.cpu.exceptions.CustomInstructionFault` once;
+  :class:`~repro.cpu.exceptions.CustomInstructionFault` once.  A
+  hardware resolution is one call into the resolved PFU's
+  :meth:`~repro.core.pfu.PFU.step`; the site reads and writes the FPL
+  words itself, its registers having been range-checked at
+  translation;
 * the shift helpers register-amount shifts call.
 
 ``tests/test_translate.py`` checks the compiled tiers against the
@@ -80,7 +84,14 @@ def cdp_closure(
     resolve = dispatch.resolve
     hw_tlb = dispatch.hardware_tlb
     sw_tlb = dispatch.software_tlb
-    execute = coprocessor.execute
+    # A hardware issue goes straight to the resolved PFU's ``step``,
+    # doing the rest of ``ProteusCoprocessor.execute`` here: the FPL
+    # registers are range-checked once, at translation, and the fault
+    # hook is passed only while an injector is attached.
+    pfus = coprocessor.pfus.pfus
+    regfile = coprocessor.regfile
+    words = regfile.words
+    missing = [fpl for fpl in (rn, rm, rd) if not 0 <= fpl < regfile.size]
     capture = coprocessor.capture_operands
     issue = config.cdp_issue_cycles
     soft_cost = config.soft_dispatch_branch_cycles
@@ -125,10 +136,15 @@ def cdp_closure(
             else:
                 cached_outcome = "fault"
         if kind is HARDWARE:
-            cycles, result = execute(
-                resolution.pfu_index, rd, rn, rm, max(1, budget - issue)
+            if missing:
+                regfile.check(missing[0])  # raises, naming the register
+            injector = coprocessor.injector
+            cycles, result = pfus[resolution.pfu_index].step(
+                words[rn], words[rm], max(1, budget - issue),
+                None if injector is None else coprocessor._faulted_completion,
             )
             if result is not None:
+                words[rd] = result
                 ctx.idx += 1
                 ctx.retired += 1
             else:

@@ -462,9 +462,10 @@ class ComposedBehaviour:
         #: ``compute(a, b, state)`` is the compiled graph itself: its
         #: output is already masked to 32 bits.
         self.compute = graph.compile()
+        self._selected = (self.fixed_latency, self.compute)
 
-    def latency(self, a: int, b: int, state: list[int]) -> int:
-        return self.fixed_latency
+    def select(self, a: int, b: int, state: list[int]):
+        return self._selected
 
 
 class PhaseMachine:
@@ -532,16 +533,15 @@ class PhaseBehaviour:
     ) -> None:
         self.name = name
         self.selector = selector
-        self._fns = fns
-        self._latencies = {k: max(1, v) for k, v in latencies.items()}
+        #: Phase -> (latency, compiled graph); the graphs mask their
+        #: own outputs.
+        self._phases = {
+            phase: (max(1, latencies[phase]), fn) for phase, fn in fns.items()
+        }
 
-    def latency(self, a: int, b: int, state: list[int]) -> int:
+    def select(self, a: int, b: int, state: list[int]):
         phase = state[self.selector]
-        if phase not in self._fns:
+        selected = self._phases.get(phase)
+        if selected is None:
             raise PFUError(f"{self.name}: no phase {phase}")
-        return self._latencies[phase]
-
-    def compute(self, a: int, b: int, state: list[int]) -> int:
-        # The datapath evaluates latency() first, which checked the
-        # phase; the compiled graphs mask their own outputs.
-        return self._fns[state[self.selector]](a, b, state)
+        return selected

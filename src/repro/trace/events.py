@@ -29,7 +29,7 @@ than instruction-exact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = [
     "EVENTS",
@@ -77,8 +77,11 @@ class TraceEvent:
     kind = "event"
 
     def to_dict(self) -> dict:
+        # Every field is a scalar, so a plain read of each (in field
+        # order: ``__match_args__``) is the record ``asdict`` would copy.
         record = {"kind": self.kind}
-        record.update(asdict(self))
+        for name in self.__match_args__:
+            record[name] = getattr(self, name)
         return record
 
 

@@ -37,6 +37,7 @@ import json
 import pytest
 
 from repro.apps.workloads import WorkloadVariant
+from repro.core.coprocessor import ProteusCoprocessor
 from repro.faults import FaultPlan
 from repro.machine import Machine, spec_from_dict, spec_to_dict
 from repro.prefetch import PrefetchPlan
@@ -110,7 +111,10 @@ DATAPATH_ANCHORS = {
 @pytest.mark.parametrize("point", sorted(DATAPATH_ANCHORS))
 def test_datapath_anchor(point, tier, monkeypatch):
     monkeypatch.setenv("REPRO_EXEC_TIER", tier)
-    workload, instances, quantum_ms = point
+    assert _datapath_point(*point) == DATAPATH_ANCHORS[point]
+
+
+def _datapath_point(workload, instances, quantum_ms):
     spec = ExperimentSpec(
         workload=workload, instances=instances, quantum_ms=quantum_ms,
         policy="round_robin", scale=SCALE,
@@ -131,7 +135,7 @@ def test_datapath_anchor(point, tier, monkeypatch):
         for pid in sorted(kernel["processes"], key=int)
         for registration in kernel["processes"][pid]["registrations"]
     ]
-    assert (outcome.makespan, pfus, completions) == DATAPATH_ANCHORS[point]
+    return outcome.makespan, pfus, completions
 
 
 #: The ``thrash_1ms`` points (round-robin at 1 ms, more instances than
@@ -160,7 +164,10 @@ THRASH_ANCHORS = {
 @pytest.mark.parametrize("point", sorted(THRASH_ANCHORS))
 def test_thrash_anchor(point, tier, monkeypatch):
     monkeypatch.setenv("REPRO_EXEC_TIER", tier)
-    workload, instances = point
+    assert _thrash_point(*point) == THRASH_ANCHORS[point]
+
+
+def _thrash_point(workload, instances):
     spec = ExperimentSpec(
         workload=workload, instances=instances, quantum_ms=1.0,
         policy="round_robin", scale=SCALE,
@@ -178,11 +185,27 @@ def test_thrash_anchor(point, tier, monkeypatch):
               for field in ("lookups", "hits", "insertions", "evictions"))
         for tlb in ("hardware_tlb", "software_tlb")
     ]
-    assert (
+    return (
         outcome.makespan,
         (cis["loads"], cis["evictions"], cis["state_bytes_moved"]),
         tlbs,
-    ) == THRASH_ANCHORS[point]
+    )
+
+
+@pytest.mark.parametrize("tier", ["jit", "block"])
+def test_compiled_tiers_bypass_coprocessor_execute(tier, monkeypatch):
+    """On the compiled tiers a hardware custom instruction steps its PFU
+    directly: a resident datapath point and a thrashing point hold
+    their anchors with ``ProteusCoprocessor.execute`` unusable."""
+    monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+
+    def execute(*args, **kwargs):
+        raise AssertionError("ProteusCoprocessor.execute called")
+
+    monkeypatch.setattr(ProteusCoprocessor, "execute", execute)
+    point = ("twofish", 4, 10.0)
+    assert _datapath_point(*point) == DATAPATH_ANCHORS[point]
+    assert _thrash_point("alpha", 5) == THRASH_ANCHORS[("alpha", 5)]
 
 
 FAULT = FaultPlan(

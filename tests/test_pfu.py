@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import adder_spec, counter_spec
 from repro.config import MachineConfig
+from repro.core.circuit import CircuitSpec
 from repro.core.pfu import PFU, PFUBank
 from repro.errors import PFUError
+from repro.fabric.elements import ElementGraph, PhaseMachine
 
 CONFIG = MachineConfig()
 
@@ -71,6 +73,25 @@ class TestExecution:
         pfu.status = 0
         with pytest.raises(PFUError):
             pfu.step(1, 2, 10)
+
+    def test_phase_machine_selector_naming_no_phase_rejected(self):
+        """The circuit is asked for its latency before the instruction
+        starts, so an issue in a phase the machine lacks raises and
+        leaves the PFU idle: a later issue starts fresh."""
+        graph = ElementGraph("pass")
+        graph.set_output(graph.input_a())
+        machine = PhaseMachine("stream", selector=0)
+        machine.phase(0, graph, latency=2)
+        spec = CircuitSpec(
+            name="stream", behaviour=machine.as_behaviour(), clb_count=1,
+            app_state_words=1, initial_state=(7,),
+        )
+        pfu = loaded_pfu(spec)
+        with pytest.raises(PFUError, match="^stream: no phase 7$"):
+            pfu.step(1, 2, 10)
+        assert pfu.total_completions == 0
+        pfu.instance.state[0] = 0
+        assert pfu.step(5, 2, 10) == (2, 5)
 
     def test_busy_cycle_accounting(self):
         pfu = loaded_pfu()
