@@ -7,7 +7,9 @@ interface:
 * ``mcr``/``mrc`` move words between core and FPL registers;
 * ``resolve`` runs the decode-stage dispatch of Figure 1;
 * ``execute`` clocks a PFU for a bounded number of cycles, implementing
-  the interruptible long-instruction protocol of §4.4;
+  the interruptible long-instruction protocol of §4.4 (the step tier's
+  entry; the compiled tiers check the FPL registers at translation and
+  call the resolved :meth:`~repro.core.pfu.PFU.step` themselves);
 * ``capture_operands`` latches the special-purpose registers when a
   software alternative is entered (§4.3).
 

@@ -76,9 +76,10 @@ generation at recording, bound per install like the pid and the
 stale trace and re-installs the profiling wrapper; a re-heat records
 the path again.  A manager keeps the code it compiled for each
 recording, so a re-heat onto a path seen before emits and compiles
-nothing and a re-install costs one ``exec``.  The source names no machine state, so the process-wide code
-cache of :mod:`repro.cpu.blocks` hands every instance of a program one
-shared code object.
+nothing and a re-install costs one ``exec``.  The source names no
+machine state, so the process-wide code cache of
+:mod:`repro.cpu.blocks` hands every instance of a program one shared
+code object.
 """
 
 from __future__ import annotations

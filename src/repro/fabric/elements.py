@@ -464,7 +464,7 @@ class ComposedBehaviour:
         self.compute = graph.compile()
         self._selected = (self.fixed_latency, self.compute)
 
-    def select(self, a: int, b: int, state: list[int]):
+    def select(self, a: int, b: int, state: list[int]) -> tuple[int, Callable]:
         return self._selected
 
 
@@ -539,7 +539,7 @@ class PhaseBehaviour:
             phase: (max(1, latencies[phase]), fn) for phase, fn in fns.items()
         }
 
-    def select(self, a: int, b: int, state: list[int]):
+    def select(self, a: int, b: int, state: list[int]) -> tuple[int, Callable]:
         phase = state[self.selector]
         selected = self._phases.get(phase)
         if selected is None:
