@@ -7,9 +7,11 @@ interface:
 * ``mcr``/``mrc`` move words between core and FPL registers;
 * ``resolve`` runs the decode-stage dispatch of Figure 1;
 * ``execute`` clocks a PFU for a bounded number of cycles, implementing
-  the interruptible long-instruction protocol of §4.4 (the step tier's
-  entry; the compiled tiers check the FPL registers at translation and
-  call the resolved :meth:`~repro.core.pfu.PFU.step` themselves);
+  the interruptible long-instruction protocol of §4.4.  It is the step
+  tier's entry; the compiled tiers call the resolved
+  :meth:`~repro.core.pfu.PFU.step` themselves, with the two pieces of
+  ``execute`` they share with it: ``check_operands`` for a missing FPL
+  register and ``completion_hook`` for the fault hook;
 * ``capture_operands`` latches the special-purpose registers when a
   software alternative is entered (§4.3).
 
@@ -21,7 +23,7 @@ counters).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..config import MachineConfig
 from ..errors import PFUError
@@ -96,16 +98,27 @@ class ProteusCoprocessor:
         if not (0 <= pfu_index < len(pfus) and 0 <= fn < size
                 and 0 <= fm < size and 0 <= fd < size):
             self.pfus.pfu(pfu_index)
-            for index in (fn, fm, fd):
-                regfile.check(index)
+            self.check_operands(fd, fn, fm)
         words = regfile.words
         outcome = pfus[pfu_index].step(
-            words[fn], words[fm], max_cycles,
-            None if self.injector is None else self._faulted_completion,
+            words[fn], words[fm], max_cycles, self.completion_hook
         )
         if outcome[1] is not None:
             words[fd] = outcome[1]
         return outcome
+
+    def check_operands(self, fd: int, fn: int, fm: int) -> None:
+        """Raise the register file's error for the first of ``fn``,
+        ``fm``, ``fd`` it does not have; return if it has all three."""
+        for index in (fn, fm, fd):
+            self.regfile.check(index)
+
+    @property
+    def completion_hook(self) -> Callable[[PFU, int], int] | None:
+        """The ``fault`` every issue passes to :meth:`PFU.step`: the
+        injector's completion check while one is attached, else
+        ``None``."""
+        return None if self.injector is None else self._faulted_completion
 
     def _faulted_completion(self, pfu: PFU, needed: int) -> int:
         """XOR mask a live fault puts on the result completing on ``pfu``.

@@ -39,19 +39,19 @@ tier's own budget guard would.
 
 **What is traceable.**  Fused-run ops (see
 :data:`~repro.cpu.isa.FUSIBLE_OPS`), in-range B/BL, and — as single
-components — MCR/MRC/LDO/STO.  A CDP joins a trace only when no fault
-plan is active (a :class:`~repro.cpu.exceptions.FabricFault` raised
-mid-trace would discard committed cycles) and the recorder's
+components — MCR/MRC/LDO/STO.  A CDP joins a trace only when the
+coprocessor's
+:attr:`~repro.core.coprocessor.ProteusCoprocessor.completion_hook` is
+``None`` (no fault plan: a :class:`~repro.cpu.exceptions.FabricFault`
+raised mid-trace would discard committed cycles) and the recorder's
 side-effect-free TLB peek resolves it in hardware; the generated code
 then replays the memoized warm path of
 :func:`repro.cpu.translate.cdp_closure` —
 TLB statistics, ``dispatch`` event and all — behind a
 dispatch-generation guard, and makes one call,
-:meth:`~repro.core.pfu.PFU.step` of the resolved PFU, on operands read
-from the FPL word list, writing a completed result back to it.  The
-recorder's admission rules are what
-:meth:`~repro.core.coprocessor.ProteusCoprocessor.execute` would check:
-the registers exist and no fault hook is needed.  Everything
+:meth:`~repro.core.pfu.PFU.step` of the resolved PFU with no hook, on
+operands read from the FPL word list, writing a completed result back
+to it.  Everything
 else (SWI, HALT, BX, software/faulting CDPs, translation-time raisers
 such as an MRC or LDO into the pc, and any MCR/MRC/CDP naming an FPL
 register the file does not have) ends the trace at the preceding
@@ -197,6 +197,7 @@ class TraceManager:
         self.config = config
         self.pid = pid
         self.dispatch = coprocessor.dispatch
+        self.coprocessor = coprocessor
         #: The literals generated code compares against.
         self.layout = _layout(program, memory, coprocessor)
         #: Ops as compiled by the block tier — the fallback every trace
@@ -334,7 +335,9 @@ class TraceManager:
                 count += 1
                 components.append(("simple", idx))
                 idx += 1
-            elif op is Op.CDP and self.config.fault_plan is None:
+            elif (
+                op is Op.CDP and self.coprocessor.completion_hook is None
+            ):
                 pfu = self._peek_hardware(instruction.imm)
                 if pfu is None:
                     break  # software, faulting or unmapped: untraceable
@@ -476,7 +479,7 @@ class TraceManager:
                 )
                 # The CDP closure's ``max(1, budget - issue)``, inline.
                 # The recorder admitted only in-range FPL registers and
-                # no fault plan, so the PFU is stepped with no hook.
+                # a ``None`` completion hook, so the PFU gets no hook.
                 body.append(
                     f"_c, _o = _p{index}(_fw[{instruction.rn}], "
                     f"_fw[{instruction.rm}], "

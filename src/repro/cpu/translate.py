@@ -15,9 +15,9 @@ holds what that source runs against:
   common case, so each site builds its
   :class:`~repro.cpu.exceptions.CustomInstructionFault` once.  A
   hardware resolution is one call into the resolved PFU's
-  :meth:`~repro.core.pfu.PFU.step`; the site reads and writes the FPL
-  words itself, its registers having been range-checked at
-  translation;
+  :meth:`~repro.core.pfu.PFU.step`, with the coprocessor's
+  ``completion_hook``; the site reads and writes the FPL words itself,
+  its registers having been range-checked at translation;
 * the shift helpers register-amount shifts call.
 
 ``tests/test_translate.py`` checks the compiled tiers against the
@@ -84,14 +84,13 @@ def cdp_closure(
     resolve = dispatch.resolve
     hw_tlb = dispatch.hardware_tlb
     sw_tlb = dispatch.software_tlb
-    # A hardware issue goes straight to the resolved PFU's ``step``,
-    # doing the rest of ``ProteusCoprocessor.execute`` here: the FPL
-    # registers are range-checked once, at translation, and the fault
-    # hook is passed only while an injector is attached.
+    # A hardware issue goes straight to the resolved PFU's ``step``.
+    # The FPL registers are range-checked here, at translation; a site
+    # naming a missing one raises the coprocessor's error when it issues.
     pfus = coprocessor.pfus.pfus
     regfile = coprocessor.regfile
     words = regfile.words
-    missing = [fpl for fpl in (rn, rm, rd) if not 0 <= fpl < regfile.size]
+    operands_ok = all(0 <= fpl < regfile.size for fpl in (rd, rn, rm))
     capture = coprocessor.capture_operands
     issue = config.cdp_issue_cycles
     soft_cost = config.soft_dispatch_branch_cycles
@@ -136,12 +135,11 @@ def cdp_closure(
             else:
                 cached_outcome = "fault"
         if kind is HARDWARE:
-            if missing:
-                regfile.check(missing[0])  # raises, naming the register
-            injector = coprocessor.injector
+            if not operands_ok:
+                coprocessor.check_operands(rd, rn, rm)
             cycles, result = pfus[resolution.pfu_index].step(
                 words[rn], words[rm], max(1, budget - issue),
-                None if injector is None else coprocessor._faulted_completion,
+                coprocessor.completion_hook,
             )
             if result is not None:
                 words[rd] = result

@@ -33,7 +33,8 @@ assignment runs.)
 The compiled function is straight-line Python: constants, barrel
 shifts by a constant amount, ``sgn`` and ``sat16`` are emitted as
 inline expressions, and a node used once is folded into the expression
-that uses it, so most nodes cost neither a call nor a local.
+that uses it, so most nodes cost neither a call nor a local.  Lookups
+with equal contents share one ROM tuple and one name.
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ class ElementGraph:
         self._output: int | None = None
         self._state_writes: list[tuple[int, int]] = []
         self._compiled: Callable[[int, int, list[int]], int] | None = None
+        #: ROM contents -> the one tuple every lookup with them reads.
+        self._roms: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # ---- construction ----------------------------------------------------
     def _add(self, kind: str, args: tuple[int, ...] = (), payload=None) -> Wire:
@@ -292,13 +295,21 @@ class ElementGraph:
         return self._add("op", tuple(self._ref(arg) for arg in args), op)
 
     def lookup(self, table, index: Wire) -> Wire:
-        """A 256-entry ROM: ``table[index & 0xFF]``."""
+        """A 256-entry ROM: ``table[index & 0xFF]``.
+
+        Each lookup is its own ROM in the cost model, but lookups with
+        the same contents share one tuple.  An unrolled Twofish reads
+        four tables through 128 lookups: 128 private copies held about
+        1.2 MB, and the round ran measurably slower inside a simulation,
+        between other work, than one copy of each table does.
+        """
         values = tuple(int(v) & MASK32 for v in table)
         if len(values) != 256:
             raise PFUError(
                 f"{self.name}: lookup table needs 256 entries, "
                 f"got {len(values)}"
             )
+        values = self._roms.setdefault(values, values)
         return self._add("lookup", (self._ref(index),), values)
 
     def set_state(self, index: int, wire: Wire) -> None:
@@ -386,6 +397,8 @@ class ElementGraph:
         # other node is computed once into a local.
         refs: list[str] = []
         depth: list[int] = []
+        #: id(ROM tuple) -> its one name in ``env``.
+        roms: dict[int, str] = {}
 
         def local(arg: int) -> str:
             """``arg`` as a local, for a slot its consumer names twice."""
@@ -410,8 +423,10 @@ class ElementGraph:
                 depth.append(0)
                 continue
             if node.kind == "lookup":
-                table_name = f"_t{i}"
-                env[table_name] = node.payload
+                table_name = roms.get(id(node.payload))
+                if table_name is None:
+                    table_name = roms[id(node.payload)] = f"_t{len(roms)}"
+                    env[table_name] = node.payload
                 expr = f"{table_name}[{refs[node.args[0]]} & 255]"
             else:  # op
                 op = node.payload

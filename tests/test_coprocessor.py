@@ -4,7 +4,7 @@ import pytest
 
 from conftest import adder_spec, counter_spec
 from repro.core.tlb import IDTuple
-from repro.errors import PFUError
+from repro.errors import DispatchError, PFUError
 
 
 def load(coprocessor, pfu_index, spec, pid=1):
@@ -46,6 +46,36 @@ class TestExecution:
         load(coprocessor, 0, adder_spec())
         cycles, result = coprocessor.execute(0, 2, 0, 1, max_cycles=0)
         assert cycles == 0 and result is None
+
+    @pytest.mark.parametrize(
+        "fd, fn, fm, named",
+        [(99, 98, 97, 98), (99, 0, 97, 97), (99, 0, 1, 99)],
+    )
+    def test_missing_register_named_in_operand_order(
+        self, coprocessor, fd, fn, fm, named
+    ):
+        """``execute`` and the compiled tiers' CDP sites raise the same
+        error: the first missing register of ``fn``, ``fm``, ``fd``."""
+        load(coprocessor, 0, adder_spec())
+        coprocessor.check_operands(2, 0, 1)  # all present: no error
+        for call in (
+            lambda: coprocessor.check_operands(fd, fn, fm),
+            lambda: coprocessor.execute(0, fd, fn, fm, max_cycles=10),
+        ):
+            with pytest.raises(DispatchError, match=rf"\bf{named} out"):
+                call()
+
+    def test_completion_hook_only_with_an_injector(self, coprocessor):
+        from repro.faults import FaultInjector, FaultPlan
+
+        assert coprocessor.completion_hook is None
+        coprocessor.injector = FaultInjector(FaultPlan(seed=3))
+        hook = coprocessor.completion_hook
+        assert hook is not None
+        load(coprocessor, 0, adder_spec())
+        pfu = coprocessor.pfus.pfu(0)
+        pfu.step(1, 2, 10, hook)
+        assert pfu.total_completions == 1
 
 
 class TestConfigurationMovement:

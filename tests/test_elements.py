@@ -141,6 +141,26 @@ def test_unary_match_helper_on_drawn_wires(value, op):
 
 
 TABLE = tuple((i * 2654435761) & MASK32 for i in range(256))
+#: A second ROM, so a graph reads more than one distinct table.
+TABLE2 = tuple((i * 40503 + 7) & MASK32 for i in range(256))
+
+
+def test_equal_roms_share_one_tuple():
+    """Lookups with equal contents read one tuple, whatever list they
+    were built from; each still costs a ROM and still names its own
+    index, and a different table stays its own."""
+    graph = ElementGraph("roms")
+    a, b = graph.input_a(), graph.input_b()
+    first = graph.lookup(list(TABLE), a)
+    second = graph.lookup(TABLE, b)
+    other = graph.lookup(TABLE2, a)
+    graph.set_output(graph.apply(
+        "eor", graph.apply("eor", first, second), other))
+    nodes = graph._nodes
+    assert nodes[first.index].payload is nodes[second.index].payload
+    assert nodes[other.index].payload is not nodes[first.index].payload
+    assert graph.cells() == 3 * 64 + 2 * ELEMENTS["eor"].cells
+    assert graph.compile()(3, 5, []) == TABLE[3] ^ TABLE[5] ^ TABLE2[3]
 
 
 def evaluate(graph: ElementGraph, a: int, b: int, state: list[int]):
@@ -189,7 +209,8 @@ def graphs(draw):
             wires.append(graph.const(draw(st.sampled_from(
                 AMOUNTS + (-1, 0xFFFFFFFF, 2**33 + 5)))))
         elif kind == "lookup":
-            wires.append(graph.lookup(TABLE, wires[draw(pick)]))
+            wires.append(graph.lookup(draw(st.sampled_from((TABLE, TABLE2))),
+                                      wires[draw(pick)]))
         else:
             args = [wires[draw(pick)] for _ in range(ELEMENTS[kind].arity)]
             wires.append(graph.apply(kind, *args))
