@@ -57,29 +57,49 @@ def synthetic_plaintext(blocks: int, seed: int = 0) -> bytes:
     return _plaintext(blocks, seed)
 
 
+def _randbelow(bits, n: int, k: int) -> int:
+    """``rng.randrange(n)`` drawn as CPython's ``Random`` draws it, with
+    ``bits`` = ``rng.getrandbits`` and ``k`` = ``n.bit_length()``: ``k``
+    fresh bits, redrawn until they are below ``n``.  The generators
+    below draw through it, skipping ``randrange``'s argument checks and
+    its extra frame; ``tests/test_workloads.py`` checks it against
+    ``randrange``."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 @lru_cache(maxsize=INPUT_CACHE_SIZE)
 def _image(pixels: int, seed: int) -> bytes:
-    rng = random.Random(("image", seed).__repr__())
+    bits = random.Random(("image", seed).__repr__()).getrandbits
     out = []
     for index in range(pixels):
         # Smooth gradient plus noise: looks like a photograph to the
         # blender (all channel values exercised) without being uniform.
-        r = (index * 7 + rng.randrange(64)) & 0xFF
-        g = (index * 13 + rng.randrange(64)) & 0xFF
-        b = (index * 29 + rng.randrange(64)) & 0xFF
-        a = (index * 3 + rng.randrange(32)) & 0xFF
+        # The draws are randrange(64) three times, then randrange(32).
+        r = (index * 7 + _randbelow(bits, 64, 7)) & 0xFF
+        g = (index * 13 + _randbelow(bits, 64, 7)) & 0xFF
+        b = (index * 29 + _randbelow(bits, 64, 7)) & 0xFF
+        a = (index * 3 + _randbelow(bits, 32, 6)) & 0xFF
         out.append((a << 24) | (b << 16) | (g << 8) | r)
     return _pack(out)
 
 
 @lru_cache(maxsize=INPUT_CACHE_SIZE)
 def _audio(samples: int, seed: int, amplitude: int) -> bytes:
-    rng = random.Random(("audio", seed).__repr__())
+    bits = random.Random(("audio", seed).__repr__()).getrandbits
+    # randrange(low, low + width): low + randrange(width).
+    low = -amplitude // 4
+    width = amplitude // 4 + 1 - low
+    if width <= 0:  # randrange's own check
+        raise ValueError(f"empty noise range for amplitude {amplitude}")
+    k = width.bit_length()
     out = []
     value = 0
     for index in range(samples):
         # A cheap integer oscillator with a random walk on top.
-        value = (value * 3 // 4) + rng.randrange(-amplitude // 4, amplitude // 4 + 1)
+        value = (value * 3 // 4) + low + _randbelow(bits, width, k)
         phase = index % 64
         tone = amplitude if phase < 32 else -amplitude
         sample = max(-32768, min(32767, tone // 2 + value))
@@ -95,8 +115,8 @@ def _words(count: int, seed: int) -> bytes:
 
 @lru_cache(maxsize=INPUT_CACHE_SIZE)
 def _plaintext(blocks: int, seed: int) -> bytes:
-    rng = random.Random(("plaintext", seed).__repr__())
-    return bytes(rng.randrange(256) for _ in range(16 * blocks))
+    bits = random.Random(("plaintext", seed).__repr__()).getrandbits
+    return bytes([_randbelow(bits, 256, 9) for _ in range(16 * blocks)])
 
 
 def words_to_directive(words: list[int], per_line: int = 8) -> str:

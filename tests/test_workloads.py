@@ -117,6 +117,24 @@ class TestDataGenerators:
     def test_plaintext_block_sized(self):
         assert len(synthetic_plaintext(5)) == 80
 
+    @pytest.mark.parametrize("n", [1, 2, 32, 64, 255, 256, 6001])
+    def test_randbelow_draws_as_randrange(self, n):
+        """The generators draw through ``_randbelow``; it must consume
+        and return exactly what ``Random.randrange`` would, or every
+        generated input (and every pinned digest over it) changes."""
+        import random
+
+        ours, theirs = random.Random("draws"), random.Random("draws")
+        assert [
+            data._randbelow(ours.getrandbits, n, n.bit_length())
+            for _ in range(2000)
+        ] == [theirs.randrange(n) for _ in range(2000)]
+        assert ours.getstate() == theirs.getstate()
+
+    def test_audio_with_no_noise_range_raises(self):
+        with pytest.raises(ValueError):
+            synthetic_audio(4, seed=99, amplitude=-8)
+
     @given(
         words=st.lists(
             st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=32
