@@ -17,7 +17,11 @@ without a deliberate format migration.  For the same reason the
 result-path table pins where one point's result object lives in the
 store, and the last table pins whole checkpoint documents: the PFU
 regions' resident-image recipes and every circuit instance's state
-words, which warm-start and job checkpoints are rebuilt from.
+words, which warm-start and job checkpoints are rebuilt from.  The
+section table extends it to every optional section (fault injector,
+prefetch model and transfer engine, their counters, synthesised and
+prefetched registrations) and to each replacement policy's state, and
+requires a resumed machine to write each document back unchanged.
 
 The thrash table pins the three points of the ``thrash_1ms`` benchmark
 workload, where nearly every quantum swaps a circuit: their makespans
@@ -31,6 +35,7 @@ dispatch events of a run whose circuits all stay resident, where
 nearly every custom instruction is issued from a compiled trace.
 """
 
+import functools
 import hashlib
 import json
 
@@ -532,3 +537,161 @@ def test_event_stream_golden():
         for name, (_spec, count, digest) in EVENT_STREAMS.items()
     }
     assert EVENT_COVERAGE <= coverage.seen, EVENT_COVERAGE - coverage.seen
+
+
+#: The extra points of the section table: custom-instruction synthesis
+#: (registrations carry a ``synth`` window) and the PRISC baseline.
+CHECKPOINT_EXTRA_POINTS = {
+    "synth": ExperimentSpec(workload="hash", instances=3, quantum_ms=1.0,
+                            scale=SCALE, synthesis=SYNTH),
+    "prisc": ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
+                            scale=SCALE, architecture="prisc"),
+}
+
+#: Every section of the checkpoint document: name -> {quanta run ->
+#: sha256 of the sorted-key JSON of ``Machine.checkpoint()``}, for each
+#: event-stream point and the two extra points, at quantum 150 and at
+#: the end of the run (``None``).  The prefetch point adds the quanta at
+#: which its counters (2172), an in-flight speculative transfer (2176)
+#: and a prefetched registration (2177) first appear in the document.
+CHECKPOINT_SECTION_DIGESTS = {
+    "share": {
+        150:
+            "ad98eafc7b8427c280183c40ef78e7dd02f08b983c3564a746130c8c439b9dcc",
+        None:
+            "f4180ccf96924e7c523ebfbf76d72cfe0b4042adf33e39a52b061384bd4190c7",
+    },
+    "soft": {
+        150:
+            "cc6749dcf77324e167c5262503eb2ebfc669d65d36a2d2088133f872d1474172",
+        None:
+            "b5c67de40fe6f4fda2eab5d35f213aeb2460044ae56c0f264193f7abee2dccb8",
+    },
+    "reload": {
+        150:
+            "9aee561645474be19fe9832d4f630e9cd4a1d8fbc25ebaba6c33a22641f4304d",
+        None:
+            "a8fd07a62d9a6c29a6bcab25ad56f4b99043cf195b7d027d80706f764484f808",
+    },
+    "prefetch": {
+        150:
+            "eca360a8f0beb9f7006ef69e04cc2cac7abd309710da6c261c70b01f1f0fc204",
+        2172:
+            "02307f6552ae4208f9a7ee0de0a5d16578bbecf5557f9e2ff607f189f9898543",
+        2176:
+            "b1f2812b35c8c068e693e79e2a6f66e30dd396a4f41438854929e97e30d2bb27",
+        2177:
+            "95db59248402f7c68cf74f82caa4cbe6deca611f53d007e157310b6e247c2991",
+        None:
+            "94b6e90c704329fb24292544313bae594c1c90d31602d78f96c6f7dcfd064d3d",
+    },
+    "prefetch_quarantine": {
+        150:
+            "c270f647a1e93ceb83b1f6fb6b0482530ce8f7b317bba2c845514aa849cc5937",
+        None:
+            "62341e4f8e937c7dcfe16156139a989c10dd6c3172d26035cacda60cfc78896a",
+    },
+    "prefetch_fallback": {
+        150:
+            "fdd8d69f519c4ff1be60e09b3b19779ed092eb4b084c143e64ae15c5f3102ceb",
+        None:
+            "8a5a7d43044e292b07c5214c19ae07e314dad8f7308f7896bf13fd206bd50fa1",
+    },
+    "random": {
+        150:
+            "dd89213276495e275bb79c2c83e159d5ac744400977207a1e4e75629dfa1b516",
+        None:
+            "f19acd2de459751d152fe9095115bfda83ae1101196dbecd9124b5c9274e3c24",
+    },
+    "lru": {
+        150:
+            "2447cb4636d5658bf8ee109c947e6f56fae90009dd5773284bbf4ebdc48ea1b8",
+        None:
+            "172d14798de40b7b713b614e7477b5478007305993e4eec63e92c7b5b6301795",
+    },
+    "second_chance": {
+        150:
+            "b9e5fe4b717dd25bc1b0b49e446a1718f80a9bd370914e9b760cc08e4808b60f",
+        None:
+            "50225c9ab4c56f85853161173aea4c43bbb9417741990c806067ad7bd1f7ace3",
+    },
+    "datapath": {
+        150:
+            "9da539bbae03b8a07174f1729baab4ae4114e28fe5f5419729f7899f610cbe5c",
+        None:
+            "bd7e34a76eb26869ff8ee5b9f98df4966ebdf97cdeec0f37fae378655dab9446",
+    },
+    "synth": {
+        150:
+            "17841f7ea4daa7b88092213e560f427c412c5b617ce25e4cff5d747ccb4ebef1",
+        None:
+            "4d82e695f99eb371b7d19b82c6168e7cc6781b956ef3181eb05d442bf7be6f0b",
+    },
+    "prisc": {
+        150:
+            "805f4fefe92e78c437761ecb77d5f4f49bebb54b5e358619487340ad414b3459",
+        None:
+            "aba128b241d6f64b251731caabb422d925ace7b500af2a86ee86e841be23ffda",
+    },
+}
+
+#: Sections the pinned documents must reach between them, so the
+#: table's coverage of the checkpoint format cannot rot silently.
+CHECKPOINT_COVERAGE = {
+    "kernel.faults", "kernel.prefetch.engine", "counters.faults",
+    "counters.prefetch", "registration.synth", "registration.prefetched",
+}
+
+
+def _document_sections(document: dict) -> set[str]:
+    """The optional sections ``document`` carries."""
+    kernel = document["kernel"]
+    seen = {f"counters.{key}" for key in ("faults", "prefetch")
+            if key in kernel["counters"]}
+    if "faults" in kernel:
+        seen.add("kernel.faults")
+    if "prefetch" in kernel and kernel["prefetch"]["engine"]["entry"]:
+        seen.add("kernel.prefetch.engine")
+    for process in kernel["processes"].values():
+        for registration in process["registrations"]:
+            seen.update(f"registration.{key}" for key in ("synth", "prefetched")
+                        if key in registration)
+    return seen
+
+
+@functools.cache
+def _checkpoint_sections(name: str):
+    """Run one point once: per mark, the document's digest and the digest
+    a JSON round-tripped resume writes back, plus the sections seen."""
+    spec = (EVENT_STREAMS[name][0] if name in EVENT_STREAMS
+            else CHECKPOINT_EXTRA_POINTS[name])
+    machine = Machine.from_spec(spec)
+    machine.spawn_instances()
+    digests, resumed, sections = {}, {}, set()
+    for mark in CHECKPOINT_SECTION_DIGESTS[name]:
+        if mark is None:
+            while machine.run_quantum():
+                pass
+        else:
+            ran = machine.run_quanta(mark - machine.stats.quanta)
+            assert machine.stats.quanta == mark, ran
+        document = machine.checkpoint()
+        digests[mark] = _checkpoint_digest(machine)
+        again = Machine.resume(json.loads(json.dumps(document)))
+        resumed[mark] = _checkpoint_digest(again)
+        sections |= _document_sections(document)
+    return digests, resumed, sections
+
+
+@pytest.mark.parametrize("name", list(CHECKPOINT_SECTION_DIGESTS))
+def test_checkpoint_sections_golden(name):
+    digests, resumed, _sections = _checkpoint_sections(name)
+    assert digests == CHECKPOINT_SECTION_DIGESTS[name]
+    assert resumed == digests
+
+
+def test_checkpoint_sections_coverage():
+    seen = set()
+    for name in CHECKPOINT_SECTION_DIGESTS:
+        seen |= _checkpoint_sections(name)[2]
+    assert CHECKPOINT_COVERAGE <= seen, CHECKPOINT_COVERAGE - seen
