@@ -10,21 +10,27 @@ wired-OR conflict in silicon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generic, Hashable, TypeVar
+from typing import Callable, Generic, Hashable, TypeVar
 
 from ..errors import TLBError
+from ..state import Snapshotable
 
 K = TypeVar("K", bound=Hashable)
 
 
 @dataclass
-class CAM(Generic[K]):
-    """Fixed-capacity associative key store with explicit entry indices."""
+class CAM(Snapshotable, Generic[K]):
+    """Fixed-capacity associative key store with explicit entry indices.
+
+    A snapshot saves each entry's key as a list of its fields (``None``
+    for an invalid entry); ``make_key`` rebuilds a key from that list.
+    """
 
     entries: int
     _keys: list[K | None] = field(default_factory=list)
     _valid: list[bool] = field(default_factory=list)
     _index: dict[K, int] = field(default_factory=dict)
+    make_key: Callable[[list], K] = tuple
 
     def __post_init__(self) -> None:
         if self.entries <= 0:
@@ -115,8 +121,7 @@ class CAM(Generic[K]):
             ],
         }
 
-    def restore(self, state: dict, make_key) -> None:
-        """Reinstate entries; ``make_key`` rebuilds a key from its list."""
+    def restore(self, state: dict) -> None:
         if state["entries"] != self.entries:
             raise TLBError("CAM snapshot does not match geometry")
         self._keys = [None] * self.entries
@@ -125,7 +130,7 @@ class CAM(Generic[K]):
         for entry, fields in enumerate(state["keys"]):
             if fields is None:
                 continue
-            key = make_key(fields)
+            key = self.make_key(fields)
             self._keys[entry] = key
             self._valid[entry] = True
             self._index[key] = entry

@@ -24,6 +24,7 @@ from typing import Callable, Protocol
 from ..config import MachineConfig
 from ..errors import PFUError
 from ..fabric.bitstream import Bitstream, build_bitstream
+from ..state import Snapshotable
 from .pfu import PFU
 
 MASK32 = 0xFFFFFFFF
@@ -171,7 +172,7 @@ class CircuitSpec:
 
 
 @dataclass
-class CircuitInstance:
+class CircuitInstance(Snapshotable):
     """A live, per-process instance of a circuit.
 
     The instance owns the architectural state words (e.g. a blend factor
@@ -180,7 +181,12 @@ class CircuitInstance:
     system would share instances between processes using the same circuit
     by swapping only state; :class:`repro.kernel.cis` supports that when
     ``MachineConfig.allow_sharing`` is set.
+
+    A snapshot saves the state section as :meth:`capture_words` packs it
+    (``words``) beside the completion count.
     """
+
+    STATE = ("completions",)
 
     spec: CircuitSpec
     pid: int
@@ -280,3 +286,11 @@ class CircuitInstance:
         self.cycles_done = cycles_done & MASK32
         self.latched_a = latched_a & MASK32
         self.latched_b = latched_b & MASK32
+
+    # ---- machine-state protocol -------------------------------------------
+    def snapshot(self) -> dict:
+        return {"words": self.capture_words(), **super().snapshot()}
+
+    def restore(self, state: dict) -> None:
+        self.restore_words(state["words"])
+        super().restore(state)

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable
 from ..config import MachineConfig
 from ..errors import PFUError
 from ..fabric.array import FPLArray
+from ..state import Snapshotable
 from ..trace.bus import TraceBus
 from .circuit import CircuitInstance
 from .dispatch import DispatchResult, DispatchUnit
@@ -40,8 +41,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class ProteusCoprocessor:
-    """The complete FPL function unit."""
+class ProteusCoprocessor(Snapshotable):
+    """The complete FPL function unit.
+
+    Its snapshot holds every structure but the circuit instances, which
+    process registrations own; the kernel re-attaches them to their PFU
+    slots after a restore, so slots and registrations share one object
+    per instance.
+    """
+
+    STATE = ("regfile", "operands", "dispatch", "pfus", "array")
 
     config: MachineConfig
     #: Machine event bus shared with the kernel; a standalone coprocessor
@@ -61,7 +70,9 @@ class ProteusCoprocessor:
         self.regfile = FPLRegisterFile(size=self.config.fpl_registers)
         self.pfus = PFUBank.build(self.config.pfu_count, self.config.pfu_clbs)
         self.dispatch = DispatchUnit.build(self.config.tlb_entries, self.trace)
-        self.array = FPLArray.build(self.config.pfu_count, self.config.pfu_clbs)
+        self.array = FPLArray.build(
+            self.config.pfu_count, self.config.pfu_clbs, self.config.seed
+        )
 
     # ---- datapath interface ------------------------------------------------
     def mcr(self, index: int, value: int) -> None:
@@ -245,32 +256,10 @@ class ProteusCoprocessor:
         }
 
     # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        """Capture all coprocessor state except circuit-instance contents.
-
-        Instances are owned by process registrations; the machine facade
-        serialises them there and passes them back here on restore so the
-        PFU slots and registrations share one object per instance.
-        """
-        return {
-            "regfile": self.regfile.snapshot(),
-            "operands": self.operand_regs.snapshot(),
-            "dispatch": self.dispatch.snapshot(),
-            "pfus": self.pfus.snapshot(),
-            "array": self.array.snapshot(),
-        }
-
-    def restore(
-        self,
-        state: dict,
-        instances: list[CircuitInstance | None] | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.regfile.restore(state["regfile"])
-        self.operand_regs.restore(state["operands"])
-        self.dispatch.restore(state["dispatch"])
-        self.pfus.restore(state["pfus"], instances)
-        self.array.restore(state["array"], seed=seed)
+    @property
+    def operands(self) -> OperandRegisters:
+        """``operand_regs`` under its checkpoint key."""
+        return self.operand_regs
 
     # ---- OS-side: usage statistics (§4.5) -------------------------------------
     def read_usage_counters(self) -> list[int]:

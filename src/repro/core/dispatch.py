@@ -21,6 +21,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import DispatchError
+from ..state import Snapshotable
 from ..trace.bus import TraceBus
 from .tlb import DispatchTLB, IDTuple
 
@@ -86,8 +87,10 @@ def software_result(address: int) -> DispatchResult:
 
 
 @dataclass
-class DispatchUnit:
+class DispatchUnit(Snapshotable):
     """The two-TLB resolver sitting in the decode stage."""
+
+    STATE = ("hardware_tlb", "software_tlb")
 
     hardware_tlb: DispatchTLB
     software_tlb: DispatchTLB
@@ -184,15 +187,8 @@ class DispatchUnit:
         return self.hardware_tlb.flush() + self.software_tlb.flush()
 
     # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "hardware_tlb": self.hardware_tlb.snapshot(),
-            "software_tlb": self.software_tlb.snapshot(),
-        }
-
     def restore(self, state: dict) -> None:
         # Restoring rewrites the mapping set wholesale; memoized CDP
         # sites that survive an in-place restore must re-resolve.
         self.generation += 1
-        self.hardware_tlb.restore(state["hardware_tlb"])
-        self.software_tlb.restore(state["software_tlb"])
+        super().restore(state)

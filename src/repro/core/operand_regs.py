@@ -20,13 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DispatchError
+from ..state import Snapshotable
 
 MASK32 = 0xFFFFFFFF
 
 
 @dataclass
-class OperandRegisters:
-    """The three software-dispatch registers plus a validity flag."""
+class OperandRegisters(Snapshotable):
+    """The three software-dispatch registers plus a validity flag.
+
+    A snapshot packs the registers in the context-switch layout of
+    :meth:`save` under ``regs``, beside the diagnostic clobber count a
+    context switch does not move.
+    """
+
+    STATE = ("clobbers",)
 
     source_a: int = 0
     source_b: int = 0
@@ -81,14 +89,13 @@ class OperandRegisters:
     def restore(
         self, saved: tuple[int, int, int, bool] | list | dict
     ) -> None:
+        """Reinstate a snapshot, or a tuple :meth:`save` returned."""
         if isinstance(saved, dict):
-            self.clobbers = saved["clobbers"]
+            super().restore(saved)
             saved = saved["regs"]
         self.source_a, self.source_b, self.dest_index, self.valid = saved
         self.valid = bool(self.valid)
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        """Whole-machine capture: the per-process ``save()`` tuple plus
-        the diagnostic clobber count a context switch does not move."""
-        return {"regs": list(self.save()), "clobbers": self.clobbers}
+        return {"regs": list(self.save()), **super().snapshot()}

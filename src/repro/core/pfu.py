@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import PFUError
+from ..state import Snapshotable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .circuit import CircuitInstance
@@ -47,8 +48,15 @@ def parity32(value: int) -> int:
 
 
 @dataclass
-class PFU:
-    """One programmable function unit slot."""
+class PFU(Snapshotable):
+    """One programmable function unit slot.
+
+    The resident instance is not part of the PFU's snapshot: the kernel
+    re-attaches it from the registration that owns it, which keeps one
+    object per instance.
+    """
+
+    STATE = ("status", "usage_counter", "total_busy_cycles", "total_completions")
 
     index: int
     clb_capacity: int
@@ -173,30 +181,12 @@ class PFU:
         self.usage_counter = 0
         return count
 
-    # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        """Scalar PFU state.  The resident instance is identified and
-        re-attached by the machine facade, which owns instance identity."""
-        return {
-            "status": self.status,
-            "usage_counter": self.usage_counter,
-            "total_busy_cycles": self.total_busy_cycles,
-            "total_completions": self.total_completions,
-        }
-
-    def restore(
-        self, state: dict, instance: CircuitInstance | None = None
-    ) -> None:
-        self.instance = instance
-        self.status = state["status"]
-        self.usage_counter = state["usage_counter"]
-        self.total_busy_cycles = state["total_busy_cycles"]
-        self.total_completions = state["total_completions"]
-
 
 @dataclass
-class PFUBank:
+class PFUBank(Snapshotable):
     """The coprocessor's array of PFUs."""
+
+    STATE = ("pfus",)
 
     pfus: list[PFU] = field(default_factory=list)
 
@@ -218,18 +208,3 @@ class PFUBank:
         if not 0 <= index < len(self.pfus):
             raise PFUError(f"no PFU {index}")
         return self.pfus[index]
-
-    # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        return {"pfus": [pfu.snapshot() for pfu in self.pfus]}
-
-    def restore(
-        self, state: dict, instances: list[CircuitInstance | None] | None = None
-    ) -> None:
-        saved = state["pfus"]
-        if len(saved) != len(self.pfus):
-            raise PFUError("PFU bank snapshot does not match geometry")
-        if instances is None:
-            instances = [None] * len(self.pfus)
-        for pfu, entry, instance in zip(self.pfus, saved, instances):
-            pfu.restore(entry, instance)

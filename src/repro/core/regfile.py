@@ -12,13 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import DispatchError
+from ..state import Snapshotable
 
 MASK32 = 0xFFFFFFFF
 
 
 @dataclass
-class FPLRegisterFile:
+class FPLRegisterFile(Snapshotable):
     """A fixed bank of 32-bit registers with OS save/restore support."""
+
+    STATE = ("regs",)
 
     size: int = 16
     words: list[int] = field(default_factory=list)
@@ -59,13 +62,19 @@ class FPLRegisterFile:
         self.words[:] = saved
 
     # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        return {"regs": self.save()}
+    @property
+    def regs(self) -> list[int]:
+        """``words`` under its checkpoint key."""
+        return self.words
 
     def restore(self, saved: list[int] | dict) -> None:
+        """Reinstate a snapshot, or a word list :meth:`save` returned."""
         if isinstance(saved, dict):
-            saved = saved["regs"]
-        self.load([value & MASK32 for value in saved])
+            super().restore(saved)
+        else:
+            self.load(saved)
+        words = self.words
+        words[:] = [value & MASK32 for value in words]
 
     def check(self, index: int) -> None:
         """Raise :class:`DispatchError` if ``index`` names no register."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..errors import TLBError
+from ..state import Snapshotable
 from .cam import CAM
 
 
@@ -29,7 +30,7 @@ class IDTuple(NamedTuple):
 
 
 @dataclass
-class DispatchTLB:
+class DispatchTLB(Snapshotable):
     """One translation buffer: CAM of ID tuples + RAM of integer targets.
 
     For the hardware TLB the target is a PFU number; for the software TLB
@@ -37,6 +38,10 @@ class DispatchTLB:
     TLB entries themselves is FIFO over the entry indices, standing in for
     the simple hardware pointer a real implementation would use.
     """
+
+    STATE = (
+        "cam", "ram", "_fifo_hand", "lookups", "hits", "insertions", "evictions",
+    )
 
     entries: int
     cam: CAM[IDTuple] = field(init=False)
@@ -54,7 +59,7 @@ class DispatchTLB:
     generation: int = 0
 
     def __post_init__(self) -> None:
-        self.cam = CAM(entries=self.entries)
+        self.cam = CAM(entries=self.entries, make_key=IDTuple._make)
         self.ram = [0] * self.entries
 
     # ---- datapath-side -----------------------------------------------------
@@ -133,26 +138,9 @@ class DispatchTLB:
         return len(items)
 
     # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "cam": self.cam.snapshot(),
-            "ram": list(self.ram),
-            "fifo_hand": self._fifo_hand,
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-        }
-
     def restore(self, state: dict) -> None:
         self.generation += 1
-        self.cam.restore(state["cam"], lambda fields: IDTuple(*fields))
-        self.ram = list(state["ram"])
-        self._fifo_hand = state["fifo_hand"]
-        self.lookups = state["lookups"]
-        self.hits = state["hits"]
-        self.insertions = state["insertions"]
-        self.evictions = state["evictions"]
+        super().restore(state)
 
     # ---- introspection ----------------------------------------------------
     def contents(self) -> dict[IDTuple, int]:

@@ -22,6 +22,7 @@ from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
 from ..core.dispatch import DispatchKind
 from ..errors import CPUError
+from ..state import Snapshotable
 from .exceptions import CPUEvent, CustomInstructionFault, ExitTrap, SyscallTrap
 from .isa import (
     CODE_BASE,
@@ -45,8 +46,15 @@ def _pc_index(pc: int) -> int:
 
 
 @dataclass
-class CPUState:
-    """The per-process architectural state of the ARM core."""
+class CPUState(Snapshotable):
+    """The per-process architectural state of the ARM core.
+
+    Restored in place: the compiled tiers capture the register list,
+    flags object and memory, so rebinding any of them would desync the
+    compiled program from the architectural state.
+    """
+
+    STATE = ("regs", "flags", "halted", "instructions_retired", "memory")
 
     memory: Memory
     regs: list[int] = field(default_factory=lambda: [0] * 16)
@@ -69,25 +77,10 @@ class CPUState:
     def pc(self, value: int) -> None:
         self.regs[15] = value & MASK32
 
-    # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "regs": list(self.regs),
-            "flags": self.flags.snapshot(),
-            "halted": self.halted,
-            "instructions_retired": self.instructions_retired,
-            "memory": self.memory.snapshot(),
-        }
-
     def restore(self, state: dict) -> None:
-        # In place: the compiled tiers capture the register list,
-        # flags object and memory; rebinding any of them would desync
-        # the compiled program from the architectural state.
-        self.regs[:] = [value & MASK32 for value in state["regs"]]
-        self.flags.restore(state["flags"])
-        self.halted = bool(state["halted"])
-        self.instructions_retired = state["instructions_retired"]
-        self.memory.restore(state["memory"])
+        super().restore(state)
+        regs = self.regs
+        regs[:] = [value & MASK32 for value in regs]
 
 
 @dataclass
@@ -124,7 +117,7 @@ class RunResult:
         )
 
 
-class CPU:
+class CPU(Snapshotable):
     """Interpreter binding one process's state to the shared coprocessor.
 
     Three execution tiers share the same semantics, selected by
@@ -143,7 +136,18 @@ class CPU:
 
     All tiers are cycle- and trace-identical; the equivalence tests in
     ``tests/test_blocks.py`` hold them to that.
+
+    A checkpoint holds the architectural state, the same on every tier.
+    The compiled tiers' :class:`~repro.cpu.translate.RunContext` cursor
+    is not saved (older checkpoints carry one; it is ignored): ``run``
+    reloads ``ctx.idx`` from the PC on entry, clears ``interrupted`` and
+    ``event`` before returning, and uses ``retired`` only as a
+    difference.  An interrupted CDP re-issues from the PC (§4.4), so the
+    PC is the whole cursor.  A not-yet-compiled CPU stays lazy after a
+    restore: the next ``run`` compiles against the restored state.
     """
+
+    STATE = ("state",)
 
     def __init__(
         self,
@@ -169,24 +173,6 @@ class CPU:
         self._ops = None
         #: The one burst record :meth:`run` refills.
         self._result = RunResult()
-
-    # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        """Capture the architectural state, the same on every tier.
-
-        The compiled tiers' :class:`~repro.cpu.translate.RunContext`
-        cursor is not saved: ``run`` reloads ``ctx.idx`` from the PC on
-        entry, clears ``interrupted`` and ``event`` before returning, and
-        uses ``retired`` only as a difference.  An interrupted CDP
-        re-issues from the PC (§4.4), so the PC is the whole cursor.
-        """
-        return {"state": self.state.snapshot()}
-
-    def restore(self, state: dict) -> None:
-        # Older checkpoints also carry a "ctx" cursor; it is ignored for
-        # the reason given in snapshot().  A not-yet-compiled CPU stays
-        # lazy: the next run() compiles against the restored state.
-        self.state.restore(state["state"])
 
     def retarget(self, program: list[Instruction]) -> None:
         """Swap the instruction image (custom-instruction adoption).

@@ -22,6 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..state import Snapshotable
+
 MASK32 = 0xFFFFFFFF
 
 #: Register-name aliases accepted by the assembler.
@@ -202,23 +204,15 @@ class Instruction:
 
 
 @dataclass
-class Flags:
+class Flags(Snapshotable):
     """The NZCV condition flags."""
+
+    STATE = ("n", "z", "c", "v")
 
     n: bool = False
     z: bool = False
     c: bool = False
     v: bool = False
-
-    # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        return {"n": self.n, "z": self.z, "c": self.c, "v": self.v}
-
-    def restore(self, state: dict) -> None:
-        self.n = bool(state["n"])
-        self.z = bool(state["z"])
-        self.c = bool(state["c"])
-        self.v = bool(state["v"])
 
     def passes(self, cond: Cond) -> bool:
         """Evaluate a branch condition against the current flags."""

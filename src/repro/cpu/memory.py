@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..errors import MemoryFault
-from ..state import decode_bytes, encode_bytes
+from ..state import Snapshotable, decode_bytes, encode_bytes
 
 MASK32 = 0xFFFFFFFF
 
@@ -29,8 +29,12 @@ DEFAULT_SIZE = 64 * 1024
 
 
 @dataclass
-class Memory:
-    """A flat little-endian byte store with word/byte access."""
+class Memory(Snapshotable):
+    """A flat little-endian byte store with word/byte access.
+
+    A snapshot is the compressed bytes plus the layout they belong to;
+    the layout is checked on restore, never set.
+    """
 
     size: int = DEFAULT_SIZE
     #: Addresses below this fault (null-pointer guard).

@@ -13,16 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import PlacementError
+from ..state import Snapshotable
 from .bitstream import Bitstream
 
 
 @dataclass
-class PFURegion:
-    """One PFU-sized placement region of the array."""
+class PFURegion(Snapshotable):
+    """One PFU-sized placement region of the array.
+
+    A snapshot records the resident image as its recipe, less the seed:
+    the seed is the machine's, which the region keeps.
+    """
 
     index: int
     clb_capacity: int
     resident: Bitstream | None = None
+    #: The machine seed every resident image is built with.
+    seed: int = 0
 
     @property
     def is_free(self) -> bool:
@@ -56,10 +63,6 @@ class PFURegion:
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        """Record the resident image as its recipe, less the seed.
-
-        The seed is the machine's, which :meth:`restore` is given back.
-        """
         resident = self.resident
         if resident is None:
             return {"resident": None}
@@ -75,28 +78,30 @@ class PFURegion:
             }
         }
 
-    def restore(self, state: dict, seed: int = 0) -> None:
+    def restore(self, state: dict) -> None:
         recipe = state["resident"]
         self.resident = None
         if recipe is not None:
             # Through load_static, so an image read from a checkpoint
             # meets the same capacity check as a live load.
-            self.load_static(Bitstream(**recipe, seed=seed))
+            self.load_static(Bitstream(**recipe, seed=self.seed))
 
 
 @dataclass
-class FPLArray:
+class FPLArray(Snapshotable):
     """The whole reconfigurable array as seen by the CIS."""
+
+    STATE = ("regions",)
 
     regions: list[PFURegion] = field(default_factory=list)
 
     @classmethod
-    def build(cls, pfu_count: int, pfu_clbs: int) -> "FPLArray":
+    def build(cls, pfu_count: int, pfu_clbs: int, seed: int = 0) -> "FPLArray":
         if pfu_count <= 0:
             raise PlacementError("array needs at least one PFU region")
         return cls(
             regions=[
-                PFURegion(index=i, clb_capacity=pfu_clbs)
+                PFURegion(index=i, clb_capacity=pfu_clbs, seed=seed)
                 for i in range(pfu_count)
             ]
         )
@@ -119,14 +124,3 @@ class FPLArray:
         if not 0 <= index < len(self.regions):
             raise PlacementError(f"no PFU region {index}")
         return self.regions[index]
-
-    # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        return {"regions": [region.snapshot() for region in self.regions]}
-
-    def restore(self, state: dict, seed: int = 0) -> None:
-        saved = state["regions"]
-        if len(saved) != len(self.regions):
-            raise PlacementError("array snapshot does not match geometry")
-        for region, entry in zip(self.regions, saved):
-            region.restore(entry, seed=seed)

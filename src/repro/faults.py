@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ReproError
+from .state import Snapshotable, decode_int_keys, encode_int_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.circuit import CircuitInstance
@@ -162,7 +163,7 @@ def plan_from_dict(payload: dict) -> FaultPlan:
 
 
 @dataclass
-class FaultInjector:
+class FaultInjector(Snapshotable):
     """Executes a :class:`FaultPlan` against one machine.
 
     Keeps the ground truth of every live fault: ``upsets`` maps a region
@@ -172,6 +173,8 @@ class FaultInjector:
     kernel's job — the injector only injects, answers queries, and
     counts what escaped.
     """
+
+    STATE = ("quantum", "silent_corruptions", "state_corruptions")
 
     plan: FaultPlan
     rng: random.Random = field(init=False)
@@ -347,22 +350,18 @@ class FaultInjector:
         version, internal, gauss = self.rng.getstate()
         return {
             "rng": [version, list(internal), gauss],
-            "quantum": self.quantum,
-            "upsets": {str(k): v for k, v in sorted(self.upsets.items())},
-            "armed": {str(k): v for k, v in sorted(self.armed.items())},
+            "upsets": encode_int_keys(self.upsets),
+            "armed": encode_int_keys(self.armed),
             "quarantined": sorted(self.quarantined),
-            "strikes": {str(k): v for k, v in sorted(self.strikes.items())},
-            "silent_corruptions": self.silent_corruptions,
-            "state_corruptions": self.state_corruptions,
+            "strikes": encode_int_keys(self.strikes),
+            **super().snapshot(),
         }
 
     def restore(self, state: dict) -> None:
         version, internal, gauss = state["rng"]
         self.rng.setstate((version, tuple(internal), gauss))
-        self.quantum = state["quantum"]
-        self.upsets = {int(k): v for k, v in state["upsets"].items()}
-        self.armed = {int(k): v for k, v in state["armed"].items()}
+        self.upsets = decode_int_keys(state["upsets"])
+        self.armed = decode_int_keys(state["armed"])
         self.quarantined = set(state["quarantined"])
-        self.strikes = {int(k): v for k, v in state["strikes"].items()}
-        self.silent_corruptions = state["silent_corruptions"]
-        self.state_corruptions = state["state_corruptions"]
+        self.strikes = decode_int_keys(state["strikes"])
+        super().restore(state)

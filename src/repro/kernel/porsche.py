@@ -26,6 +26,7 @@ from ..cpu.exceptions import (
 from ..cpu.program import Program
 from ..errors import KernelError, ProcessKilled, ReproError
 from ..faults import FaultInjector
+from ..state import Snapshotable
 from ..trace.bus import TraceBus
 from ..trace.counters import KernelStats  # re-export: the derived view
 from .cis import CustomInstructionScheduler
@@ -40,13 +41,24 @@ __all__ = ["KernelStats", "Porsche"]
 MASK32 = 0xFFFFFFFF
 
 
-class Porsche:
+class Porsche(Snapshotable):
     """The kernel instance owning one simulated machine's software state.
 
     All accounting flows through ``self.trace``, the machine event bus
     shared by every layer; ``self.stats`` is the bus counter sink's
     :class:`~repro.trace.counters.KernelStats` view.
+
+    A snapshot holds every process PCB, the scheduler queue, the
+    replacement policy, the coprocessor and the trace counters.  Program
+    images and bitstreams are not serialised — they are pure functions
+    of the experiment spec and the machine config, so ``restore``
+    expects a kernel freshly built the same way with the same programs
+    spawned in the same order.
     """
+
+    STATE = (
+        "clock", "_next_pid", "scheduler", "policy", "coprocessor", "counters",
+    )
 
     def __init__(
         self,
@@ -62,7 +74,7 @@ class Porsche:
         self.trace.bind_clock(lambda: kernel().clock)
         self.coprocessor = ProteusCoprocessor(config=config, trace=self.trace)
         self.processes: dict[int, Process] = {}
-        self.scheduler = RoundRobinScheduler()
+        self.scheduler = RoundRobinScheduler(processes=self.processes)
         self.policy = policy or make_policy("round_robin", seed=config.seed)
         self.injector = (
             FaultInjector(config.fault_plan)
@@ -93,7 +105,8 @@ class Porsche:
         #: ``config.quantum_cycles`` is derived on every read; the config
         #: is frozen, so read it once.
         self._quantum_cycles = config.quantum_cycles
-        self.stats = self.trace.counters.kernel
+        self.counters = self.trace.counters
+        self.stats = self.counters.kernel
         self._next_pid = 1
         self._last_running: Process | None = None
         #: PIDs the synthesiser has already decided about.  A pure
@@ -431,30 +444,12 @@ class Porsche:
     # machine-state protocol
     # -------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Whole-kernel state: every process PCB, the scheduler queue,
-        the replacement policy, the coprocessor, and the trace counters.
-
-        Program images and bitstreams are not serialised — they are pure
-        functions of the experiment spec and the machine config, so
-        ``restore`` expects a kernel freshly built the same way with the
-        same programs spawned in the same order.
-        """
-        state = {
-            "clock": self.clock,
-            "next_pid": self._next_pid,
-            "last_running": (
-                self._last_running.pid
-                if self._last_running is not None
-                else None
-            ),
-            "processes": {
-                str(pid): process.snapshot()
-                for pid, process in self.processes.items()
-            },
-            "scheduler": self.scheduler.snapshot(),
-            "policy": self.policy.snapshot(),
-            "coprocessor": self.coprocessor.snapshot(),
-            "counters": self.trace.counters.snapshot(),
+        state = super().snapshot()
+        last = self._last_running
+        state["last_running"] = last.pid if last is not None else None
+        state["processes"] = {
+            str(pid): process.snapshot()
+            for pid, process in self.processes.items()
         }
         # Key present only when a fault plan is active, so checkpoints of
         # injection-free machines keep their pre-fault byte layout.
@@ -478,39 +473,32 @@ class Porsche:
                 "in the same order before restoring"
             )
         for pid, process in self.processes.items():
-            process.restore(saved[pid], self.config)
+            process.restore(saved[pid])
         # The synthesis memo is wall-clock only; after a restore the
         # decision state is re-derived from the restored registrations
         # (a pre-adoption snapshot must be free to adopt again).
         self._synth_done.clear()
-        self.scheduler.restore(state["scheduler"], self.processes)
-        self.policy.restore(state["policy"])
+        super().restore(state)
         # Re-attach circuit instances to their PFU slots.  Each loaded
         # registration names its PFU; aliases share the Registration
-        # object, so de-duplicate by identity.
-        instances: list = [None] * len(self.coprocessor.pfus)
+        # object, so one attach per PFU suffices.
+        pfus = self.coprocessor.pfus.pfus
+        for pfu in pfus:
+            pfu.instance = None
         for process in self.processes.values():
-            seen: set[int] = set()
             for registration in process.registrations.values():
-                if id(registration) in seen:
-                    continue
-                seen.add(id(registration))
                 if registration.pfu_index is not None:
-                    instances[registration.pfu_index] = registration.instance
-        self.coprocessor.restore(
-            state["coprocessor"], instances, seed=self.config.seed
-        )
-        self.trace.counters.restore(state["counters"])
+                    pfus[registration.pfu_index].instance = (
+                        registration.instance
+                    )
         if self.injector is not None:
             self.injector.restore(state["faults"])
         if self.predictor is not None:
             self.predictor.restore(state["prefetch"]["model"])
             self.cis.engine.restore(state["prefetch"]["engine"])
-        self.clock = state["clock"]
-        self._next_pid = state["next_pid"]
         last = state["last_running"]
         self._last_running = self.processes[last] if last is not None else None
         # The counter sink owns per-pid stat bags; keep each PCB's alias
         # pointed at the (mutated-in-place) view.
         for pid, process in self.processes.items():
-            process.stats = self.trace.counters.process(pid)
+            process.stats = self.counters.process(pid)

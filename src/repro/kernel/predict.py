@@ -24,11 +24,12 @@ boundary.
 from __future__ import annotations
 
 from ..prefetch import PrefetchPlan
+from ..state import Snapshotable, decode_int_keys, encode_int_keys
 
 __all__ = ["TransitionModel", "TransferEngine"]
 
 
-class TransitionModel:
+class TransitionModel(Snapshotable):
     """Per-process CID-transition statistics with integer confidence."""
 
     __slots__ = ("plan", "_last", "_streak", "_counts", "_runs")
@@ -145,46 +146,20 @@ class TransitionModel:
     # ---- machine-state protocol --------------------------------------------
     def snapshot(self) -> dict:
         return {
-            "last": {str(pid): cid for pid, cid in sorted(self._last.items())},
-            "streak": {
-                str(pid): count for pid, count in sorted(self._streak.items())
-            },
-            "counts": {
-                str(pid): {
-                    str(src): {
-                        str(dst): count for dst, count in sorted(table.items())
-                    }
-                    for src, table in sorted(tables.items())
-                }
-                for pid, tables in sorted(self._counts.items())
-            },
-            "runs": {
-                str(pid): {
-                    str(cid): list(pair) for cid, pair in sorted(runs.items())
-                }
-                for pid, runs in sorted(self._runs.items())
-            },
+            "last": encode_int_keys(self._last),
+            "streak": encode_int_keys(self._streak),
+            "counts": encode_int_keys(self._counts),
+            "runs": encode_int_keys(self._runs),
         }
 
     def restore(self, state: dict) -> None:
-        self._last = {int(pid): cid for pid, cid in state["last"].items()}
-        self._streak = {
-            int(pid): count for pid, count in state["streak"].items()
-        }
-        self._counts = {
-            int(pid): {
-                int(src): {int(dst): count for dst, count in table.items()}
-                for src, table in tables.items()
-            }
-            for pid, tables in state["counts"].items()
-        }
-        self._runs = {
-            int(pid): {int(cid): list(pair) for cid, pair in runs.items()}
-            for pid, runs in state["runs"].items()
-        }
+        self._last = decode_int_keys(state["last"])
+        self._streak = decode_int_keys(state["streak"])
+        self._counts = decode_int_keys(state["counts"])
+        self._runs = decode_int_keys(state["runs"])
 
 
-class TransferEngine:
+class TransferEngine(Snapshotable):
     """The config bus as a time-shared resource: one speculative
     transfer streams during cycles demand traffic leaves idle.
 
@@ -195,6 +170,8 @@ class TransferEngine:
     """
 
     __slots__ = ("entry",)
+
+    STATE = ("entry",)
 
     def __init__(self) -> None:
         #: The single in-flight transfer: ``{pid, cid, pfu, total, end}``
@@ -246,10 +223,3 @@ class TransferEngine:
         self.entry = None
         return entry
 
-    # ---- machine-state protocol --------------------------------------------
-    def snapshot(self) -> dict:
-        return {"entry": None if self.entry is None else dict(self.entry)}
-
-    def restore(self, state: dict) -> None:
-        entry = state["entry"]
-        self.entry = None if entry is None else dict(entry)

@@ -16,6 +16,7 @@ from ..cpu.isa import code_address
 from ..cpu.memory import Memory
 from ..cpu.program import Program
 from ..errors import KernelError
+from ..state import Snapshotable
 from ..trace.counters import ProcessStats  # re-export: the derived view
 
 __all__ = [
@@ -43,13 +44,20 @@ _LIVE = (ProcessState.READY, ProcessState.RUNNING)
 
 
 @dataclass
-class Registration:
+class Registration(Snapshotable):
     """One (CID → custom instruction) registration for a process.
 
     ``pfu_index`` is the kernel's record of where the instance currently
     resides: ``None`` means swapped out (state held in ``instance``).
     ``soft_address`` is the optional software alternative entry point.
+    A restore fills in a registration built around a fresh instance of
+    the same circuit.
     """
+
+    STATE = (
+        "cid", "soft_address", "pfu_index", "table_index", "loads",
+        "evictions", "soft_mapped", "instance",
+    )
 
     cid: int
     instance: CircuitInstance
@@ -75,19 +83,7 @@ class Registration:
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        snap = {
-            "cid": self.cid,
-            "soft_address": self.soft_address,
-            "pfu_index": self.pfu_index,
-            "table_index": self.table_index,
-            "loads": self.loads,
-            "evictions": self.evictions,
-            "soft_mapped": self.soft_mapped,
-            "instance": {
-                "words": self.instance.capture_words(),
-                "completions": self.instance.completions,
-            },
-        }
+        snap = super().snapshot()
         if self.synth is not None:
             # Absent when unused: synthesis-free checkpoints keep their
             # pre-synthesis byte layout.
@@ -97,10 +93,26 @@ class Registration:
             snap["prefetched"] = self.prefetched
         return snap
 
+    def restore(self, state: dict) -> None:
+        super().restore(state)
+        synth = state.get("synth")
+        self.synth = dict(synth) if synth is not None else None
+        self.prefetched = state.get("prefetched", 0)
+
 
 @dataclass
-class Process:
-    """A POrSCHE process: program image + execution contexts + PCB."""
+class Process(Snapshotable):
+    """A POrSCHE process: program image + execution contexts + PCB.
+
+    A snapshot holds everything but the program image, which is rebuilt
+    from the spec.  Registrations are stored canonically (``reg.cid``
+    keys the entry); alias CIDs map to the canonical CID so a restore
+    re-shares the same :class:`Registration` object, and rebuilds each
+    circuit instance from the program's circuit table (or re-derives a
+    synthesised one) before filling in its saved state.
+    """
+
+    STATE = ("pid", "cpu", "completion_cycle", "exit_status", "kill_reason")
 
     pid: int
     program: Program
@@ -154,12 +166,6 @@ class Process:
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        """Everything but the program image, which is rebuilt from spec.
-
-        Registrations are stored canonically (``reg.cid`` keys the entry);
-        alias CIDs map to the canonical CID so restore can re-share the
-        same :class:`Registration` object.
-        """
         canonical = []
         aliases = {}
         for cid, reg in sorted(self.registrations.items()):
@@ -168,37 +174,34 @@ class Process:
             else:
                 aliases[str(cid)] = reg.cid
         return {
-            "pid": self.pid,
+            **super().snapshot(),
             "state": self.state.value,
-            "cpu": self.cpu.snapshot(),
             "coproc_context": {
                 "regfile": list(self.coproc_context["regfile"]),
                 "operands": list(self.coproc_context["operands"]),
             },
             "registrations": canonical,
             "aliases": aliases,
+            # Grows as the process runs, so outside the fixed-length
+            # list rule.
             "output": list(self.output),
-            "completion_cycle": self.completion_cycle,
-            "exit_status": self.exit_status,
-            "kill_reason": self.kill_reason,
         }
 
-    def restore(self, state: dict, config) -> None:
-        """Reinstate PCB state; circuit instances are rebuilt from the
-        program's circuit table and their captured CLB words."""
+    def restore(self, state: dict) -> None:
         if state["pid"] != self.pid:
             raise KernelError(
                 f"snapshot for pid {state['pid']} restored into "
                 f"pid {self.pid}"
             )
+        super().restore(state)
         self.state = ProcessState(state["state"])
-        self.cpu.restore(state["cpu"])
         context = state["coproc_context"]
         operands = context["operands"]
         self.coproc_context = {
             "regfile": list(context["regfile"]),
             "operands": [*operands[:3], bool(operands[3])],
         }
+        config = self.cpu.config
         self.registrations = {}
         synth_program: Program | None = None
         for entry in state["registrations"]:
@@ -223,23 +226,13 @@ class Process:
                 )
             else:
                 spec = self.program.circuit(entry["table_index"])
-            instance = spec.instantiate(
-                pid=self.pid, config=config, seed=config.seed
-            )
-            instance.restore_words(entry["instance"]["words"])
-            instance.completions = entry["instance"]["completions"]
             registration = Registration(
                 cid=entry["cid"],
-                instance=instance,
-                soft_address=entry["soft_address"],
-                pfu_index=entry["pfu_index"],
-                table_index=entry["table_index"],
-                loads=entry["loads"],
-                evictions=entry["evictions"],
-                soft_mapped=entry["soft_mapped"],
-                prefetched=entry.get("prefetched", 0),
-                synth=dict(synth) if synth is not None else None,
+                instance=spec.instantiate(
+                    pid=self.pid, config=config, seed=config.seed
+                ),
             )
+            registration.restore(entry)
             self.registrations[registration.cid] = registration
         if synth_program is not None:
             self.adopt_program(synth_program)
@@ -252,9 +245,6 @@ class Process:
         for cid, target in state["aliases"].items():
             self.registrations[int(cid)] = self.registrations[target]
         self.output = list(state["output"])
-        self.completion_cycle = state["completion_cycle"]
-        self.exit_status = state["exit_status"]
-        self.kill_reason = state["kill_reason"]
 
 
 def create_process(pid: int, program: Program, config, coprocessor) -> Process:

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from ..config import MachineConfig
 from ..core.pfu import PFU, PFUBank
 from ..errors import KernelError
+from ..state import Snapshotable, decode_int_keys, encode_int_keys
 
 
-class ReplacementPolicy(ABC):
-    """Strategy interface for victim selection."""
+class ReplacementPolicy(Snapshotable, ABC):
+    """Strategy interface for victim selection (stateless by default)."""
 
     #: Short name used by experiment configuration and reports.
     name: str = "abstract"
@@ -40,14 +41,6 @@ class ReplacementPolicy(ABC):
     def reset(self) -> None:
         """Forget history (new experiment run)."""
 
-    # ---- machine-state protocol -------------------------------------------
-    def snapshot(self) -> dict:
-        """Stateless by default; stateful policies override."""
-        return {}
-
-    def restore(self, state: dict) -> None:
-        pass
-
 
 def _require_candidates(candidates: list[PFU]) -> None:
     if not candidates:
@@ -62,6 +55,8 @@ class RoundRobinReplacement(ReplacementPolicy):
     scheduler: processes tend to lose their circuits right after a context
     switch.
     """
+
+    STATE = ("_hand",)
 
     name: str = field(default="round_robin", init=False)
     _hand: int = 0
@@ -80,12 +75,6 @@ class RoundRobinReplacement(ReplacementPolicy):
 
     def reset(self) -> None:
         self._hand = 0
-
-    def snapshot(self) -> dict:
-        return {"hand": self._hand}
-
-    def restore(self, state: dict) -> None:
-        self._hand = state["hand"]
 
 
 @dataclass
@@ -118,6 +107,8 @@ class _CounterTrackingPolicy(ReplacementPolicy):
     bookkeeping from the observed counts.
     """
 
+    STATE = ("_time",)
+
     _last_used: dict[int, int] = field(default_factory=dict)
     _referenced: dict[int, bool] = field(default_factory=dict)
     _time: int = 0
@@ -143,16 +134,15 @@ class _CounterTrackingPolicy(ReplacementPolicy):
 
     def snapshot(self) -> dict:
         return {
-            "last_used": {str(k): v for k, v in self._last_used.items()},
-            "referenced": {str(k): v for k, v in self._referenced.items()},
-            "time": self._time,
+            "last_used": encode_int_keys(self._last_used),
+            "referenced": encode_int_keys(self._referenced),
+            **super().snapshot(),
         }
 
     def restore(self, state: dict) -> None:
-        # JSON stringifies int dict keys; convert them back.
-        self._last_used = {int(k): v for k, v in state["last_used"].items()}
-        self._referenced = {int(k): v for k, v in state["referenced"].items()}
-        self._time = state["time"]
+        self._last_used = decode_int_keys(state["last_used"])
+        self._referenced = decode_int_keys(state["referenced"])
+        super().restore(state)
 
 
 @dataclass
@@ -172,6 +162,8 @@ class LRUReplacement(_CounterTrackingPolicy):
 @dataclass
 class SecondChanceReplacement(_CounterTrackingPolicy):
     """Clock algorithm over the PFUs using counter-derived reference bits."""
+
+    STATE = ("_time", "_hand")
 
     name: str = field(default="second_chance", init=False)
     _hand: int = 0
@@ -204,15 +196,6 @@ class SecondChanceReplacement(_CounterTrackingPolicy):
     def reset(self) -> None:
         super().reset()
         self._hand = 0
-
-    def snapshot(self) -> dict:
-        state = super().snapshot()
-        state["hand"] = self._hand
-        return state
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        self._hand = state["hand"]
 
 
 #: Registry used by experiment configuration.

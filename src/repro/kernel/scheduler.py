@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import KernelError
+from ..state import Snapshotable
 from .process import Process, ProcessState
 
 #: Bound once: an ``Enum`` member read through its class is slow, and
@@ -20,14 +21,22 @@ _RUNNING = ProcessState.RUNNING
 
 
 @dataclass
-class RoundRobinScheduler:
-    """Circular ready queue with O(1) rotation."""
+class RoundRobinScheduler(Snapshotable):
+    """Circular ready queue with O(1) rotation.
+
+    A snapshot saves the queue as pids, verbatim, including dead
+    processes that :meth:`pick` has not yet lazily dropped; a restore
+    resolves them through ``processes``, the kernel's process table.
+    """
+
+    STATE = ("last_pid", "picks", "switches")
 
     _queue: deque[Process] = field(default_factory=deque)
     last_pid: int | None = None
     #: Statistics.
     picks: int = 0
     switches: int = 0
+    processes: dict[int, Process] = field(default_factory=dict, repr=False)
 
     def add(self, process: Process) -> None:
         if not process.alive:
@@ -79,17 +88,12 @@ class RoundRobinScheduler:
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        """Queue order as pids — verbatim, including dead processes that
-        ``pick`` has not yet lazily dropped."""
         return {
             "queue": [process.pid for process in self._queue],
-            "last_pid": self.last_pid,
-            "picks": self.picks,
-            "switches": self.switches,
+            **super().snapshot(),
         }
 
-    def restore(self, state: dict, processes: dict[int, Process]) -> None:
+    def restore(self, state: dict) -> None:
+        processes = self.processes
         self._queue = deque(processes[pid] for pid in state["queue"])
-        self.last_pid = state["last_pid"]
-        self.picks = state["picks"]
-        self.switches = state["switches"]
+        super().restore(state)

@@ -10,9 +10,9 @@ lifecycle::
     state = machine.checkpoint()          # checkpoint (JSON-serialisable)
     other = Machine.resume(state)         # resume in any interpreter
 
-Checkpoints build on the machine-state protocol of :mod:`repro.state`:
-every stateful component exposes ``snapshot()``/``restore()``, and the
-facade aggregates them into one JSON document.  Immutable inputs —
+Checkpoints build on :class:`repro.state.Snapshotable`: every stateful
+component declares its state once and inherits ``snapshot()``/
+``restore()``, and the facade aggregates them into one JSON document.  Immutable inputs —
 program images, circuit bitstreams — are *not* serialised; they are pure
 functions of the :class:`~repro.sim.experiment.ExperimentSpec`, so a
 resumed machine rebuilds them deterministically and restores only the

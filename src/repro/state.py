@@ -1,24 +1,43 @@
-"""The uniform machine-state protocol.
+"""The machine-state base class every checkpointed component inherits.
 
 Every stateful component of the simulated machine — CPU contexts,
-coprocessor structures, kernel bookkeeping, trace counters — implements
-the same two-method protocol:
+coprocessor structures, kernel bookkeeping, trace counters — is a
+:class:`Snapshotable` and names its plain state once, in a ``STATE``
+tuple of attribute names.  The generic :meth:`~Snapshotable.snapshot`
+and :meth:`~Snapshotable.restore` read that tuple:
 
-* ``snapshot() -> dict`` — capture the component's mutable state as a
-  JSON-serialisable dictionary (plain ints, strings, bools, lists and
-  dicts only; byte blobs go through :func:`encode_bytes`);
-* ``restore(state)`` — reinstate a snapshot **in place**, mutating the
-  existing object rather than rebinding it.  In-place restoration is
-  load-bearing: the compiled CPU tiers capture the register list,
-  flags and memory objects by reference, so a restore must never replace
-  them.
+* **Key.** A field's key is its attribute name without a leading
+  underscore (``_fifo_hand`` is saved as ``"fifo_hand"``).
+* **Child.** A :class:`Snapshotable` value is snapshotted and restored
+  in place.
+* **List.** A list is copied in place, never rebound: the compiled CPU
+  tiers hold the register list by reference.  A list of components
+  restores each item in place.  A saved list of another length raises
+  :class:`~repro.errors.CheckpointError` naming the class and field.
+* **Anything else** is set; a dict is copied, so the document and the
+  component never share one.
 
-Components that reference other live objects (the scheduler's ready
-queue holds :class:`~repro.kernel.process.Process` objects, a PFU holds
-a :class:`~repro.core.circuit.CircuitInstance`) serialise stable *keys*
-(PIDs, (pid, cid) tuples) and take a resolver argument on ``restore``;
-the :class:`~repro.machine.Machine` facade owns the cross-component
-wiring.
+The snapshot is a JSON-serialisable dictionary (plain ints, strings,
+bools, lists and dicts; byte blobs go through :func:`encode_bytes`).
+
+A component overrides ``snapshot``/``restore`` (calling ``super()``)
+only for what the rules cannot express:
+
+* references the facade resolves: the scheduler queue (pids), the
+  circuit instance in each PFU (re-attached from the registrations that
+  own it), the process table and the last-running process;
+* bytes (:class:`~repro.cpu.memory.Memory`) and packed words (a circuit
+  instance's state section, the operand registers' context layout);
+* int-keyed maps, which JSON stringifies (:func:`encode_int_keys`):
+  fault bookkeeping, the transition model, LRU/second-chance history
+  and the per-pid counters;
+* enum values, sets and RNG state;
+* sections that stay *absent* while a plan is off, so plan-free
+  checkpoints keep their layout: the kernel's ``faults``/``prefetch``,
+  the counters' ``faults``/``prefetch`` and a registration's
+  ``synth``/``prefetched``;
+* side effects: a TLB or dispatch-unit restore bumps its
+  ``generation`` so memoized dispatch sites re-resolve.
 
 The paper's state-section mechanism (§4.4) is the hardware seed of this
 idea — circuit state is explicitly save/restorable so the OS can manage
@@ -30,22 +49,66 @@ from __future__ import annotations
 
 import base64
 import zlib
-from typing import Any, Protocol, runtime_checkable
+from typing import ClassVar
 
-__all__ = ["Snapshotable", "encode_bytes", "decode_bytes"]
+from .errors import CheckpointError
+
+__all__ = [
+    "Snapshotable",
+    "encode_bytes",
+    "decode_bytes",
+    "encode_int_keys",
+    "decode_int_keys",
+]
 
 
-@runtime_checkable
-class Snapshotable(Protocol):
-    """The uniform capture/reinstate protocol for machine components."""
+class Snapshotable:
+    """Base class of every checkpointed machine component."""
+
+    __slots__ = ()
+
+    #: Attribute names of the component's plain state, in document order.
+    STATE: ClassVar[tuple[str, ...]] = ()
 
     def snapshot(self) -> dict:
-        """Capture mutable state as a JSON-serialisable dictionary."""
-        ...
+        """Capture the ``STATE`` fields as a JSON-serialisable dict."""
+        state = {}
+        for name in self.STATE:
+            value = getattr(self, name)
+            if isinstance(value, Snapshotable):
+                value = value.snapshot()
+            elif isinstance(value, list):
+                value = [
+                    item.snapshot() if isinstance(item, Snapshotable) else item
+                    for item in value
+                ]
+            elif isinstance(value, dict):
+                value = dict(value)
+            state[name.lstrip("_")] = value
+        return state
 
-    def restore(self, state: dict, *args: Any, **kwargs: Any) -> None:
-        """Reinstate a snapshot in place."""
-        ...
+    def restore(self, state: dict) -> None:
+        """Reinstate the ``STATE`` fields of a snapshot in place."""
+        for name in self.STATE:
+            saved = state[name.lstrip("_")]
+            value = getattr(self, name)
+            if isinstance(value, Snapshotable):
+                value.restore(saved)
+            elif isinstance(value, list):
+                if len(saved) != len(value):
+                    raise CheckpointError(
+                        f"{type(self).__name__}.{name}: checkpoint holds "
+                        f"{len(saved)} items, expected {len(value)}"
+                    )
+                if value and isinstance(value[0], Snapshotable):
+                    for item, entry in zip(value, saved):
+                        item.restore(entry)
+                else:
+                    value[:] = saved
+            else:
+                setattr(
+                    self, name, dict(saved) if isinstance(saved, dict) else saved
+                )
 
 
 def encode_bytes(data: bytes) -> str:
@@ -60,3 +123,28 @@ def encode_bytes(data: bytes) -> str:
 def decode_bytes(text: str) -> bytes:
     """Inverse of :func:`encode_bytes`."""
     return zlib.decompress(base64.b64decode(text.encode("ascii")))
+
+
+def encode_int_keys(mapping: dict) -> dict:
+    """An int-keyed map, nested maps included, with the string keys JSON
+    needs, in key order; list values are copied."""
+    return {
+        str(key): (
+            encode_int_keys(value) if isinstance(value, dict)
+            else list(value) if isinstance(value, list)
+            else value
+        )
+        for key, value in sorted(mapping.items())
+    }
+
+
+def decode_int_keys(saved: dict) -> dict:
+    """Inverse of :func:`encode_int_keys`."""
+    return {
+        int(key): (
+            decode_int_keys(value) if isinstance(value, dict)
+            else list(value) if isinstance(value, list)
+            else value
+        )
+        for key, value in saved.items()
+    }

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
+from ..state import Snapshotable
 from . import events as ev
 
 __all__ = [
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 
-class _StatBag:
-    """Machine-state protocol shared by the counter dataclasses."""
+class _StatBag(Snapshotable):
+    """A counter dataclass, whose fields are its whole state."""
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -191,7 +192,7 @@ class _PerPid(dict):
         return stats
 
 
-class CounterSink:
+class CounterSink(Snapshotable):
     """Rebuilds the legacy stat bags from bus callbacks.
 
     One instance is attached to every bus by construction; the kernel
@@ -204,6 +205,8 @@ class CounterSink:
     """
 
     __slots__ = ("kernel", "cis", "dispatch", "faults", "prefetch", "_process")
+
+    STATE = ("kernel", "cis", "dispatch")
 
     def __init__(self) -> None:
         self.kernel = KernelStats()
@@ -355,14 +358,9 @@ class CounterSink:
 
     # ---- machine-state protocol --------------------------------------------
     def snapshot(self) -> dict:
-        state = {
-            "kernel": self.kernel.snapshot(),
-            "cis": self.cis.snapshot(),
-            "dispatch": dict(self.dispatch),
-            "process": {
-                str(pid): stats.snapshot()
-                for pid, stats in self._process.items()
-            },
+        state = super().snapshot()
+        state["process"] = {
+            str(pid): stats.snapshot() for pid, stats in self._process.items()
         }
         # Emitted only when fault injection left a mark, so checkpoints
         # of injection-free machines are byte-identical to pre-fault
@@ -379,10 +377,7 @@ class CounterSink:
         PCB alias the stat-bag objects owned here, so they must be
         mutated, not replaced.  JSON stringifies pid keys; convert back.
         """
-        self.kernel.restore(state["kernel"])
-        self.cis.restore(state["cis"])
-        self.dispatch = {"hit": 0, "soft": 0, "fault": 0}
-        self.dispatch.update(state["dispatch"])
+        super().restore(state)
         self.faults.restore(state.get("faults", FaultStats().snapshot()))
         self.prefetch.restore(
             state.get("prefetch", PrefetchStats().snapshot())
