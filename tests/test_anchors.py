@@ -455,6 +455,14 @@ EVENT_STREAMS = {
         51770,
         "1d07f6d78b999f529f61a00b16ce0972f8b5a2f73c48ef8cb1e27651c40bb57e",
     ),
+    # The plain demand swap path: round robin, no plans, every fault
+    # after the first four both evicts and loads.
+    "round_robin": (
+        ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
+                       scale=SCALE, policy="round_robin"),
+        236445,
+        "d539fa7b2da61ef6c0050a7870228e82d9a0f5159c1372ca691cfe2f077ce5b9",
+    ),
     # The other replacement policies: random and LRU pick from the
     # victim candidate list in its order, and LRU and second chance
     # read and clear the PFU usage counters at every decision.
@@ -491,6 +499,7 @@ EVENT_STREAMS = {
 EVENT_COVERAGE = {
     "fault:load", "fault:swap", "fault:share", "fault:soft",
     "fault:mapping", "fault:prefetch",
+    "circuit_evict", "circuit_load", "state_swap",
     "fault_recovered:reload", "fault_recovered:retry",
     "fault_recovered:fallback", "fault_recovered:quarantine",
     "prefetch_hit", "prefetch_wasted", "prefetch_cancelled:mispredict",

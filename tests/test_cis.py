@@ -9,6 +9,8 @@ from repro.cpu.program import Program
 from repro.errors import ProcessKilled
 from repro.kernel.porsche import Porsche
 from repro.kernel.process import ProcessState
+from repro.machine import Machine
+from repro.sim.experiment import ExperimentSpec
 
 SOFT_ADDRESS = 0x1000_0004
 
@@ -241,3 +243,63 @@ class TestSharing:
         __, action = kernel.cis.handle_fault(b, cid=1)
         assert action == "load"
         assert a.registration(1).pfu_index != b.registration(1).pfu_index
+
+
+def _check_bookkeeping(kernel: Porsche) -> None:
+    """The four records of what each PFU holds agree: the PFU's
+    instance, the owning registration's ``pfu_index``, the hardware-TLB
+    tuples naming the PFU and the region's resident image."""
+    coprocessor = kernel.coprocessor
+    pfus = coprocessor.pfus.pfus
+    claims = {}
+    for process in kernel.processes.values():
+        # Aliases share one Registration: count each object once.
+        unique = {id(r): r for r in process.registrations.values()}
+        for registration in unique.values():
+            index = registration.pfu_index
+            if index is None:
+                continue
+            assert index not in claims, f"PFU {index} claimed twice"
+            claims[index] = (process, registration)
+            assert pfus[index].instance is registration.instance
+    tuples = coprocessor.dispatch.hardware_tlb.contents()
+    for pfu in pfus:
+        naming = [key for key, value in tuples.items() if value == pfu.index]
+        if pfu.instance is None:
+            assert pfu.index not in claims
+            assert naming == [], (pfu.index, naming)
+            continue
+        process, registration = claims[pfu.index]
+        assert pfu.instance.pid == process.pid
+        resident = coprocessor.array.regions[pfu.index].resident
+        assert resident is not None
+        assert resident.name == pfu.instance.bitstream.name
+        for key in naming:
+            assert key.pid == process.pid
+            assert process.registration(key.cid) is registration
+
+
+@pytest.mark.parametrize("variant, action", [
+    (dict(policy="round_robin"), "swap"),
+    (dict(policy="random"), "swap"),
+    (dict(policy="round_robin", allow_sharing=True), "share"),
+], ids=["round_robin", "random", "share"])
+def test_swap_bookkeeping_agrees_after_every_fault(variant, action):
+    spec = ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
+                          scale=1 / 8000, **variant)
+    machine = Machine.from_spec(spec)
+    machine.spawn_instances()
+    cis = machine.kernel.cis
+    handle_fault = cis.handle_fault
+    faults = []
+
+    def checked(process, cid):
+        outcome = handle_fault(process, cid)
+        faults.append(outcome[1])
+        _check_bookkeeping(machine.kernel)
+        return outcome
+
+    cis.handle_fault = checked
+    machine.run()
+    assert machine.outcome(verify=True).verified
+    assert action in faults
