@@ -24,7 +24,7 @@ from ..cpu.exceptions import (
     SyscallTrap,
 )
 from ..cpu.program import Program
-from ..errors import KernelError, ProcessKilled, ReproError
+from ..errors import CheckpointError, KernelError, ProcessKilled, ReproError
 from ..faults import FaultInjector
 from ..state import Snapshotable
 from ..trace.bus import TraceBus
@@ -485,18 +485,31 @@ class Porsche(Snapshotable):
         pfus = self.coprocessor.pfus.pfus
         for pfu in pfus:
             pfu.instance = None
-        for process in self.processes.values():
+        for pid, process in self.processes.items():
             for registration in process.registrations.values():
-                if registration.pfu_index is not None:
-                    pfus[registration.pfu_index].instance = (
-                        registration.instance
+                index = registration.pfu_index
+                if index is None:
+                    continue
+                if not (type(index) is int and 0 <= index < len(pfus)):
+                    raise CheckpointError(
+                        f"pid {pid}: CID {registration.cid} names PFU "
+                        f"{index!r}; the machine has PFUs 0..{len(pfus) - 1}"
                     )
+                held = pfus[index].instance
+                if held is not None and held is not registration.instance:
+                    raise CheckpointError(
+                        f"PFU {index} is named by two registrations "
+                        f"(pids {held.pid} and {pid})"
+                    )
+                pfus[index].instance = registration.instance
         if self.injector is not None:
             self.injector.restore(state["faults"])
         if self.predictor is not None:
             self.predictor.restore(state["prefetch"]["model"])
             self.cis.engine.restore(state["prefetch"]["engine"])
         last = state["last_running"]
+        if last is not None and last not in self.processes:
+            raise CheckpointError(f"last_running names unknown pid {last!r}")
         self._last_running = self.processes[last] if last is not None else None
         # The counter sink owns per-pid stat bags; keep each PCB's alias
         # pointed at the (mutated-in-place) view.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..errors import KernelError
+from ..errors import CheckpointError, KernelError
 from ..state import Snapshotable
 from .process import Process, ProcessState
 
@@ -95,5 +95,10 @@ class RoundRobinScheduler(Snapshotable):
 
     def restore(self, state: dict) -> None:
         processes = self.processes
+        unknown = [pid for pid in state["queue"] if pid not in processes]
+        if unknown:
+            raise CheckpointError(
+                f"scheduler queue names unknown pids {unknown}"
+            )
         self._queue = deque(processes[pid] for pid in state["queue"])
         super().restore(state)

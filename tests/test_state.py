@@ -143,6 +143,40 @@ class TestMalformedCheckpoint:
         with pytest.raises(CheckpointError, match=r"PFUBank\.pfus"):
             _resumed_with(mutate)
 
+    @pytest.mark.parametrize("index", [9, -1, 1.0])
+    def test_registration_names_no_pfu(self, index):
+        def mutate(kernel):
+            registration = kernel["processes"]["1"]["registrations"][0]
+            assert registration["pfu_index"] is not None
+            registration["pfu_index"] = index
+
+        with pytest.raises(CheckpointError, match=r"pid 1: CID \d+ names PFU"):
+            _resumed_with(mutate)
+
+    def test_two_registrations_on_one_pfu(self):
+        def mutate(kernel):
+            first, second = (kernel["processes"][pid]["registrations"][0]
+                             for pid in ("1", "2"))
+            assert None not in (first["pfu_index"], second["pfu_index"])
+            second["pfu_index"] = first["pfu_index"]
+
+        with pytest.raises(CheckpointError, match="named by two registrations"):
+            _resumed_with(mutate)
+
+    def test_scheduler_queue_names_unknown_pid(self):
+        def mutate(kernel):
+            kernel["scheduler"]["queue"].append(9)
+
+        with pytest.raises(CheckpointError, match=r"unknown pids \[9\]"):
+            _resumed_with(mutate)
+
+    def test_last_running_names_unknown_pid(self):
+        def mutate(kernel):
+            kernel["last_running"] = 9
+
+        with pytest.raises(CheckpointError, match="unknown pid 9"):
+            _resumed_with(mutate)
+
     def test_output_may_grow(self):
         def mutate(kernel):
             kernel["processes"]["1"]["output"].append(7)
