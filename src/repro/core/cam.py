@@ -56,7 +56,8 @@ class CAM(Snapshotable, Generic[K]):
         Writing a key that is already valid in a *different* entry is
         rejected: hardware would then match two entries at once.
         """
-        self._check_entry(entry)
+        if not 0 <= entry < self.entries:
+            self._check_entry(entry)
         index = self._index
         existing = index.get(key)
         if existing is not None and existing != entry:
@@ -71,7 +72,8 @@ class CAM(Snapshotable, Generic[K]):
         index[key] = entry
 
     def invalidate_entry(self, entry: int) -> None:
-        self._check_entry(entry)
+        if not 0 <= entry < self.entries:
+            self._check_entry(entry)
         if self._valid[entry]:
             old = self._keys[entry]
             self._valid[entry] = False
@@ -107,6 +109,8 @@ class CAM(Snapshotable, Generic[K]):
             return None
 
     def _check_entry(self, entry: int) -> None:
+        """Raise :class:`TLBError` for an entry index out of range (the
+        slow path of the in-line checks above)."""
         if not 0 <= entry < self.entries:
             raise TLBError(f"CAM entry {entry} out of range 0..{self.entries - 1}")
 

@@ -192,24 +192,29 @@ class ProteusCoprocessor(Snapshotable):
         on the sharing path, where moving only state is the definition of
         the operation.
         """
-        pfu = self.pfus.pfu(pfu_index)
-        if pfu.configured:
+        pfus = self.pfus.pfus
+        if not 0 <= pfu_index < len(pfus):
+            self.pfus.pfu(pfu_index)  # raises the bank's PFUError
+        pfu = pfus[pfu_index]
+        if pfu.instance is not None:
             raise PFUError(
                 f"PFU {pfu_index} still holds "
                 f"{pfu.instance.spec.name!r}; unload it first"
             )
         if reuse_static is None:
             reuse_static = self.config.reuse_resident_static
-        region = self.array.region(pfu_index)
-        moved = 0
+        # The array has one region per PFU.
+        region = self.array.regions[pfu_index]
+        bitstream = instance.bitstream
         resident = region.resident
+        moved = 0
         if not (
             reuse_static
             and resident is not None
-            and resident.name == instance.bitstream.name
+            and resident.name == bitstream.name
         ):
-            moved += region.load_static(instance.bitstream)
-        moved += region.load_state(instance.bitstream)
+            moved = region.load_static(bitstream)
+        moved += region.load_state(bitstream)
         pfu.load(instance)
         return moved
 
@@ -221,10 +226,12 @@ class ProteusCoprocessor(Snapshotable):
         resident in the region so a later reload of the *same* circuit is
         cheap; loading a different circuit overwrites it.
         """
-        pfu = self.pfus.pfu(pfu_index)
-        instance = pfu.unload()
+        pfus = self.pfus.pfus
+        if not 0 <= pfu_index < len(pfus):
+            self.pfus.pfu(pfu_index)  # raises the bank's PFUError
+        instance = pfus[pfu_index].unload()
         if not keep_static:
-            self.array.region(pfu_index).unload()
+            self.array.regions[pfu_index].unload()
         self.dispatch.unmap_pfu(pfu_index)
         return instance, instance.bitstream.state_bytes
 
@@ -232,22 +239,36 @@ class ProteusCoprocessor(Snapshotable):
     def save_context(self, into: dict | None = None) -> dict:
         """Capture per-process coprocessor state for the PCB.
 
-        Only the register file and operand registers move on a context
-        switch; PFU contents and TLB mappings are PID-tagged and stay put
-        — the architectural point of the paper.  ``into`` is a context
-        this method or :meth:`fresh_context` made: the kernel passes the
-        outgoing process's own, and it is overwritten in place, so a
-        switch allocates nothing.
+        ``into`` is a context this method or :meth:`fresh_context` made:
+        it is overwritten in place, so saving allocates nothing.
         """
         if into is None:
             into = self.fresh_context()
-        into["regfile"][:] = self.regfile.words
-        self.operand_regs.save_into(into["operands"])
+        self.switch_context(into, None)
         return into
 
     def restore_context(self, saved: dict) -> None:
-        self.regfile.load(saved["regfile"])
-        self.operand_regs.restore(saved["operands"])
+        self.switch_context(None, saved)
+
+    def switch_context(
+        self, outgoing: dict | None, incoming: dict | None
+    ) -> None:
+        """A process switch in one call: save the register file and
+        operand registers into the ``outgoing`` context, then install
+        the ``incoming`` one; either may be ``None``.
+
+        Only these registers move on a context switch; PFU contents and
+        TLB mappings are PID-tagged and stay put — the architectural
+        point of the paper.
+        """
+        regfile = self.regfile
+        operands = self.operand_regs
+        if outgoing is not None:
+            outgoing["regfile"][:] = regfile.words
+            operands.save_into(outgoing["operands"])
+        if incoming is not None:
+            regfile.load(incoming["regfile"])
+            operands.restore(incoming["operands"])
 
     def fresh_context(self) -> dict:
         return {

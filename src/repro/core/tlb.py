@@ -52,15 +52,15 @@ class DispatchTLB(Snapshotable):
     hits: int = 0
     insertions: int = 0
     evictions: int = 0
-    #: Monotonic mutation counter: bumped whenever the set of live
-    #: mappings may have changed (insert/remove/flush/restore).  Memoized
-    #: dispatch sites compare generations instead of re-walking the CAM;
-    #: the counter is transient and deliberately absent from snapshots.
-    generation: int = 0
+    #: RAM word -> the valid entries holding it, so dropping every
+    #: mapping to one PFU is a lookup instead of a walk over the CAM.
+    #: Derived from ``cam`` and ``ram``; rebuilt by :meth:`restore`.
+    _holders: dict[int, set[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.cam = CAM(entries=self.entries, make_key=IDTuple._make)
         self.ram = [0] * self.entries
+        self._holders = {}
 
     # ---- datapath-side -----------------------------------------------------
     def lookup(self, key: IDTuple) -> int | None:
@@ -78,37 +78,51 @@ class DispatchTLB(Snapshotable):
 
         Re-inserting an existing key simply rewrites its RAM word.
         """
-        self.generation += 1
         self.insertions += 1
-        existing = self.cam.match(key)
-        if existing is not None:
-            self.ram[existing] = value
-            return None
-        entry = self.cam.free_entry()
+        cam = self.cam
+        ram = self.ram
+        holders = self._holders
+        entry = cam.match(key)
         evicted: IDTuple | None = None
-        if entry is None:
-            entry = self._fifo_hand
-            self._fifo_hand = (self._fifo_hand + 1) % self.entries
-            evicted = self.cam.key_at(entry)
-            if evicted is not None:
-                self.evictions += 1
-        self.cam.write(entry, key)
-        self.ram[entry] = value
+        if entry is not None:
+            if ram[entry] == value:
+                return None
+            holders[ram[entry]].discard(entry)
+        else:
+            entry = cam.free_entry()
+            if entry is None:
+                entry = self._fifo_hand
+                self._fifo_hand = (entry + 1) % self.entries
+                evicted = cam.key_at(entry)
+                if evicted is not None:
+                    self.evictions += 1
+                    holders[ram[entry]].discard(entry)
+            cam.write(entry, key)
+        ram[entry] = value
+        held = holders.get(value)
+        if held is None:
+            holders[value] = {entry}
+        else:
+            held.add(entry)
         return evicted
 
     def remove(self, key: IDTuple) -> bool:
         """Invalidate one mapping; True if it was present."""
-        self.generation += 1
-        return self.cam.invalidate_key(key)
+        entry = self.cam.match(key)
+        if entry is None:
+            return False
+        self.cam.invalidate_entry(entry)
+        self._holders[self.ram[entry]].discard(entry)
+        return True
 
     def remove_pid(self, pid: int) -> int:
         """Invalidate every mapping belonging to ``pid`` (process exit)."""
-        self.generation += 1
         cam = self.cam
         removed = 0
         for key, entry in cam.items():
             if key.pid == pid:
                 cam.invalidate_entry(entry)
+                self._holders[self.ram[entry]].discard(entry)
                 removed += 1
         return removed
 
@@ -118,29 +132,33 @@ class DispatchTLB(Snapshotable):
         Used when a circuit is evicted from a PFU: all tuples naming that
         PFU must fault until the CIS reinstalls them.
         """
-        self.generation += 1
-        cam = self.cam
-        ram = self.ram
-        removed = 0
-        for _key, entry in cam.items():
-            if ram[entry] == value:
-                cam.invalidate_entry(entry)
-                removed += 1
+        entries = self._holders.get(value)
+        if not entries:
+            return 0
+        invalidate = self.cam.invalidate_entry
+        for entry in entries:
+            invalidate(entry)
+        removed = len(entries)
+        # Emptied, not dropped: the PFU's next mapping reuses the set.
+        entries.clear()
         return removed
 
     def flush(self) -> int:
         """Invalidate everything (PRISC baseline behaviour, not Proteus)."""
-        self.generation += 1
         cam = self.cam
         items = cam.items()
         for _key, entry in items:
             cam.invalidate_entry(entry)
+        self._holders.clear()
         return len(items)
 
     # ---- machine-state protocol -------------------------------------------
     def restore(self, state: dict) -> None:
-        self.generation += 1
         super().restore(state)
+        ram = self.ram
+        holders = self._holders = {}
+        for _key, entry in self.cam.items():
+            holders.setdefault(ram[entry], set()).add(entry)
 
     # ---- introspection ----------------------------------------------------
     def contents(self) -> dict[IDTuple, int]:

@@ -40,7 +40,7 @@ A fault is resolved in one pass, in this order:
    circuit whose tuple fell out of the TLB is remapped;
 3. a prefetch still in flight for the faulting process is settled
    against the demand (partial hit, or cancelled as a mispredict);
-4. :meth:`~CustomInstructionScheduler._scan` walks the PFU bank once,
+4. :meth:`~CustomInstructionScheduler._scan` reads the PFU bank once,
    yielding the free PFU (a region still holding the circuit's static
    image first) and the configured PFUs in index order;
 5. a free PFU takes the load;
@@ -58,20 +58,34 @@ Only a prefetch cancelled in step 7 for want of candidates rescans.
 
 Every swap step has one implementation, whichever path takes it:
 
-* :meth:`~CustomInstructionScheduler._land` — a circuit lands on a PFU
-  (demand loads, promotions and speculative installs);
-* :meth:`~CustomInstructionScheduler._forget` — an evicted circuit's
-  registration leaves the array (swaps, shares and quarantine);
+* :meth:`~CustomInstructionScheduler._load_into` — a circuit lands on a
+  PFU: the configuration transfer through
+  :meth:`~repro.core.coprocessor.ProteusCoprocessor.load_circuit`, its
+  demand charge and checksum retries, the registration and ``owners``
+  bookkeeping, the ``circuit_load`` event and the mapping (demand loads,
+  swaps, shares, promotions, and speculative installs, which are
+  charged nothing and land unmapped);
+* :meth:`~CustomInstructionScheduler._evict` — a circuit leaves a PFU:
+  :meth:`~repro.core.coprocessor.ProteusCoprocessor.unload_circuit`, the
+  ``circuit_evict`` event, its registration taken off the array through
+  the ``owners`` table, and the state save's charge (swaps, shares,
+  prefetch victims and quarantine);
 * :meth:`~CustomInstructionScheduler._defer` — a fault is resolved by a
   software mapping instead of a load;
 * :meth:`~CustomInstructionScheduler._cancel_prefetch` — the in-flight
   speculative transfer is abandoned, with its reason;
 * :meth:`~CustomInstructionScheduler._usable` — the PFUs a victim,
-  free, share or promote search may pick, walked by
+  free, share or promote search may pick, filtered by
   :meth:`~CustomInstructionScheduler._scan`;
 * :meth:`~CustomInstructionScheduler._recover` — the quarantine →
   fallback → reload decision, for trap-time fabric faults and the
   periodic scrub alike.
+
+A demand swap is therefore ``handle_fault`` → ``_scan`` →
+``policy.choose`` → ``_evict`` → ``_load_into``, with one
+``unload_circuit`` and one ``load_circuit`` call into the coprocessor.
+The victim's owner is found in ``owners`` and the TLB tuples naming the
+PFU in the TLB's reverse index, so neither is a walk.
 """
 
 from __future__ import annotations
@@ -121,12 +135,18 @@ class CustomInstructionScheduler:
     security: SecurityPolicy = field(init=False)
     #: The speculative transfer engine, built iff a predictor is present.
     engine: TransferEngine | None = field(init=False, default=None)
+    #: PFU index -> the registration whose circuit is resident there
+    #: (``None`` for an empty PFU), so an eviction finds the registration
+    #: it takes off the array without walking its owner's table.  Kept
+    #: by :meth:`_load_into` and :meth:`_evict`; a restore rebuilds it.
+    owners: list[Registration | None] = field(init=False)
 
     def __post_init__(self) -> None:
         self.security = SecurityPolicy(
             max_clbs=self.config.pfu_clbs,
             max_state_words=64,
         )
+        self.owners = [None] * self.config.pfu_count
         if self.predictor is not None:
             self.engine = TransferEngine()
 
@@ -252,8 +272,9 @@ class CustomInstructionScheduler:
 
         Raises :class:`ProcessKilled` when the CID was never registered.
         """
-        cycles = self.config.fault_entry_cycles
-        registration = process.registration(cid)
+        config = self.config
+        cycles = config.fault_entry_cycles
+        registration = process.registrations.get(cid)
         if registration is None:
             self.trace.cis_charge(-1, cycles)
             self._kill(process, f"unregistered CID {cid}")
@@ -268,7 +289,7 @@ class CustomInstructionScheduler:
         # Mapping fault: loaded, but the tuple fell out of the TLB (§4.2).
         if registration.pfu_index is not None:
             self.coprocessor.dispatch.map_hardware(key, registration.pfu_index)
-            cycles += self.config.tlb_update_cycles
+            cycles += config.tlb_update_cycles
             self.trace.mapping_fault(process.pid, cid)
             if registration.prefetched:
                 # The prefetch fully hid the transfer: the stall shrank
@@ -278,7 +299,8 @@ class CustomInstructionScheduler:
                     registration.prefetched,
                 )
                 registration.prefetched = 0
-            self._maybe_prefetch(process, cid, cycles)
+            if engine is not None:
+                self._maybe_prefetch(process, cid, cycles)
             self.trace.cis_charge(-1, cycles)
             return cycles, "mapping"
 
@@ -299,12 +321,9 @@ class CustomInstructionScheduler:
                 # paying the full transfer, then map as a load would.
                 remaining = engine.remaining(self.trace.now())
                 engine.cancel()
-                moved = self.coprocessor.load_circuit(
-                    pfu.index, registration.instance
-                )
-                self._land(pfu, registration, key, moved)
+                self._load_into(pfu, registration, key, demand=False)
                 self.coprocessor.dispatch.map_hardware(key, pfu.index)
-                cycles += remaining + self.config.tlb_update_cycles
+                cycles += remaining + config.tlb_update_cycles
                 self.trace.prefetch_hit(
                     process.pid, cid, pfu.index,
                     max(0, entry["total"] - remaining),
@@ -321,21 +340,23 @@ class CustomInstructionScheduler:
         # others sit idle.
         free, configured = self._scan(registration)
         if free is not None:
-            cycles += self.config.cis_decision_cycles
+            cycles += config.cis_decision_cycles
             cycles += self._load_into(free, registration, key)
             self.trace.load_fault(process.pid, cid)
-            self._maybe_prefetch(process, cid, cycles)
+            if engine is not None:
+                self._maybe_prefetch(process, cid, cycles)
             self.trace.cis_charge(-1, cycles)
             return cycles, "load"
 
         # Array full but another process's instance of the same circuit
         # is resident — swap only the state section instead of moving
         # 54 KB of static configuration (§4.2, §5.1).
-        if self.config.allow_sharing:
+        if config.allow_sharing:
             shared = self._find_shareable(registration, configured)
             if shared is not None:
                 cycles += self._share_pfu(shared, registration, key)
-                self._maybe_prefetch(process, cid, cycles)
+                if engine is not None:
+                    self._maybe_prefetch(process, cid, cycles)
                 self.trace.cis_charge(-1, cycles)
                 return cycles, "share"
 
@@ -351,10 +372,13 @@ class CustomInstructionScheduler:
         soft = registration.soft_address is not None
         candidates: list[PFU] = []
         if not soft or not (
-            self.config.prefer_software_when_full or registration.soft_mapped
+            config.prefer_software_when_full or registration.soft_mapped
         ):
-            cycles += self.policy.decision_cycles(self.config)
-            candidates = self._victim_candidates(configured)
+            cycles += self.policy.decision_cycles(config)
+            candidates = (
+                configured if self.predictor is None
+                else self._victim_candidates(configured)
+            )
             if not candidates and engine is not None and (
                 engine.entry is not None
             ):
@@ -381,7 +405,8 @@ class CustomInstructionScheduler:
         cycles += self._evict(victim)
         cycles += self._load_into(victim, registration, key)
         self.trace.load_fault(process.pid, cid)
-        self._maybe_prefetch(process, cid, cycles)
+        if engine is not None:
+            self._maybe_prefetch(process, cid, cycles)
         self.trace.cis_charge(-1, cycles)
         return cycles, "swap"
 
@@ -412,6 +437,7 @@ class CustomInstructionScheduler:
                 name = registration.instance.bitstream.name
                 self.coprocessor.unload_circuit(pfu_index, keep_static=True)
                 registration.pfu_index = None
+                self.owners[pfu_index] = None
                 self.trace.circuit_unload(process.pid, pfu_index, name)
                 freed.append(pfu_index)
         self.coprocessor.dispatch.unmap_pid(process.pid)
@@ -442,39 +468,38 @@ class CustomInstructionScheduler:
     def _scan(
         self, registration: Registration
     ) -> tuple[PFU | None, list[PFU]]:
-        """One walk over the bank for placing ``registration``: the free
+        """One read of the bank for placing ``registration``: the free
         PFU a load should take, and the configured PFUs in index order.
 
         Only :meth:`_usable` PFUs count.  The free PFU is the first one
         whose region still holds this circuit's static image when the
         reuse optimisation is enabled, else the lowest-numbered one.  The
         configured list feeds the share search and
-        :meth:`_victim_candidates`; its index order is the order the
-        random and LRU policies pick from.
+        :meth:`_victim_candidates`; its index order is the order every
+        replacement policy receives its candidates in.
         """
-        # _usable's own early return, hoisted out of the walk.
-        check = self.injector is not None or self.engine is not None
-        wanted = (
-            registration.instance.bitstream.name
-            if self.config.reuse_resident_static
-            else None
-        )
-        regions = self.coprocessor.array.regions
-        first_free = reused = None
+        pfus = self.coprocessor.pfus.pfus
+        if self.injector is not None or self.engine is not None:
+            # _usable's own early return, hoisted out of the walk.
+            usable = self._usable
+            pfus = [pfu for pfu in pfus if usable(pfu.index)]
         configured: list[PFU] = []
-        for pfu in self.coprocessor.pfus.pfus:
-            if check and not self._usable(pfu.index):
-                continue
+        free = None
+        for pfu in pfus:
             if pfu.instance is not None:
                 configured.append(pfu)
-                continue
-            if first_free is None:
-                first_free = pfu
-            if wanted is not None and reused is None:
+            elif free is None:
+                free = pfu
+        if free is not None and self.config.reuse_resident_static:
+            wanted = registration.instance.bitstream.name
+            regions = self.coprocessor.array.regions
+            for pfu in pfus:
                 resident = regions[pfu.index].resident
-                if resident is not None and resident.name == wanted:
-                    reused = pfu
-        return (reused if reused is not None else first_free), configured
+                if pfu.instance is None and resident is not None and (
+                    resident.name == wanted
+                ):
+                    return pfu, configured
+        return free, configured
 
     def _victim_candidates(self, configured: list[PFU]) -> list[PFU]:
         """The configured PFUs (from :meth:`_scan`) the replacement
@@ -531,16 +556,28 @@ class CustomInstructionScheduler:
         registration: Registration,
         key: IDTuple,
         reuse_static: bool | None = None,
+        demand: bool = True,
     ) -> int:
-        """Transfer a circuit into ``pfu`` and map it; returns cycles."""
-        moved = self.coprocessor.load_circuit(
-            pfu.index, registration.instance, reuse_static=reuse_static
-        )
-        cycles = (
-            self._charged_transfer(moved) + self.config.tlb_update_cycles
-        )
+        """Transfer ``registration``'s circuit into ``pfu`` and record it
+        resident there; returns cycles.
+
+        The one landing path.  A demand load charges its transfer (and,
+        under a fault plan, the checksum retries) and maps ``key`` to
+        the PFU.  A speculative transfer already streamed over idle bus
+        cycles (``demand=False``) is charged nothing and lands unmapped;
+        its caller maps it if a fault is waiting on it.
+        """
+        index = pfu.index
+        instance = registration.instance
+        coprocessor = self.coprocessor
+        moved = coprocessor.load_circuit(index, instance, reuse_static)
+        cycles = 0
         injector = self.injector
-        if injector is not None:
+        if demand:
+            cycles = (
+                self._charged_transfer(moved) + self.config.tlb_update_cycles
+            )
+        if demand and injector is not None:
             # Configuration transfers can fail their section checksum;
             # retry with bounded backoff.  Exhausting the retries means
             # accepting the corrupt image — the region then carries a
@@ -548,12 +585,12 @@ class CustomInstructionScheduler:
             attempt = 0
             while injector.transfer_fails():
                 attempt += 1
-                self.trace.fault_injected(key.pid, "transfer", pfu.index)
+                self.trace.fault_injected(key.pid, "transfer", index)
                 if attempt > injector.plan.max_load_retries:
-                    injector.force_upset(pfu.index)
+                    injector.force_upset(index)
                     break
                 self.trace.fault_detected(
-                    key.pid, "transfer", pfu.index, "checksum"
+                    key.pid, "transfer", index, "checksum"
                 )
                 retry_cost = (
                     self.config.cis_decision_cycles * attempt
@@ -561,34 +598,23 @@ class CustomInstructionScheduler:
                 )
                 cycles += retry_cost
                 self.trace.fault_recovered(
-                    key.pid, "transfer", pfu.index, "retry", retry_cost
+                    key.pid, "transfer", index, "retry", retry_cost
                 )
-        self._land(pfu, registration, key, moved)
-        self.coprocessor.dispatch.map_hardware(key, pfu.index)
-        return cycles
-
-    def _land(
-        self, pfu: PFU, registration: Registration, key: IDTuple, moved: int
-    ) -> None:
-        """Record ``registration``'s circuit as resident on ``pfu``.
-
-        The one landing path for demand loads and speculative installs
-        alike; ``moved`` is the configuration bytes the load transferred.
-        Mapping the (PID, CID) tuple is left to the caller, since a
-        completed prefetch lands unmapped.
-        """
-        state_bytes = registration.instance.bitstream.state_bytes
-        registration.pfu_index = pfu.index
+        registration.pfu_index = index
         registration.soft_mapped = False
         registration.loads += 1
+        self.owners[index] = registration
+        # ``load_circuit`` always moves the state section, and the
+        # static image only when it was not still resident.
+        bitstream = instance.bitstream
+        state_bytes = bitstream.state_bytes
         self.trace.circuit_load(
-            key.pid,
-            key.cid,
-            pfu.index,
-            registration.instance.bitstream.name,
-            max(0, moved - state_bytes),
-            min(moved, state_bytes),
+            key.pid, key.cid, index, bitstream.name,
+            moved - state_bytes, state_bytes,
         )
+        if demand:
+            coprocessor.dispatch.map_hardware(key, index)
+        return cycles
 
     def _defer(self, registration: Registration, key: IDTuple) -> int:
         """Map a (PID, CID) tuple to its software alternative instead of
@@ -598,48 +624,42 @@ class CustomInstructionScheduler:
         registration.soft_mapped = True
         return self.config.tlb_update_cycles
 
-    def _evict(self, victim: PFU) -> int:
-        """Save a victim circuit's state off the array; returns cycles."""
+    def _evict(self, victim: PFU, keep_static: bool = True) -> int:
+        """Save a victim circuit's state off the array and mark its
+        registration off it; returns cycles.
+
+        ``keep_static=False`` is a quarantine: the retiring region keeps
+        no image, and the saved state is not exposed to the injector's
+        saved-state upsets.  Alias CIDs share one :class:`Registration`,
+        so one eviction counts once.
+        """
         instance = victim.instance
         if instance is None:
             raise KernelError(f"evicting empty PFU {victim.index}")
-        __, state_bytes = self.coprocessor.unload_circuit(
-            victim.index, keep_static=True
-        )
-        if self.injector is not None and (
+        index = victim.index
+        __, state_bytes = self.coprocessor.unload_circuit(index, keep_static)
+        if keep_static and self.injector is not None and (
             self.injector.corrupt_saved_state(instance)
         ):
             # Corruption strikes after the save-time checksum: silent
             # until the reloaded circuit produces a wrong result.
-            self.trace.fault_injected(instance.pid, "state", victim.index)
+            self.trace.fault_injected(instance.pid, "state", index)
         self.trace.circuit_evict(
-            instance.pid, victim.index, instance.bitstream.name, state_bytes
+            instance.pid, index, instance.bitstream.name, state_bytes
         )
-        self._forget(instance, victim.index)
+        registration = self.owners[index]
+        if registration is not None:
+            self.owners[index] = None
+            registration.pfu_index = None
+            registration.evictions += 1
+            if registration.prefetched:
+                # A completed prefetch evicted before first use moved
+                # 54 KB for nothing.
+                self.trace.prefetch_wasted(
+                    instance.pid, registration.cid, index
+                )
+                registration.prefetched = 0
         return self._charged_transfer(state_bytes)
-
-    def _forget(self, instance, pfu_index: int) -> None:
-        """Mark the registration holding an evicted ``instance`` as off
-        the array.  Called after the ``circuit_evict`` event.
-
-        Alias CIDs map to the same :class:`Registration`, so the walk
-        stops at the first match: one eviction counts once.
-        """
-        owner = self.processes.get(instance.pid)
-        if owner is None:
-            return
-        for registration in owner.registrations.values():
-            if registration.instance is instance:
-                registration.pfu_index = None
-                registration.evictions += 1
-                if registration.prefetched:
-                    # A completed prefetch evicted before first use
-                    # moved 54 KB for nothing.
-                    self.trace.prefetch_wasted(
-                        instance.pid, registration.cid, pfu_index
-                    )
-                    registration.prefetched = 0
-                return
 
     def _find_shareable(
         self, registration: Registration, configured: list[PFU]
@@ -740,8 +760,7 @@ class CustomInstructionScheduler:
         # demand-only).
         engine.cancel()
         key = IDTuple(pid=entry["pid"], cid=entry["cid"])
-        moved = self.coprocessor.load_circuit(pfu.index, registration.instance)
-        self._land(pfu, registration, key, moved)
+        self._load_into(pfu, registration, key, demand=False)
         registration.prefetched = entry["total"]
 
     def _cancel_prefetch(self, pid: int, reason: str) -> None:
@@ -918,6 +937,7 @@ class CustomInstructionScheduler:
             if self.injector is not None:
                 self.injector.clear_region(pfu_index)
             registration.pfu_index = None
+            self.owners[pfu_index] = None
             registration.evictions += 1
             self.trace.circuit_unload(
                 process.pid, pfu_index, registration.instance.bitstream.name
@@ -950,16 +970,8 @@ class CustomInstructionScheduler:
         pfu = self.coprocessor.pfus.pfu(pfu_index)
         pid = -1
         if pfu.configured:
-            instance = pfu.instance
-            pid = instance.pid
-            __, state_bytes = self.coprocessor.unload_circuit(
-                pfu_index, keep_static=False
-            )
-            cycles += self._charged_transfer(state_bytes)
-            self.trace.circuit_evict(
-                pid, pfu_index, instance.bitstream.name, state_bytes
-            )
-            self._forget(instance, pfu_index)
+            pid = pfu.instance.pid
+            cycles += self._evict(pfu, keep_static=False)
         else:
             region = self.coprocessor.array.region(pfu_index)
             if region.resident is not None:

@@ -14,6 +14,7 @@ protocol (§4.4) makes the re-issue on the next quantum transparent.
 from __future__ import annotations
 
 import weakref
+from typing import Callable
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
@@ -264,21 +265,25 @@ class Porsche(Snapshotable):
         last = self._last_running
         if last is process:
             return
-        coprocessor = self.coprocessor
-        if last is not None:
-            coprocessor.save_context(last.coproc_context)
-        coprocessor.restore_context(process.coproc_context)
-        self._charge_kernel(process, self.config.context_switch_cycles)
-        self.trace.context_switch(process.pid)
-        self.on_context_switch(process)
+        self.coprocessor.switch_context(
+            None if last is None else last.coproc_context,
+            process.coproc_context,
+        )
+        cycles = self.config.context_switch_cycles
+        self.clock += cycles
+        trace = self.trace
+        trace.kernel_charge(process.pid, cycles)
+        trace.context_switch(process.pid)
+        hook = self.on_context_switch
+        if hook is not None:
+            hook(process)
         self._last_running = process
 
-    def on_context_switch(self, process: Process) -> None:
-        """Hook for architecture baselines (PRISC flushes TLBs here).
-
-        The Proteus architecture deliberately does nothing: dispatch
-        mappings are PID-tagged.
-        """
+    #: Hook for architecture baselines, called with the incoming process
+    #: after each switch (PRISC flushes its TLBs here).  The Proteus
+    #: architecture deliberately does nothing: dispatch mappings are
+    #: PID-tagged.
+    on_context_switch: Callable[[Process], None] | None = None
 
     # -------------------------------------------------------------------
     # traps
@@ -479,12 +484,15 @@ class Porsche(Snapshotable):
         # (a pre-adoption snapshot must be free to adopt again).
         self._synth_done.clear()
         super().restore(state)
-        # Re-attach circuit instances to their PFU slots.  Each loaded
+        # Re-attach circuit instances to their PFU slots, and rebuild the
+        # CIS's record of which registration owns each.  Each loaded
         # registration names its PFU; aliases share the Registration
         # object, so one attach per PFU suffices.
         pfus = self.coprocessor.pfus.pfus
+        owners = self.cis.owners
         for pfu in pfus:
             pfu.instance = None
+            owners[pfu.index] = None
         for pid, process in self.processes.items():
             for registration in process.registrations.values():
                 index = registration.pfu_index
@@ -502,6 +510,7 @@ class Porsche(Snapshotable):
                         f"(pids {held.pid} and {pid})"
                     )
                 pfus[index].instance = registration.instance
+                owners[index] = registration
         if self.injector is not None:
             self.injector.restore(state["faults"])
         if self.predictor is not None:

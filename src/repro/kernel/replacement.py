@@ -32,7 +32,11 @@ class ReplacementPolicy(Snapshotable, ABC):
 
     @abstractmethod
     def choose(self, candidates: list[PFU], bank: PFUBank) -> PFU:
-        """Pick the PFU whose circuit will be evicted."""
+        """Pick the PFU whose circuit will be evicted.
+
+        ``candidates`` are PFUs of ``bank`` in index order, as the CIS's
+        bank walk yields them.
+        """
 
     def decision_cycles(self, config: MachineConfig) -> int:
         """Kernel cycles charged for making one decision."""
@@ -63,15 +67,21 @@ class RoundRobinReplacement(ReplacementPolicy):
 
     def choose(self, candidates: list[PFU], bank: PFUBank) -> PFU:
         _require_candidates(candidates)
-        candidate_indices = {pfu.index for pfu in candidates}
-        pfus = bank.pfus
-        count = len(pfus)
-        for _ in range(count):
-            index = self._hand
-            self._hand = (index + 1) % count
-            if index in candidate_indices:
-                return pfus[index]
-        raise KernelError("round-robin replacement found no candidate")
+        # The candidates come in index order, so the first one at or
+        # past the hand is the one the hand reaches first; with none
+        # there, it wraps round to the lowest.
+        hand = self._hand
+        for victim in candidates:
+            if victim.index >= hand:
+                break
+        else:
+            victim = candidates[0]
+        index = victim.index
+        count = len(bank.pfus)
+        if not 0 <= index < count:
+            raise KernelError("round-robin replacement found no candidate")
+        self._hand = (index + 1) % count
+        return victim
 
     def reset(self) -> None:
         self._hand = 0

@@ -36,8 +36,9 @@ only for what the rules cannot express:
   checkpoints keep their layout: the kernel's ``faults``/``prefetch``,
   the counters' ``faults``/``prefetch`` and a registration's
   ``synth``/``prefetched``;
-* side effects: a TLB or dispatch-unit restore bumps its
-  ``generation`` so memoized dispatch sites re-resolve.
+* side effects: a dispatch-unit restore bumps its ``generation`` so
+  memoized dispatch sites re-resolve, and a TLB restore rebuilds its
+  reverse index.
 
 The paper's state-section mechanism (§4.4) is the hardware seed of this
 idea — circuit state is explicitly save/restorable so the OS can manage

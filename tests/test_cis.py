@@ -246,9 +246,10 @@ class TestSharing:
 
 
 def _check_bookkeeping(kernel: Porsche) -> None:
-    """The four records of what each PFU holds agree: the PFU's
-    instance, the owning registration's ``pfu_index``, the hardware-TLB
-    tuples naming the PFU and the region's resident image."""
+    """The five records of what each PFU holds agree: the PFU's
+    instance, the owning registration's ``pfu_index``, the CIS's
+    ``owners`` table, the hardware-TLB tuples naming the PFU and the
+    region's resident image."""
     coprocessor = kernel.coprocessor
     pfus = coprocessor.pfus.pfus
     claims = {}
@@ -265,11 +266,14 @@ def _check_bookkeeping(kernel: Porsche) -> None:
     tuples = coprocessor.dispatch.hardware_tlb.contents()
     for pfu in pfus:
         naming = [key for key, value in tuples.items() if value == pfu.index]
+        owner = kernel.cis.owners[pfu.index]
         if pfu.instance is None:
             assert pfu.index not in claims
             assert naming == [], (pfu.index, naming)
+            assert owner is None
             continue
         process, registration = claims[pfu.index]
+        assert owner is registration
         assert pfu.instance.pid == process.pid
         resident = coprocessor.array.regions[pfu.index].resident
         assert resident is not None

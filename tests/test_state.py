@@ -267,7 +267,7 @@ UNSAVED = {
     (CAM, "_index"): "derived from the saved keys",
     (CAM, "make_key"): CONFIG,
     (DispatchTLB, "entries"): CONFIG,
-    (DispatchTLB, "generation"): "memo stamp, bumped by every restore",
+    (DispatchTLB, "_holders"): "derived from the saved keys and RAM words",
     (DispatchUnit, "trace"): WIRING,
     (DispatchUnit, "generation"): "memo stamp, bumped by every restore",
     (RoundRobinScheduler, "processes"): WIRING,
