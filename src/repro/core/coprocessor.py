@@ -236,20 +236,6 @@ class ProteusCoprocessor(Snapshotable):
         return instance, instance.bitstream.state_bytes
 
     # ---- OS-side: context switching ------------------------------------------
-    def save_context(self, into: dict | None = None) -> dict:
-        """Capture per-process coprocessor state for the PCB.
-
-        ``into`` is a context this method or :meth:`fresh_context` made:
-        it is overwritten in place, so saving allocates nothing.
-        """
-        if into is None:
-            into = self.fresh_context()
-        self.switch_context(into, None)
-        return into
-
-    def restore_context(self, saved: dict) -> None:
-        self.switch_context(None, saved)
-
     def switch_context(
         self, outgoing: dict | None, incoming: dict | None
     ) -> None:
@@ -259,7 +245,9 @@ class ProteusCoprocessor(Snapshotable):
 
         Only these registers move on a context switch; PFU contents and
         TLB mappings are PID-tagged and stay put — the architectural
-        point of the paper.
+        point of the paper.  Contexts are the PCB's, made by
+        :meth:`fresh_context`, and are overwritten in place, so a switch
+        allocates nothing.
         """
         regfile = self.regfile
         operands = self.operand_regs

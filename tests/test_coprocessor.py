@@ -154,16 +154,17 @@ class TestContextSwitching:
     def test_save_restore_roundtrip(self, coprocessor):
         coprocessor.mcr(0, 111)
         coprocessor.capture_operands(2, 0, 0)
-        saved = coprocessor.save_context()
+        saved = coprocessor.fresh_context()
+        coprocessor.switch_context(saved, None)
         coprocessor.mcr(0, 222)
         coprocessor.store_soft_result(5)
-        coprocessor.restore_context(saved)
+        coprocessor.switch_context(None, saved)
         assert coprocessor.mrc(0) == 111
         assert coprocessor.operand_regs.valid
 
     def test_fresh_context_is_zeroed(self, coprocessor):
         coprocessor.mcr(0, 111)
-        coprocessor.restore_context(coprocessor.fresh_context())
+        coprocessor.switch_context(None, coprocessor.fresh_context())
         assert coprocessor.mrc(0) == 0
         assert not coprocessor.operand_regs.valid
 
@@ -172,7 +173,7 @@ class TestContextSwitching:
         registers move on a switch; PFUs and TLBs are PID-tagged."""
         load(coprocessor, 0, adder_spec())
         coprocessor.dispatch.map_hardware(IDTuple(1, 1), 0)
-        coprocessor.restore_context(coprocessor.fresh_context())
+        coprocessor.switch_context(None, coprocessor.fresh_context())
         from repro.core.dispatch import DispatchKind
 
         assert coprocessor.resolve(1, 1).kind is DispatchKind.HARDWARE
