@@ -81,14 +81,6 @@ class CAM(Snapshotable, Generic[K]):
             if old is not None:
                 self._index.pop(old, None)
 
-    def invalidate_key(self, key: K) -> bool:
-        """Invalidate the entry holding ``key``; True if one existed."""
-        entry = self._index.get(key)
-        if entry is None:
-            return False
-        self.invalidate_entry(entry)
-        return True
-
     def key_at(self, entry: int) -> K | None:
         self._check_entry(entry)
         return self._keys[entry] if self._valid[entry] else None

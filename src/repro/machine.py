@@ -49,6 +49,7 @@ __all__ = [
     "Machine",
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
+    "decode_checkpoint",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -56,6 +57,21 @@ __all__ = [
 #: Identifies a checkpoint document and guards against format drift.
 CHECKPOINT_FORMAT = "repro-machine-checkpoint"
 CHECKPOINT_VERSION = 1
+
+
+def decode_checkpoint(data: bytes) -> dict:
+    """A stored checkpoint's bytes back to its document.
+
+    Raises ``ValueError`` for valid JSON that is not a machine
+    checkpoint, so a store treats it like any other corrupt entry.
+    """
+    checkpoint = json.loads(data)
+    if not isinstance(checkpoint, dict) or (
+        checkpoint.get("format") != CHECKPOINT_FORMAT
+    ):
+        raise ValueError("not a machine checkpoint")
+    return checkpoint
+
 
 #: First quantum count at which :meth:`Machine.run_capturing` snapshots.
 CAPTURE_BASE_QUANTA = 64

@@ -66,7 +66,12 @@ from ..trace.sinks import JsonlSink, RingBufferSink
 from ..trace.timeline import TimelineAggregator
 from .campaign import CampaignConfig, render_campaign, run_campaign
 from .client import ServeClient
-from .experiment import ARCHITECTURES, ExperimentSpec, run_experiment
+from .experiment import (
+    ARCHITECTURES,
+    ExperimentSpec,
+    run_experiment,
+    start_machine,
+)
 from .figures import (
     contention_knees,
     figure2,
@@ -197,10 +202,18 @@ def _knobs(args, **fields: str) -> dict:
             if getattr(args, dest) is not None}
 
 
-def _make_runner(args) -> SweepRunner:
+def _stores(args) -> tuple[ResultCache | None, CheckpointStore | None]:
+    """The result cache and checkpoint store that ``--no-cache`` and
+    ``--warm-start`` select, both in the default cache directory."""
     root = default_cache_dir()
-    cache = None if args.no_cache else ResultCache(root)
-    checkpoints = CheckpointStore(root) if args.warm_start else None
+    return (
+        None if args.no_cache else ResultCache(root),
+        CheckpointStore(root) if args.warm_start else None,
+    )
+
+
+def _make_runner(args) -> SweepRunner:
+    cache, checkpoints = _stores(args)
     scheduler = None
     if not args.no_daemon and daemon_available(args.socket):
         # A live daemon owns the worker fleet (and the stores): the
@@ -362,8 +375,7 @@ def _args_checkpoint(parser) -> None:
 
 def _cmd_checkpoint(args) -> int | None:
     spec = _spec_from_args(args)
-    machine = Machine.from_spec(spec)
-    machine.spawn_instances()
+    machine, _ = start_machine(spec)
     executed = machine.run_quanta(args.at_quanta)
     if machine.finished:
         print(
@@ -724,11 +736,9 @@ def _args_serve(parser) -> None:
 
 
 def _cmd_serve(args) -> None:
-    root = default_cache_dir()
-    cache = None if args.no_cache else ResultCache(root)
-    checkpoints = CheckpointStore(root) if args.warm_start else None
-    journal = (
-        None if args.no_journal else Journal(root, sync=args.journal_sync)
+    cache, checkpoints = _stores(args)
+    journal = None if args.no_journal else Journal(
+        default_cache_dir(), sync=args.journal_sync
     )
     scheduler = Scheduler(
         workers=args.workers,

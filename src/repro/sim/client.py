@@ -2,9 +2,10 @@
 
 :class:`ServeClient` speaks the line-delimited JSON protocol of
 :mod:`repro.sim.serve` over a unix socket and hands back
-:class:`RemoteJob` handles that mirror the in-process
-:class:`~repro.sim.jobs.Job` API — ``result()``, ``add_done_callback``,
-the cached/coalesced/preemptions bookkeeping — so a
+:class:`RemoteJob` handles.  A :class:`RemoteJob` is a
+:class:`~repro.sim.jobs.Job` — ``result()``, ``add_done_callback``,
+the cached/coalesced/preemptions bookkeeping — fed by the daemon's
+event stream instead of a local scheduler, so a
 :class:`~repro.sim.runner.SweepRunner` can use a client as its
 scheduler backend without knowing the work left the process.  A
 background reader thread demultiplexes replies (matched by request id)
@@ -34,12 +35,11 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Callable
 
 from ..errors import DaemonLostError, ExperimentError
 from ..machine import spec_to_dict
-from .experiment import ExperimentSpec, RunOutcome, outcome_from_dict
-from .jobs import DEFAULT_TENANT, JobState
+from .experiment import ExperimentSpec, outcome_from_dict
+from .jobs import DEFAULT_TENANT, TERMINAL_STATES, Job, JobState
 from .serve import default_socket_path
 
 __all__ = ["RemoteJob", "ServeClient"]
@@ -52,13 +52,13 @@ DEFAULT_BACKOFF_BASE_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
 
 
-class RemoteJob:
+class RemoteJob(Job):
     """Client-side handle for a job running in the daemon.
 
-    Mirrors the :class:`~repro.sim.jobs.Job` completion API; lifecycle
-    fields (state, preemptions, worker pids, the cached/coalesced
-    flags) update as events stream in, with the terminal event carrying
-    the authoritative final counters.
+    A :class:`~repro.sim.jobs.Job` whose lifecycle fields (state,
+    preemptions, worker pids) update as the daemon's events stream in;
+    the terminal event carries the authoritative final counters and
+    the outcome.
 
     The handle survives a daemon restart: ``id`` is rewritten when the
     client re-attaches it to the recovered job, and every event
@@ -76,66 +76,18 @@ class RemoteJob:
         tenant: str = DEFAULT_TENANT,
         verify: bool = False,
     ) -> None:
-        self.id = job_id
-        self.spec = spec
-        self.tenant = tenant
-        self.verify = verify
-        self.state = JobState.PENDING
-        self.outcome: RunOutcome | None = None
-        self.error: str | None = None
-        self.cached = False
-        self.coalesced = False
-        self.warm_started = False
-        self.stored_checkpoint = False
-        self.retries = 0
-        self.preemptions = 0
-        self.worker_pids: list[int] = []
+        super().__init__(job_id, spec, tenant=tenant, verify=verify)
         #: Times this handle was re-attached across a daemon restart.
         self.reattached = 0
-        #: The daemon connection was lost and never re-established.
-        self.daemon_lost = False
         #: The submit payload, kept for idempotent resubmission.
         self._payload: dict | None = None
-        self._done = threading.Event()
-        self._callbacks: list[Callable[["RemoteJob"], None]] = []
-        self._listeners: list[Callable] = []
-        self._lock = threading.Lock()
-
-    # -- completion handle (Job-compatible) --------------------------------
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout)
-
-    def result(self, timeout: float | None = None) -> RunOutcome:
-        if not self._done.wait(timeout):
-            raise ExperimentError(f"job {self.id} still {self.state.value}")
-        if self.state is not JobState.DONE:
-            if self.daemon_lost:
-                raise DaemonLostError(
-                    f"job {self.id} lost with its daemon: {self.error}"
-                )
-            raise ExperimentError(
-                f"job {self.id} {self.state.value}: {self.error}"
-            )
-        assert self.outcome is not None
-        return self.outcome
-
-    def add_done_callback(self, fn: Callable[["RemoteJob"], None]) -> None:
-        with self._lock:
-            if not self._done.is_set():
-                self._callbacks.append(fn)
-                return
-        fn(self)
-
-    def add_listener(self, fn: Callable) -> None:
-        with self._lock:
-            self._listeners.append(fn)
 
     # -- reader-thread side ------------------------------------------------
     def _apply_event(self, message: dict) -> None:
         kind = message.get("event")
+        if kind in TERMINAL_STATES:
+            self._finish_from(message)
+            return
         if kind == "running":
             self.state = JobState.RUNNING
         elif kind == "preempted":
@@ -143,34 +95,26 @@ class RemoteJob:
             pid = message.get("pid")
             if pid is not None:
                 self.worker_pids.append(pid)
-        elif kind in ("done", "failed", "cancelled"):
-            self._finish(message)
-            kind = None  # _finish already notified listeners
-        if kind is not None:
-            for listener in list(self._listeners):
-                listener(self, kind, message)
+        self._emit(kind, message)
 
-    def _finish(self, message: dict) -> None:
-        with self._lock:
-            if self._done.is_set():
-                return
-            self.state = JobState(message.get("state", "failed"))
-            self.error = message.get("error")
-            self.daemon_lost = bool(message.get("daemon_lost", False))
-            for field in ("cached", "coalesced", "warm_started",
-                          "stored_checkpoint", "retries", "preemptions"):
-                if field in message:
-                    setattr(self, field, message[field])
-            if message.get("worker_pids"):
-                self.worker_pids = list(message["worker_pids"])
-            if message.get("outcome") is not None:
-                self.outcome = outcome_from_dict(message["outcome"])
-            callbacks, self._callbacks = self._callbacks, []
-            self._done.set()
-        for listener in list(self._listeners):
-            listener(self, message.get("event"), message)
-        for fn in callbacks:
-            fn(self)
+    def _finish_from(self, message: dict) -> None:
+        """Finish the job with a terminal event's state and counters."""
+        fields = {
+            name: message[name]
+            for name in ("cached", "coalesced", "warm_started",
+                         "stored_checkpoint", "retries", "preemptions")
+            if name in message
+        }
+        fields["daemon_lost"] = bool(message.get("daemon_lost", False))
+        if message.get("worker_pids"):
+            fields["worker_pids"] = list(message["worker_pids"])
+        outcome = message.get("outcome")
+        self._finish(
+            JobState(message.get("state", "failed")),
+            outcome=None if outcome is None else outcome_from_dict(outcome),
+            error=message.get("error"),
+            **fields,
+        )
 
 
 class ServeClient:

@@ -154,10 +154,6 @@ class RunOutcome:
     #: overlap cycles — see :meth:`repro.machine.Machine.outcome`).
     prefetch: dict = field(default_factory=dict)
 
-    @property
-    def mean_completion(self) -> float:
-        return sum(self.completions) / len(self.completions)
-
 
 def outcome_to_dict(outcome: RunOutcome) -> dict:
     """A :class:`RunOutcome` as a JSON-serialisable document.
@@ -219,6 +215,28 @@ def build_kernel(spec: ExperimentSpec) -> Porsche:
     return Machine.from_spec(spec).kernel
 
 
+def start_machine(
+    spec: ExperimentSpec,
+    checkpoint: dict | None = None,
+    sinks: Sequence = (),
+) -> tuple[Machine, bool]:
+    """The spec's machine with its instances spawned, resumed from
+    ``checkpoint`` when that is a checkpoint of this same spec.
+
+    A stale or foreign checkpoint never poisons a run: the machine
+    cold-starts instead.  Returns the machine and whether it resumed.
+    """
+    if checkpoint is not None and (
+        spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
+    ):
+        checkpoint = None
+    if checkpoint is not None:
+        return Machine.resume(checkpoint, sinks=sinks), True
+    machine = Machine.from_spec(spec, sinks=sinks)
+    machine.spawn_instances()
+    return machine, False
+
+
 def run_experiment(
     spec: ExperimentSpec,
     verify: bool = True,
@@ -253,21 +271,11 @@ def run_experiment_capturing(
     With ``capture`` the machine snapshots itself at doubling quantum
     counts and the latest snapshot is returned alongside the outcome (or
     ``None`` for short runs) — the sweep runner stores it to warm-start
-    later re-runs of the same point.
+    later re-runs of the same point.  A resumed run captures nothing.
     """
-    if checkpoint is not None and (
-        spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
-    ):
-        # A stale or foreign checkpoint never poisons a run — fall back
-        # to a cold start.
-        checkpoint = None
-    if checkpoint is not None:
-        machine = Machine.resume(checkpoint, sinks=sinks)
-    else:
-        machine = Machine.from_spec(spec, sinks=sinks)
-        machine.spawn_instances()
+    machine, resumed = start_machine(spec, checkpoint, sinks=sinks)
     captured = None
-    if capture and checkpoint is None:
+    if capture and not resumed:
         captured = machine.run_capturing()
     else:
         machine.run()

@@ -8,7 +8,9 @@ Three pieces:
 
 * :class:`Job` — one submitted experiment point: tenant, verify flag
   and a completion handle (``result()``, done callbacks, streamed
-  lifecycle events).
+  lifecycle events).  The daemon client's
+  :class:`~repro.sim.client.RemoteJob` is a :class:`Job` too, driven
+  by the daemon's event stream.
 * :class:`JobQueue` — the pending jobs in FIFO order.  A preempted job
   rejoins at the tail, so the pool round-robins between jobs the way
   the paper's kernel round-robins between processes.
@@ -66,11 +68,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from ..errors import ExperimentError, ReproError
+from ..errors import DaemonLostError, ExperimentError, ReproError
 from .experiment import (
     ExperimentSpec,
     RunOutcome,
     run_experiment_capturing,
+    start_machine,
 )
 from .store import validate_namespace
 
@@ -81,6 +84,7 @@ __all__ = [
     "JobQueue",
     "Scheduler",
     "SchedulerStats",
+    "TERMINAL_STATES",
 ]
 
 #: Namespace used when a submission names no tenant.
@@ -107,6 +111,11 @@ class JobState(str, Enum):
     CANCELLED = "cancelled"
 
 
+#: The states that end a job's life; each also names the lifecycle
+#: event a job streams when it reaches it.
+TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+
 #: Lifecycle listener: ``(job, kind, payload)`` where kind is one of
 #: ``running`` / ``preempted`` / ``hung`` / ``done`` / ``failed`` /
 #: ``cancelled``.  Fired on scheduler threads — listeners must be quick
@@ -116,6 +125,10 @@ JobListener = Callable[["Job", str, dict], None]
 
 class Job:
     """One submitted experiment point plus its completion handle."""
+
+    #: The daemon this handle was served by is gone for good (only a
+    #: :class:`~repro.sim.client.RemoteJob` ever sets it).
+    daemon_lost = False
 
     def __init__(
         self,
@@ -173,10 +186,15 @@ class Job:
 
     def result(self, timeout: float | None = None) -> RunOutcome:
         """Block for the outcome; raise :class:`ExperimentError` on
-        failure or cancellation."""
+        failure or cancellation, :class:`DaemonLostError` when the
+        failure was losing the daemon."""
         if not self._done.wait(timeout):
             raise ExperimentError(f"job {self.id} still {self.state.value}")
         if self.state is not JobState.DONE:
+            if self.daemon_lost:
+                raise DaemonLostError(
+                    f"job {self.id} lost with its daemon: {self.error}"
+                )
             raise ExperimentError(
                 f"job {self.id} {self.state.value}: {self.error}"
             )
@@ -200,21 +218,20 @@ class Job:
             listener(self, kind, payload or {})
 
     def _finish(self, state: JobState, outcome: RunOutcome | None = None,
-                error: str | None = None) -> None:
+                error: str | None = None, **fields) -> None:
+        """Settle the job once; ``fields`` (final counters) are set
+        under the same lock as the state, so no reader sees a mix."""
         with self._lock:
             if self._done.is_set():
                 return
             self.state = state
             self.outcome = outcome
             self.error = error
+            for name, value in fields.items():
+                setattr(self, name, value)
             callbacks, self._callbacks = self._callbacks, []
             self._done.set()
-        kind = {
-            JobState.DONE: "done",
-            JobState.FAILED: "failed",
-            JobState.CANCELLED: "cancelled",
-        }[state]
-        self._emit(kind, {"error": error} if error else {})
+        self._emit(state.value, {"error": error} if error else {})
         for fn in callbacks:
             fn(self)
 
@@ -356,17 +373,7 @@ def _execute_slice(payload: tuple) -> tuple:
         )
         return job_id, "done", outcome, captured, pid
 
-    from ..machine import Machine, spec_from_dict
-
-    if checkpoint is not None and (
-        spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
-    ):
-        checkpoint = None  # stale/foreign checkpoint: cold-start instead
-    if checkpoint is not None:
-        machine = Machine.resume(checkpoint)
-    else:
-        machine = Machine.from_spec(spec)
-        machine.spawn_instances()
+    machine, _ = start_machine(spec, checkpoint)
     machine.run_quanta(slice_quanta)
     if machine.finished:
         return job_id, "done", machine.outcome(verify=verify), None, pid

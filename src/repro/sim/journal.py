@@ -55,7 +55,8 @@ import zlib
 from hashlib import sha256
 from pathlib import Path
 
-from ..machine import CHECKPOINT_VERSION
+from ..machine import CHECKPOINT_VERSION, decode_checkpoint
+from .jobs import TERMINAL_STATES
 from .store import JOB_CHECKPOINT, Store
 
 __all__ = [
@@ -67,16 +68,6 @@ __all__ = [
 
 #: File name of the journal in the store root.
 JOURNAL_NAME = "journal.log"
-
-#: Journal states that end a job's life; anything else is recoverable.
-TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-
-def _decode_checkpoint(data: bytes) -> dict:
-    checkpoint = json.loads(data)
-    if not isinstance(checkpoint, dict):
-        raise ValueError("not a checkpoint object")
-    return checkpoint
 
 
 def _encode(record: dict) -> bytes:
@@ -190,15 +181,16 @@ class Journal:
     def load_checkpoint(self, ref: str) -> dict | None:
         """Resolve a ``checkpoint`` record's ref; None when unusable.
 
-        A missing or corrupt checkpoint is not an error — recovery
-        simply cold-starts the job, which is bit-identical anyway.
+        A missing or corrupt checkpoint, or valid JSON that is not a
+        machine checkpoint, is not an error — recovery simply
+        cold-starts the job, which is bit-identical anyway.
         """
         if not isinstance(ref, str):
             return None
         key = ref.rpartition("/")[2].partition(".")[0]
         if ref != self.disk.relpath(key, JOB_CHECKPOINT):
             return None  # not a ref this journal wrote
-        return self.disk.read(key, JOB_CHECKPOINT, _decode_checkpoint)
+        return self.disk.read(key, JOB_CHECKPOINT, decode_checkpoint)
 
     # -- reading -----------------------------------------------------------
     def replay(self, truncate: bool = False) -> list[dict]:

@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..errors import DaemonLostError, ExperimentError
-from ..machine import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+from ..machine import CHECKPOINT_VERSION, decode_checkpoint
 from .experiment import ExperimentSpec, RunOutcome
 from .jobs import DEFAULT_TENANT, Job, JobState, Scheduler
 from .store import CHECKPOINT, RESULT, Store, validate_namespace
@@ -131,15 +131,6 @@ class ResultCache:
         self.disk.touch_ref(key, tenant)
 
 
-def _decode_checkpoint(data: bytes) -> dict:
-    checkpoint = json.loads(data)
-    if not isinstance(checkpoint, dict) or (
-        checkpoint.get("format") != CHECKPOINT_FORMAT
-    ):
-        raise ValueError("not a machine checkpoint")
-    return checkpoint
-
-
 class CheckpointStore:
     """JSON-per-point machine checkpoints keyed by ``spec_key``.
 
@@ -168,7 +159,7 @@ class CheckpointStore:
         return self.disk.path(key, CHECKPOINT)
 
     def load(self, spec: ExperimentSpec) -> dict | None:
-        return self.disk.read(self.key(spec), CHECKPOINT, _decode_checkpoint)
+        return self.disk.read(self.key(spec), CHECKPOINT, decode_checkpoint)
 
     def store(self, spec: ExperimentSpec, checkpoint: dict) -> None:
         self.disk.write(
@@ -253,7 +244,7 @@ class SweepRunner:
 
         def finish(index: int, job: Job) -> None:
             if job.state is not JobState.DONE:
-                if getattr(job, "daemon_lost", False):
+                if job.daemon_lost:
                     # The daemon went away, not the experiment: raise
                     # the typed error so callers can restart/resubmit.
                     raise DaemonLostError(

@@ -56,6 +56,7 @@ from ..machine import spec_from_dict
 from .experiment import outcome_to_dict
 from .jobs import (
     DEFAULT_TENANT,
+    TERMINAL_STATES,
     Job,
     Scheduler,
     close_fd_in_workers,
@@ -70,10 +71,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
-
-#: Terminal job states and the event kind each one streams as.
-_TERMINAL_EVENTS = {"done": "done", "failed": "failed",
-                    "cancelled": "cancelled"}
 
 
 def default_socket_path() -> Path:
@@ -338,7 +335,7 @@ class ServeDaemon:
         )
 
         def relay(job: Job, kind: str, payload: dict) -> None:
-            if kind in _TERMINAL_EVENTS:
+            if kind in TERMINAL_STATES:
                 return  # terminal state rides the done callback below
             post({"event": kind, "job": job.id, **payload})
 
@@ -354,7 +351,7 @@ class ServeDaemon:
 
 def _terminal_event(job: Job) -> dict:
     message = {
-        "event": _TERMINAL_EVENTS[job.state.value],
+        "event": job.state.value,
         "job": job.id,
         "state": job.state.value,
         "cached": job.cached,

@@ -119,18 +119,6 @@ class FaultStats(_StatBag):
     recovery_cycles: int = 0
 
     @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
-    @property
-    def total_detected(self) -> int:
-        return sum(self.detected.values())
-
-    @property
-    def total_recovered(self) -> int:
-        return sum(self.recovered.values())
-
-    @property
     def empty(self) -> bool:
         return not (
             self.injected
@@ -155,10 +143,6 @@ class PrefetchStats(_StatBag):
     wasted: int = 0
     cancelled: dict[str, int] = field(default_factory=dict)
     overlap_cycles: int = 0
-
-    @property
-    def total_cancelled(self) -> int:
-        return sum(self.cancelled.values())
 
     @property
     def accuracy_pct(self) -> int:

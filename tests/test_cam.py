@@ -45,12 +45,6 @@ class TestCAM:
         assert cam.match(5) is None
         assert cam.key_at(1) is None
 
-    def test_invalidate_key(self):
-        cam: CAM[int] = CAM(entries=4)
-        cam.write(1, 5)
-        assert cam.invalidate_key(5)
-        assert not cam.invalidate_key(5)
-
     def test_free_entry_lowest_first(self):
         cam: CAM[int] = CAM(entries=3)
         assert cam.free_entry() == 0
@@ -87,7 +81,7 @@ def cam_operations(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["write", "invalidate_key", "invalidate_entry"]),
+                st.sampled_from(["write", "invalidate_entry"]),
                 st.integers(min_value=0, max_value=7),
                 st.integers(min_value=0, max_value=15),
             ),
@@ -114,9 +108,6 @@ class TestCAMModel:
                 model = {k: e for k, e in model.items() if e != entry}
                 model[key] = entry
                 cam.write(entry, key)
-            elif op == "invalidate_key":
-                assert cam.invalidate_key(key) == (key in model)
-                model.pop(key, None)
             else:
                 cam.invalidate_entry(entry)
                 model = {k: e for k, e in model.items() if e != entry}

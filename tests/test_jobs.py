@@ -5,8 +5,13 @@ import time
 
 import pytest
 
-from repro.errors import ExperimentError
-from repro.sim.experiment import ExperimentSpec, run_experiment
+from repro.errors import DaemonLostError, ExperimentError
+from repro.sim.client import RemoteJob
+from repro.sim.experiment import (
+    ExperimentSpec,
+    outcome_to_dict,
+    run_experiment,
+)
 from repro.sim.jobs import Job, JobQueue, JobState, Scheduler
 from repro.sim.runner import ResultCache
 
@@ -21,6 +26,76 @@ def spec(**overrides) -> ExperimentSpec:
 
 def make_job(job_id=1, **kwargs) -> Job:
     return Job(job_id, spec(), **kwargs)
+
+
+def finish_local(job, state, outcome=None, error=None, daemon_lost=False):
+    """End a scheduler-side job the way the scheduler does."""
+    if daemon_lost:
+        job.daemon_lost = True
+    job._finish(state, outcome=outcome, error=error)
+
+
+def finish_remote(job, state, outcome=None, error=None, daemon_lost=False):
+    """End a client-side job with the terminal event a daemon (or a
+    severed connection) sends."""
+    message = {"event": state.value, "job": job.id, "state": state.value,
+               "daemon_lost": daemon_lost}
+    if error is not None:
+        message["error"] = error
+    if outcome is not None:
+        message["outcome"] = outcome_to_dict(outcome)
+    job._apply_event(message)
+
+
+class TestHandleContract:
+    """A local job and a daemon client's job keep one completion
+    contract; the remote one is driven by event messages, no daemon."""
+
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return run_experiment(spec(), verify=False)
+
+    @pytest.fixture(params=[(Job, finish_local), (RemoteJob, finish_remote)],
+                    ids=["local", "remote"])
+    def handle(self, request):
+        cls, finish = request.param
+        return cls(1, spec()), finish
+
+    def test_callback_added_after_completion_runs_at_once(
+        self, handle, outcome
+    ):
+        job, finish = handle
+        finish(job, JobState.DONE, outcome=outcome)
+        seen = []
+        job.add_done_callback(seen.append)
+        assert seen == [job]
+        assert job.result(timeout=0) == outcome
+
+    def test_failure_raises_experiment_error(self, handle):
+        job, finish = handle
+        finish(job, JobState.FAILED, error="kaboom")
+        with pytest.raises(ExperimentError, match="kaboom") as info:
+            job.result(timeout=0)
+        assert not isinstance(info.value, DaemonLostError)
+
+    def test_lost_daemon_raises_daemon_lost_error(self, handle):
+        job, finish = handle
+        finish(job, JobState.FAILED, error="connection to daemon lost",
+               daemon_lost=True)
+        assert job.daemon_lost
+        with pytest.raises(DaemonLostError):
+            job.result(timeout=0)
+
+    def test_listeners_see_the_terminal_event(self, handle, outcome):
+        job, finish = handle
+        events, calls = [], []
+        job.add_listener(lambda job, kind, payload: events.append(kind))
+        job.add_done_callback(calls.append)
+        finish(job, JobState.DONE, outcome=outcome)
+        finish(job, JobState.FAILED, error="late")  # ignored: done
+        assert events == ["done"]
+        assert calls == [job]
+        assert job.state is JobState.DONE
 
 
 class TestJobQueue:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine import CHECKPOINT_FORMAT
 from repro.sim.journal import (
     JOURNAL_NAME,
     Journal,
@@ -33,6 +34,12 @@ def record(i, kind="submitted", **extra):
         )
     base.update(extra)
     return base
+
+
+def ckpt(clock):
+    """A stand-in machine checkpoint: the journal only checks its
+    format tag."""
+    return {"format": CHECKPOINT_FORMAT, "clock": clock}
 
 
 class TestFraming:
@@ -205,17 +212,17 @@ class TestRecovery:
 class TestCheckpointSideFiles:
     def test_store_and_load(self, tmp_path):
         journal = Journal(tmp_path)
-        ref = journal.store_checkpoint("job-7", {"clock": 123})
+        ref = journal.store_checkpoint("job-7", ckpt(123))
         # The ref is the store object's path relative to the root.
         assert ref.startswith("objects/") and ref.endswith(".job.json")
         assert (tmp_path / ref).is_file()
-        assert journal.load_checkpoint(ref) == {"clock": 123}
+        assert journal.load_checkpoint(ref) == ckpt(123)
 
     def test_latest_only(self, tmp_path):
         journal = Journal(tmp_path)
-        journal.store_checkpoint("job-7", {"clock": 1})
-        ref = journal.store_checkpoint("job-7", {"clock": 2})
-        assert journal.load_checkpoint(ref) == {"clock": 2}
+        journal.store_checkpoint("job-7", ckpt(1))
+        ref = journal.store_checkpoint("job-7", ckpt(2))
+        assert journal.load_checkpoint(ref) == ckpt(2)
 
     def test_missing_or_hostile_ref_is_none(self, tmp_path):
         journal = Journal(tmp_path)
@@ -225,8 +232,11 @@ class TestCheckpointSideFiles:
 
     def test_corrupt_checkpoint_is_none(self, tmp_path):
         journal = Journal(tmp_path)
-        ref = journal.store_checkpoint("job-7", {"clock": 1})
+        ref = journal.store_checkpoint("job-7", ckpt(1))
         (tmp_path / ref).write_text("{broken json")
+        assert journal.load_checkpoint(ref) is None
+        # Valid JSON that is no machine checkpoint is corrupt too.
+        ref = journal.store_checkpoint("job-7", {"not": "a checkpoint"})
         assert journal.load_checkpoint(ref) is None
 
 
@@ -355,5 +365,37 @@ class TestSchedulerJournalIntegration:
             assert scheduler.recover() == 1
             (job,) = scheduler._jobs.values()
             assert job.result() == run_experiment(spec, verify=False)
+        finally:
+            scheduler.shutdown()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_job_checkpoint_that_is_not_a_checkpoint_cold_starts(
+        self, tmp_path, workers
+    ):
+        """A journaled job checkpoint that is valid JSON but no machine
+        checkpoint is dropped: the recovered job cold-starts to the
+        straight run's outcome, inline and on a worker."""
+        from repro.machine import spec_to_dict
+        from repro.sim.experiment import ExperimentSpec, run_experiment
+        from repro.sim.jobs import Scheduler
+
+        spec = ExperimentSpec(workload="alpha", instances=1,
+                              scale=1 / 8000.0)
+        journal = Journal(tmp_path)
+        journal.append({
+            "type": "submitted", "job": 1, "tenant": "default",
+            "spec": spec_to_dict(spec), "verify": False,
+        })
+        ref = journal.store_checkpoint("job-1", {"not": "a checkpoint"})
+        journal.append({"type": "checkpoint", "job": 1, "ref": ref})
+        journal.close()
+
+        scheduler = Scheduler(workers=workers, journal=Journal(tmp_path))
+        try:
+            assert scheduler.recover() == 1
+            (job,) = scheduler._jobs.values()
+            assert job.result(timeout=120) == run_experiment(
+                spec, verify=False
+            )
         finally:
             scheduler.shutdown()
