@@ -71,15 +71,19 @@ class CAM(Snapshotable, Generic[K]):
         self._valid[entry] = True
         index[key] = entry
 
-    def invalidate_entry(self, entry: int) -> None:
+    def invalidate_entry(self, entry: int) -> K | None:
+        """Clear ``entry``; returns the key it held (``None`` if it was
+        already invalid)."""
         if not 0 <= entry < self.entries:
             self._check_entry(entry)
-        if self._valid[entry]:
-            old = self._keys[entry]
-            self._valid[entry] = False
-            self._keys[entry] = None
-            if old is not None:
-                self._index.pop(old, None)
+        if not self._valid[entry]:
+            return None
+        old = self._keys[entry]
+        self._valid[entry] = False
+        self._keys[entry] = None
+        if old is not None:
+            self._index.pop(old, None)
+        return old
 
     def key_at(self, entry: int) -> K | None:
         self._check_entry(entry)

@@ -249,14 +249,22 @@ class ProteusCoprocessor(Snapshotable):
         :meth:`fresh_context`, and are overwritten in place, so a switch
         allocates nothing.
         """
-        regfile = self.regfile
+        words = self.regfile.words
         operands = self.operand_regs
         if outgoing is not None:
-            outgoing["regfile"][:] = regfile.words
-            operands.save_into(outgoing["operands"])
+            outgoing["regfile"][:] = words
+            outgoing["operands"][:] = (
+                operands.source_a, operands.source_b,
+                operands.dest_index, operands.valid,
+            )
         if incoming is not None:
-            regfile.load(incoming["regfile"])
-            operands.restore(incoming["operands"])
+            # In place (compiled code holds ``words``), unmeasured: the
+            # context's shape was checked when the process resumed.
+            words[:] = incoming["regfile"]
+            (
+                operands.source_a, operands.source_b,
+                operands.dest_index, operands.valid,
+            ) = incoming["operands"]
 
     def fresh_context(self) -> dict:
         return {

@@ -97,10 +97,9 @@ class DispatchUnit(Snapshotable):
     #: Event bus that receives one ``DispatchResolved`` per resolution.
     trace: TraceBus = field(default_factory=TraceBus)
     #: Monotonic mutation counter bumped by every OS-side management call
-    #: (map/unmap/flush) and by :meth:`restore`.  A CDP site may cache its
-    #: last resolution against this value: equal generation ⇒ no mapping
-    #: for *any* tuple has changed since, so the cached result still
-    #: holds.  Transient — never serialised into checkpoints.
+    #: (map/unmap/flush) and by :meth:`restore`.  Only jit traces read
+    #: it: a trace recorded against one mapping set is dropped once the
+    #: generation moves.  Transient — never serialised into checkpoints.
     generation: int = 0
 
     @classmethod
@@ -129,16 +128,22 @@ class DispatchUnit(Snapshotable):
         Each branch names its own trace outcome tag (``hit``, ``soft`` or
         ``fault``).
         """
-        # A plain tuple hashes and compares equal to its IDTuple, and
-        # costs no NamedTuple constructor call on this hot path.
+        # A plain tuple hashes and compares equal to its IDTuple.  Each
+        # probe is ``DispatchTLB.lookup`` inline.
         key = (pid, cid)
-        pfu_index = self.hardware_tlb.lookup(key)
+        hardware = self.hardware_tlb
+        hardware.lookups += 1
+        pfu_index = hardware.targets.get(key)
         if pfu_index is not None:
+            hardware.hits += 1
             result = hardware_result(pfu_index)
             outcome = "hit"
         else:
-            address = self.software_tlb.lookup(key)
+            software = self.software_tlb
+            software.lookups += 1
+            address = software.targets.get(key)
             if address is not None:
+                software.hits += 1
                 result = software_result(address)
                 outcome = "soft"
             else:
@@ -188,7 +193,7 @@ class DispatchUnit(Snapshotable):
 
     # ---- machine-state protocol -------------------------------------------
     def restore(self, state: dict) -> None:
-        # Restoring rewrites the mapping set wholesale; memoized CDP
-        # sites that survive an in-place restore must re-resolve.
+        # Restoring rewrites the mapping set wholesale; jit traces that
+        # survive an in-place restore must re-record.
         self.generation += 1
         super().restore(state)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DispatchError
+from ..errors import CheckpointError, DispatchError
 from ..state import Snapshotable
 
 MASK32 = 0xFFFFFFFF
@@ -29,9 +29,9 @@ MASK32 = 0xFFFFFFFF
 class OperandRegisters(Snapshotable):
     """The three software-dispatch registers plus a validity flag.
 
-    A snapshot packs the registers in the context-switch layout of
-    :meth:`save` under ``regs``, beside the diagnostic clobber count a
-    context switch does not move.
+    A snapshot packs the registers in the context-switch layout,
+    ``[source_a, source_b, dest_index, valid]``, under ``regs``, beside
+    the diagnostic clobber count a context switch does not move.
     """
 
     STATE = ("clobbers",)
@@ -74,28 +74,18 @@ class OperandRegisters(Snapshotable):
         self.valid = False
         return self.dest_index
 
-    # ---- OS save/restore across a process switch --------------------------
-    def save(self) -> tuple[int, int, int, bool]:
-        return (self.source_a, self.source_b, self.dest_index, self.valid)
-
-    def save_into(self, out: list) -> None:
-        """:meth:`save` into an existing four-item list, allocating
-        nothing (the kernel's context switch)."""
-        out[0] = self.source_a
-        out[1] = self.source_b
-        out[2] = self.dest_index
-        out[3] = self.valid
-
-    def restore(
-        self, saved: tuple[int, int, int, bool] | list | dict
-    ) -> None:
-        """Reinstate a snapshot, or a tuple :meth:`save` returned."""
-        if isinstance(saved, dict):
-            super().restore(saved)
-            saved = saved["regs"]
-        self.source_a, self.source_b, self.dest_index, self.valid = saved
-        self.valid = bool(self.valid)
-
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
-        return {"regs": list(self.save()), **super().snapshot()}
+        regs = [self.source_a, self.source_b, self.dest_index, self.valid]
+        return {"regs": regs, **super().snapshot()}
+
+    def restore(self, saved: dict) -> None:
+        super().restore(saved)
+        regs = saved["regs"]
+        if len(regs) != 4:
+            raise CheckpointError(
+                f"OperandRegisters.regs: checkpoint holds {len(regs)} "
+                "items, expected 4"
+            )
+        self.source_a, self.source_b, self.dest_index, valid = regs
+        self.valid = bool(valid)

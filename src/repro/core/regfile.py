@@ -43,36 +43,16 @@ class FPLRegisterFile(Snapshotable):
         self.check(index)
         self.words[index] = value & MASK32
 
-    def save(self) -> list[int]:
-        """Snapshot for a process context switch."""
-        return list(self.words)
-
-    def load(self, saved: list[int]) -> None:
-        """Reinstate words :meth:`save` returned (a context switch).
-
-        Saved words are already 32-bit, so only the length is checked.
-        The words are copied into the existing list, never rebinding
-        it: compiled code holds ``words`` and indexes it directly.
-        """
-        if len(saved) != self.size:
-            raise DispatchError(
-                f"register-file restore expects {self.size} words, "
-                f"got {len(saved)}"
-            )
-        self.words[:] = saved
-
     # ---- machine-state protocol -------------------------------------------
     @property
     def regs(self) -> list[int]:
         """``words`` under its checkpoint key."""
         return self.words
 
-    def restore(self, saved: list[int] | dict) -> None:
-        """Reinstate a snapshot, or a word list :meth:`save` returned."""
-        if isinstance(saved, dict):
-            super().restore(saved)
-        else:
-            self.load(saved)
+    def restore(self, saved: dict) -> None:
+        """Reinstate a snapshot in place (compiled code holds
+        ``words``), masking each word to 32 bits."""
+        super().restore(saved)
         words = self.words
         words[:] = [value & MASK32 for value in words]
 

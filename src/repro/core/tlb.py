@@ -52,6 +52,11 @@ class DispatchTLB(Snapshotable):
     hits: int = 0
     insertions: int = 0
     evictions: int = 0
+    #: Every live mapping, ID tuple -> RAM word: the CAM match and the
+    #: RAM read as one dict probe.  Derived from ``cam`` and ``ram`` and
+    #: kept by every mutator; :meth:`restore` refills it in place, since
+    #: compiled CDP sites hold it by reference.
+    targets: dict[IDTuple, int] = field(init=False, repr=False)
     #: RAM word -> the valid entries holding it, so dropping every
     #: mapping to one PFU is a lookup instead of a walk over the CAM.
     #: Derived from ``cam`` and ``ram``; rebuilt by :meth:`restore`.
@@ -60,17 +65,17 @@ class DispatchTLB(Snapshotable):
     def __post_init__(self) -> None:
         self.cam = CAM(entries=self.entries, make_key=IDTuple._make)
         self.ram = [0] * self.entries
+        self.targets = {}
         self._holders = {}
 
     # ---- datapath-side -----------------------------------------------------
     def lookup(self, key: IDTuple) -> int | None:
         """Single-cycle lookup: the RAM word for ``key``, or ``None``."""
         self.lookups += 1
-        entry = self.cam.match(key)
-        if entry is None:
-            return None
-        self.hits += 1
-        return self.ram[entry]
+        value = self.targets.get(key)
+        if value is not None:
+            self.hits += 1
+        return value
 
     # ---- OS-side -------------------------------------------------------------
     def insert(self, key: IDTuple, value: int) -> IDTuple | None:
@@ -81,13 +86,15 @@ class DispatchTLB(Snapshotable):
         self.insertions += 1
         cam = self.cam
         ram = self.ram
+        targets = self.targets
         holders = self._holders
-        entry = cam.match(key)
         evicted: IDTuple | None = None
-        if entry is not None:
-            if ram[entry] == value:
+        old = targets.get(key)
+        if old is not None:
+            if old == value:
                 return None
-            holders[ram[entry]].discard(entry)
+            entry = cam.match(key)
+            holders[old].discard(entry)
         else:
             entry = cam.free_entry()
             if entry is None:
@@ -97,8 +104,10 @@ class DispatchTLB(Snapshotable):
                 if evicted is not None:
                     self.evictions += 1
                     holders[ram[entry]].discard(entry)
+                    del targets[evicted]
             cam.write(entry, key)
         ram[entry] = value
+        targets[key] = value
         held = holders.get(value)
         if held is None:
             holders[value] = {entry}
@@ -108,9 +117,9 @@ class DispatchTLB(Snapshotable):
 
     def remove(self, key: IDTuple) -> bool:
         """Invalidate one mapping; True if it was present."""
-        entry = self.cam.match(key)
-        if entry is None:
+        if self.targets.pop(key, None) is None:
             return False
+        entry = self.cam.match(key)
         self.cam.invalidate_entry(entry)
         self._holders[self.ram[entry]].discard(entry)
         return True
@@ -123,6 +132,7 @@ class DispatchTLB(Snapshotable):
             if key.pid == pid:
                 cam.invalidate_entry(entry)
                 self._holders[self.ram[entry]].discard(entry)
+                del self.targets[key]
                 removed += 1
         return removed
 
@@ -136,8 +146,9 @@ class DispatchTLB(Snapshotable):
         if not entries:
             return 0
         invalidate = self.cam.invalidate_entry
+        targets = self.targets
         for entry in entries:
-            invalidate(entry)
+            del targets[invalidate(entry)]
         removed = len(entries)
         # Emptied, not dropped: the PFU's next mapping reuses the set.
         entries.clear()
@@ -149,6 +160,7 @@ class DispatchTLB(Snapshotable):
         items = cam.items()
         for _key, entry in items:
             cam.invalidate_entry(entry)
+        self.targets.clear()
         self._holders.clear()
         return len(items)
 
@@ -156,15 +168,17 @@ class DispatchTLB(Snapshotable):
     def restore(self, state: dict) -> None:
         super().restore(state)
         ram = self.ram
+        targets = self.targets
+        targets.clear()
         holders = self._holders = {}
-        for _key, entry in self.cam.items():
+        for key, entry in self.cam.items():
+            targets[key] = ram[entry]
             holders.setdefault(ram[entry], set()).add(entry)
 
     # ---- introspection ----------------------------------------------------
     def contents(self) -> dict[IDTuple, int]:
         """Every live mapping, ``(PID, CID)`` tuple to RAM word."""
-        ram = self.ram
-        return {key: ram[entry] for key, entry in self.cam.items()}
+        return dict(self.targets)
 
     @property
     def occupied(self) -> int:

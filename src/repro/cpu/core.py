@@ -241,12 +241,14 @@ class CPU(Snapshotable):
             ctx, ops = self._compile()
         state = self.state
         regs = state.regs
-        ctx.idx = _pc_index(regs[15])
+        offset = regs[15] - CODE_BASE
+        if offset < 0 or offset & 3:
+            _pc_index(regs[15])  # raises the CPUError
+        ctx.idx = offset >> 2
         base_retired = ctx.retired
         used = 0
         event: CPUEvent | None = None
         length = len(ops)
-        retired = 0
         try:
             if state.halted:
                 # Only HALT sets ``halted``, and it raises, ending the

@@ -45,7 +45,7 @@ coprocessor's
 ``None`` (no fault plan: a :class:`~repro.cpu.exceptions.FabricFault`
 raised mid-trace would discard committed cycles) and the recorder's
 side-effect-free TLB peek resolves it in hardware; the generated code
-then replays the memoized warm path of
+then replays the hardware-hit path of
 :func:`repro.cpu.translate.cdp_closure` —
 TLB statistics, ``dispatch`` event and all — behind a
 dispatch-generation guard, and makes one call,
@@ -89,7 +89,6 @@ from types import CodeType
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
-from ..core.tlb import IDTuple
 from .blocks import (
     _COND_EXPR,
     _ENV_NAMES,
@@ -350,11 +349,9 @@ class TraceManager:
         return components, idx, False
 
     def _peek_hardware(self, cid: int) -> int | None:
-        """Side-effect-free hardware-TLB probe (``CAM.match`` is a pure
-        dict lookup; ``DispatchTLB.lookup`` would bump statistics)."""
-        tlb = self.dispatch.hardware_tlb
-        slot = tlb.cam.match(IDTuple(self.pid, cid))
-        return None if slot is None else tlb.ram[slot]
+        """Side-effect-free hardware-TLB probe (a read of its
+        ``targets``; ``DispatchTLB.lookup`` would bump statistics)."""
+        return self.dispatch.hardware_tlb.targets.get((self.pid, cid))
 
     # ---- code generation ---------------------------------------------------
     def _source(
@@ -470,8 +467,8 @@ class TraceManager:
                 body.append("if _dsp.generation != _eg:")
                 body.append("    _ivd()")
                 body.append("    return _u")
-                # The memoized warm path of the CDP closure, unrolled:
-                # hardware probe hit, counters replayed arithmetically.
+                # The CDP closure's hardware-hit path, unrolled: the
+                # probe's hit is known, so only its counters remain.
                 body.append("_hwt.lookups += 1")
                 body.append("_hwt.hits += 1")
                 body.append(

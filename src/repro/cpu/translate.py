@@ -8,11 +8,11 @@ holds what that source runs against:
 
 * :class:`RunContext`, the cursor every compiled instruction updates;
 * :func:`cdp_closure`, the one instruction kept as a hand-written
-  closure.  A custom instruction's site memoizes its last dispatch
-  resolution, which is mutable per-site state, and it ends the burst
-  through ``RunContext.interrupted`` rather than an exception when it is
-  interrupted or its dispatch faults — a fault on a short quantum is the
-  common case, so each site builds its
+  closure.  A custom instruction's site resolves its dispatch with two
+  dict reads, the ``targets`` of the hardware and then the software
+  TLB, and it ends the burst through ``RunContext.interrupted`` rather
+  than an exception when it is interrupted or its dispatch faults — a
+  fault on a short quantum is the common case, so each site builds its
   :class:`~repro.cpu.exceptions.CustomInstructionFault` once.  A
   hardware resolution is one call into the resolved PFU's
   :meth:`~repro.core.pfu.PFU.step`, with the coprocessor's
@@ -30,7 +30,6 @@ from typing import Callable
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
-from ..core.dispatch import DispatchKind
 from .exceptions import CustomInstructionFault
 from .isa import CODE_BASE, Instruction, MASK32, Op, to_signed
 
@@ -74,16 +73,19 @@ def cdp_closure(
     rd, rn, rm, imm = (
         instruction.rd, instruction.rn, instruction.rm, instruction.imm,
     )
-    # Bind the dispatch unit directly: the coprocessor's ``resolve``
-    # is a pure delegation hop, and CDP decode is the hottest call
-    # site in a burst.  Each site memoizes its last resolution
-    # against the unit's generation counter: equal generation means
-    # no mapping anywhere changed since, so the cached result still
-    # holds and the two TLB probes can be replayed arithmetically.
+    # The decode-stage dispatch of ``DispatchUnit.resolve``, inline: the
+    # site probes the two TLBs' ``targets`` dicts itself (hardware
+    # first, software only on a hardware miss) and bumps their
+    # statistics as ``DispatchTLB.lookup`` would.  The dicts are kept by
+    # the TLBs' own mutators and refilled in place on restore, so
+    # binding them once is safe.
     dispatch = coprocessor.dispatch
-    resolve = dispatch.resolve
+    bus = dispatch.trace
     hw_tlb = dispatch.hardware_tlb
     sw_tlb = dispatch.software_tlb
+    hw_targets = hw_tlb.targets
+    sw_targets = sw_tlb.targets
+    key = (pid, imm)
     # A hardware issue goes straight to the resolved PFU's ``step``.
     # The FPL registers are range-checked here, at translation; a site
     # naming a missing one raises the coprocessor's error when it issues.
@@ -97,47 +99,18 @@ def cdp_closure(
     # The site's fault is the same every time: build it once.
     fault = CustomInstructionFault(cid=imm, fault_pc=CODE_BASE + 4 * index)
     return_address = CODE_BASE + 4 * (index + 1)
-    HARDWARE = DispatchKind.HARDWARE
-    SOFTWARE = DispatchKind.SOFTWARE
-    cached_gen = -1  # DispatchUnit generations start at 0
-    cached_resolution = None
-    cached_outcome = ""
 
     def handler(budget: int) -> int:
-        nonlocal cached_gen, cached_resolution, cached_outcome
-        if dispatch.generation == cached_gen:
-            resolution = cached_resolution
-            kind = resolution.kind
-            # Keep the TLB statistics and the dispatch counters
-            # bit-identical with an unmemoized resolution: hardware
-            # probes first, software only probes on a hardware miss.
-            hw_tlb.lookups += 1
-            if kind is HARDWARE:
-                hw_tlb.hits += 1
-            else:
-                sw_tlb.lookups += 1
-                if kind is SOFTWARE:
-                    sw_tlb.hits += 1
-            # Emitter looked up at call time: the bus rebinds it when
-            # event sinks attach or detach.
-            dispatch.trace.dispatch(pid, imm, cached_outcome)
-        else:
-            resolution = resolve(pid, imm)
-            kind = resolution.kind
-            # Read the generation *after* resolving so a concurrent
-            # management call can only force one extra re-resolve.
-            cached_gen = dispatch.generation
-            cached_resolution = resolution
-            if kind is HARDWARE:
-                cached_outcome = "hit"
-            elif kind is SOFTWARE:
-                cached_outcome = "soft"
-            else:
-                cached_outcome = "fault"
-        if kind is HARDWARE:
+        # Emitters are looked up on the bus at call time: it rebinds
+        # them when event sinks attach or detach.
+        hw_tlb.lookups += 1
+        pfu_index = hw_targets.get(key)
+        if pfu_index is not None:
+            hw_tlb.hits += 1
+            bus.dispatch(pid, imm, "hit")
             if not operands_ok:
                 coprocessor.check_operands(rd, rn, rm)
-            cycles, result = pfus[resolution.pfu_index].step(
+            cycles, result = pfus[pfu_index].step(
                 words[rn], words[rm], max(1, budget - issue),
                 coprocessor.completion_hook,
             )
@@ -148,12 +121,17 @@ def cdp_closure(
             else:
                 ctx.interrupted = True
             return issue + cycles
-        if kind is SOFTWARE:
+        sw_tlb.lookups += 1
+        address = sw_targets.get(key)
+        if address is not None:
+            sw_tlb.hits += 1
+            bus.dispatch(pid, imm, "soft")
             capture(rd, rn, rm)
             regs[14] = return_address
-            ctx.idx = (resolution.address - CODE_BASE) >> 2
+            ctx.idx = (address - CODE_BASE) >> 2
             ctx.retired += 1
             return soft_cost
+        bus.dispatch(pid, imm, "fault")
         # Signalled, not raised: ``run`` charges the issue cost and
         # ends the burst with the PC still on this CDP.
         ctx.event = fault

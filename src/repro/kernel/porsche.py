@@ -167,9 +167,24 @@ class Porsche(Snapshotable):
     def _run_quantum(
         self, process: Process, budget_cap: int | None = None
     ) -> None:
-        self._switch_to(process)
         trace = self.trace
         pid = process.pid
+        last = self._last_running
+        if last is not process:
+            # The context switch: only the coprocessor registers move;
+            # PID-tagged PFUs and TLB mappings stay put (§4.2).
+            self.coprocessor.switch_context(
+                None if last is None else last.coproc_context,
+                process.coproc_context,
+            )
+            cycles = self.config.context_switch_cycles
+            self.clock += cycles
+            trace.kernel_charge(pid, cycles)
+            trace.context_switch(pid)
+            hook = self.on_context_switch
+            if hook is not None:
+                hook(process)
+            self._last_running = process
         trace.quantum_start(pid)
         budget = self._quantum_cycles
         if budget_cap is not None:
@@ -260,24 +275,6 @@ class Porsche(Snapshotable):
             else:  # pragma: no cover - future event kinds
                 raise KernelError(f"unhandled CPU event {event!r}")
         self.scheduler.preempt(process)  # a no-op once the process is gone
-
-    def _switch_to(self, process: Process) -> None:
-        last = self._last_running
-        if last is process:
-            return
-        self.coprocessor.switch_context(
-            None if last is None else last.coproc_context,
-            process.coproc_context,
-        )
-        cycles = self.config.context_switch_cycles
-        self.clock += cycles
-        trace = self.trace
-        trace.kernel_charge(process.pid, cycles)
-        trace.context_switch(process.pid)
-        hook = self.on_context_switch
-        if hook is not None:
-            hook(process)
-        self._last_running = process
 
     #: Hook for architecture baselines, called with the incoming process
     #: after each switch (PRISC flushes its TLBs here).  The Proteus

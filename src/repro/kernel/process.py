@@ -15,7 +15,7 @@ from ..cpu.core import CPU, CPUState
 from ..cpu.isa import code_address
 from ..cpu.memory import Memory
 from ..cpu.program import Program
-from ..errors import KernelError
+from ..errors import CheckpointError, KernelError
 from ..state import Snapshotable
 from ..trace.counters import ProcessStats  # re-export: the derived view
 
@@ -195,13 +195,22 @@ class Process(Snapshotable):
             )
         super().restore(state)
         self.state = ProcessState(state["state"])
+        config = self.cpu.config
         context = state["coproc_context"]
+        regfile = context["regfile"]
         operands = context["operands"]
+        # Checked here, once, so a context switch can copy the saved
+        # registers without measuring them.
+        if len(regfile) != config.fpl_registers or len(operands) != 4:
+            raise CheckpointError(
+                f"pid {self.pid}: coproc_context holds {len(regfile)} "
+                f"FPL words and {len(operands)} operand fields, expected "
+                f"{config.fpl_registers} and 4"
+            )
         self.coproc_context = {
-            "regfile": list(context["regfile"]),
+            "regfile": list(regfile),
             "operands": [*operands[:3], bool(operands[3])],
         }
-        config = self.cpu.config
         self.registrations = {}
         synth_program: Program | None = None
         for entry in state["registrations"]:

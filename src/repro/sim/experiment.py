@@ -21,10 +21,13 @@ from ..apps.workloads import WorkloadVariant
 from ..baselines.memmap import memmap_config
 from ..config import MachineConfig
 from ..cpu.program import Program
-from ..errors import ExperimentError
+from ..errors import ExperimentError, ReproError
 from ..faults import FaultPlan
 from ..kernel.porsche import KernelStats, Porsche
-from ..machine import Machine, spec_from_dict, spec_to_dict
+from ..machine import (
+    CHECKPOINT_FORMAT, CHECKPOINT_VERSION, Machine, spec_from_dict,
+    spec_to_dict,
+)
 from ..plans import PLANS, encode_plans
 from ..prefetch import PrefetchPlan
 from ..synth.plan import SynthesisPlan
@@ -215,6 +218,19 @@ def build_kernel(spec: ExperimentSpec) -> Porsche:
     return Machine.from_spec(spec).kernel
 
 
+def _checkpoint_of(document, spec: ExperimentSpec) -> bool:
+    """Whether ``document`` is a machine checkpoint of ``spec`` that this
+    build can resume."""
+    try:
+        return (
+            (document["format"], document["version"])
+            == (CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+            and spec_from_dict(document["spec"]).spec_key() == spec.spec_key()
+        )
+    except (ReproError, AttributeError, KeyError, TypeError, ValueError):
+        return False
+
+
 def start_machine(
     spec: ExperimentSpec,
     checkpoint: dict | None = None,
@@ -224,11 +240,11 @@ def start_machine(
     ``checkpoint`` when that is a checkpoint of this same spec.
 
     A stale or foreign checkpoint never poisons a run: the machine
-    cold-starts instead.  Returns the machine and whether it resumed.
+    cold-starts instead, as it does for anything that is not a machine
+    checkpoint at all (a daemon client may hand in any JSON).  Returns
+    the machine and whether it resumed.
     """
-    if checkpoint is not None and (
-        spec_from_dict(checkpoint["spec"]).spec_key() != spec.spec_key()
-    ):
+    if checkpoint is not None and not _checkpoint_of(checkpoint, spec):
         checkpoint = None
     if checkpoint is not None:
         return Machine.resume(checkpoint, sinks=sinks), True

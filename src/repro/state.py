@@ -37,8 +37,8 @@ only for what the rules cannot express:
   the counters' ``faults``/``prefetch`` and a registration's
   ``synth``/``prefetched``;
 * side effects: a dispatch-unit restore bumps its ``generation`` so
-  memoized dispatch sites re-resolve, and a TLB restore rebuilds its
-  reverse index.
+  jit traces re-record, and a TLB restore refills its ``targets`` in
+  place and rebuilds its reverse index.
 
 The paper's state-section mechanism (§4.4) is the hardware seed of this
 idea — circuit state is explicitly save/restorable so the OS can manage

@@ -43,6 +43,8 @@ import pytest
 
 from repro.apps.workloads import WorkloadVariant
 from repro.core.coprocessor import ProteusCoprocessor
+from repro.core.dispatch import DispatchUnit
+from repro.core.tlb import DispatchTLB
 from repro.faults import FaultPlan
 from repro.machine import Machine, spec_from_dict, spec_to_dict
 from repro.prefetch import PrefetchPlan
@@ -546,6 +548,27 @@ def test_event_stream_golden():
         for name, (_spec, count, digest) in EVENT_STREAMS.items()
     }
     assert EVENT_COVERAGE <= coverage.seen, EVENT_COVERAGE - coverage.seen
+
+
+@pytest.mark.parametrize("tier", ["jit", "block"])
+def test_compiled_cdp_sites_probe_the_tlbs_inline(tier, monkeypatch):
+    """A compiled CDP site reads the TLBs' ``targets`` itself: a
+    thrashing point (hits and faults) and the software-dispatch stream
+    hold their anchors with ``DispatchUnit.resolve`` and
+    ``DispatchTLB.lookup`` unusable."""
+    monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+
+    def probe(*args, **kwargs):
+        raise AssertionError("dispatch probe called")
+
+    monkeypatch.setattr(DispatchUnit, "resolve", probe)
+    monkeypatch.setattr(DispatchTLB, "lookup", probe)
+    assert _thrash_point("echo", 4) == THRASH_ANCHORS[("echo", 4)]
+    spec, count, expected = EVENT_STREAMS["soft"]
+    digest = _Digest()
+    sink = JsonlSink(digest)
+    run_experiment(spec, verify=False, sinks=[sink])
+    assert (sink.written, digest.sha.hexdigest()) == (count, expected)
 
 
 #: The extra points of the section table: custom-instruction synthesis

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.errors import DaemonLostError, ExperimentError
+from repro.machine import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 from repro.sim.client import RemoteJob
 from repro.sim.experiment import (
     ExperimentSpec,
@@ -220,5 +221,23 @@ class TestPooledScheduler:
         assert not machine.finished
         checkpoint = machine.checkpoint()
         with Scheduler(workers=1) as scheduler:
+            job = scheduler.submit(point, checkpoint=checkpoint)
+            assert job.result(timeout=120) == reference
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("checkpoint", [
+        {"not": "a checkpoint"},
+        {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+         "spec": {"workload": 5}},
+        {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION + 1},
+    ], ids=["foreign", "bad_spec", "other_version"])
+    def test_a_document_that_is_no_checkpoint_cold_starts(
+        self, workers, checkpoint
+    ):
+        """A submitted checkpoint is a client's JSON: anything that is
+        not a machine checkpoint of the spec runs from cycle 0."""
+        point = spec(instances=2)
+        reference = run_experiment(point, verify=False)
+        with Scheduler(workers=workers) as scheduler:
             job = scheduler.submit(point, checkpoint=checkpoint)
             assert job.result(timeout=120) == reference

@@ -49,9 +49,12 @@ class TestOperandRegisters:
         assert regs.read_operand(0) == 3
 
     def test_save_restore_across_process_switch(self):
+        """The registers survive a snapshot round trip; a process switch
+        moves the same four fields (``ProteusCoprocessor.switch_context``)."""
         regs = OperandRegisters()
         regs.capture(5, 6, 2)
-        saved = regs.save()
+        saved = regs.snapshot()
+        assert saved["regs"] == [5, 6, 2, True]
         regs.capture(9, 9, 9)
         regs.take_result_dest()
         regs.restore(saved)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.regfile import FPLRegisterFile
-from repro.errors import DispatchError
+from repro.errors import CheckpointError, DispatchError
 
 
 class TestRegisterFile:
@@ -32,21 +32,23 @@ class TestRegisterFile:
         regs = FPLRegisterFile(size=4)
         for i in range(4):
             regs.write(i, i * 10)
-        saved = regs.save()
+        saved = regs.snapshot()
+        words = regs.words
         regs.write(0, 999)
         regs.restore(saved)
         assert regs.read(0) == 0
+        assert regs.words is words  # in place: compiled code holds it
 
     def test_save_is_a_copy(self):
         regs = FPLRegisterFile(size=4)
-        saved = regs.save()
+        saved = regs.snapshot()
         regs.write(0, 1)
-        assert saved[0] == 0
+        assert saved["regs"][0] == 0
 
     def test_restore_length_checked(self):
         regs = FPLRegisterFile(size=4)
-        with pytest.raises(DispatchError):
-            regs.restore([0, 0])
+        with pytest.raises(CheckpointError, match=r"FPLRegisterFile\.regs"):
+            regs.restore({"regs": [0, 0]})
 
     def test_needs_positive_size(self):
         with pytest.raises(DispatchError):

@@ -136,6 +136,30 @@ class TestMalformedCheckpoint:
         with pytest.raises(CheckpointError, match=r"DispatchTLB\.ram"):
             _resumed_with(mutate)
 
+    @pytest.mark.parametrize("field,count", [
+        ("regfile", 15), ("regfile", 17), ("operands", 3), ("operands", 5),
+    ])
+    def test_coproc_context(self, field, count):
+        """Refused at resume, not at the first switch into the process
+        (a short register file) or as a bare ``IndexError``."""
+        def mutate(kernel):
+            saved = kernel["processes"]["2"]["coproc_context"][field]
+            del saved[count:]
+            saved.extend([0] * (count - len(saved)))
+
+        with pytest.raises(CheckpointError, match="pid 2: coproc_context"):
+            _resumed_with(mutate)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_coprocessor_operands(self, count):
+        def mutate(kernel):
+            regs = kernel["coprocessor"]["operands"]["regs"]
+            del regs[count:]
+            regs.extend([0] * (count - len(regs)))
+
+        with pytest.raises(CheckpointError, match=r"OperandRegisters\.regs"):
+            _resumed_with(mutate)
+
     def test_pfu_bank(self):
         def mutate(kernel):
             kernel["coprocessor"]["pfus"]["pfus"].pop()
@@ -267,9 +291,12 @@ UNSAVED = {
     (CAM, "_index"): "derived from the saved keys",
     (CAM, "make_key"): CONFIG,
     (DispatchTLB, "entries"): CONFIG,
+    (DispatchTLB, "targets"): "derived from the saved keys and RAM words; "
+                              "refilled in place by restore",
     (DispatchTLB, "_holders"): "derived from the saved keys and RAM words",
     (DispatchUnit, "trace"): WIRING,
-    (DispatchUnit, "generation"): "memo stamp, bumped by every restore",
+    (DispatchUnit, "generation"): "jit trace guard stamp, bumped by every "
+                                  "restore",
     (RoundRobinScheduler, "processes"): WIRING,
     (FaultInjector, "plan"): CONFIG,
     (TransitionModel, "plan"): CONFIG,

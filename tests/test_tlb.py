@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import adder_spec
+from repro.config import MachineConfig
+from repro.core.coprocessor import ProteusCoprocessor
+from repro.core.dispatch import DispatchKind
 from repro.core.tlb import DispatchTLB, IDTuple
+from repro.cpu.isa import CODE_BASE, Instruction, Op
+from repro.cpu.translate import RunContext, cdp_closure
 
 
 def key(pid: int, cid: int) -> IDTuple:
@@ -278,3 +284,145 @@ def test_tlb_and_cam_agree_with_reference_model(ops, entries):
                 if k is not None}
         assert tlb.contents() == live
         assert tlb.occupied == tlb.cam.occupied == len(live)
+
+
+class _ReferenceDispatch:
+    """A naive model of :class:`DispatchUnit`: two :class:`_ReferenceTLB`
+    and a count per trace outcome."""
+
+    def __init__(self, entries: int) -> None:
+        self.hardware = _ReferenceTLB(entries)
+        self.software = _ReferenceTLB(entries)
+        self.counts = {"hit": 0, "soft": 0, "fault": 0}
+
+    def resolve(self, k: IDTuple) -> tuple[str, int | None]:
+        pfu = self.hardware.lookup(k)
+        if pfu is not None:
+            self.counts["hit"] += 1
+            return "hardware", pfu
+        address = self.software.lookup(k)
+        if address is not None:
+            self.counts["soft"] += 1
+            return "software", address
+        self.counts["fault"] += 1
+        return "fault", None
+
+    def map_hardware(self, k: IDTuple, pfu: int) -> IDTuple | None:
+        self.software.remove(k)
+        return self.hardware.insert(k, pfu)
+
+    def map_software(self, k: IDTuple, address: int) -> IDTuple | None:
+        self.hardware.remove(k)
+        return self.software.insert(k, address)
+
+    def unmap(self, k: IDTuple) -> None:
+        self.hardware.remove(k)
+        self.software.remove(k)
+
+    def unmap_pid(self, pid: int) -> int:
+        return self.hardware.remove_pid(pid) + self.software.remove_pid(pid)
+
+    def unmap_pfu(self, pfu: int) -> int:
+        return self.hardware.remove_value(pfu)
+
+    def flush(self) -> int:
+        return self.hardware.flush() + self.software.flush()
+
+    def restore(self, state: dict) -> None:
+        self.hardware.restore(state["hardware_tlb"])
+        self.software.restore(state["software_tlb"])
+
+
+_PFUS = 4
+#: Software alternatives sit at these word offsets into the code.
+_SOFT_SLOTS = st.integers(min_value=0, max_value=3)
+_DISPATCH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("map_hardware"), _PIDS, _CIDS,
+                  st.integers(min_value=0, max_value=_PFUS - 1)),
+        st.tuples(st.just("map_software"), _PIDS, _CIDS, _SOFT_SLOTS),
+        st.tuples(st.just("unmap"), _PIDS, _CIDS),
+        st.tuples(st.just("unmap_pid"), _PIDS),
+        st.tuples(st.just("unmap_pfu"),
+                  st.integers(min_value=0, max_value=_PFUS - 1)),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore"), st.integers(min_value=0, max_value=7)),
+    ),
+    max_size=40,
+)
+
+
+def _site_outcome(site, cid, ctx, pfus) -> tuple[str, int | None]:
+    """Issue one compiled CDP site and read back how it dispatched: the
+    PFU whose completion counter moved, the routine it branched to, or
+    the fault it parked."""
+    ctx.idx, ctx.interrupted, ctx.event = 0, False, None
+    site(1 << 20)
+    stepped = [pfu.index for pfu in pfus if pfu.read_and_clear_usage()]
+    if stepped:
+        assert ctx.event is None and not ctx.interrupted
+        return "hardware", *stepped
+    if ctx.event is not None:
+        assert ctx.interrupted and ctx.event.cid == cid
+        return "fault", None
+    return "software", CODE_BASE + 4 * ctx.idx
+
+
+def _resolution(result) -> tuple[str, int | None]:
+    if result.kind is DispatchKind.HARDWARE:
+        return "hardware", result.pfu_index
+    return result.kind.value, result.address
+
+
+@given(ops=_DISPATCH_OPS, entries=st.integers(min_value=1, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_dispatch_probes_agree_with_reference_model(ops, entries):
+    """After every management call, ``DispatchUnit.resolve`` and a
+    block-tier CDP site for every (PID, CID) resolve as the naive
+    two-TLB model does: same kind and target, same lookups and hits on
+    both TLBs, same trace outcome counts.  Restores replay earlier
+    snapshots through JSON, as a checkpoint would."""
+    config = MachineConfig(tlb_entries=entries, pfu_count=_PFUS)
+    coprocessor = ProteusCoprocessor(config=config)
+    for index in range(_PFUS):
+        coprocessor.load_circuit(index, adder_spec().instantiate(1, config))
+    pfus = coprocessor.pfus.pfus
+    dispatch = coprocessor.dispatch
+    model = _ReferenceDispatch(entries)
+    ctx = RunContext()
+    sites = {}
+    for pid in range(1, 4):
+        for cid in range(4):
+            cdp = Instruction(Op.CDP, rd=2, rn=0, rm=1, imm=cid)
+            sites[key(pid, cid)] = cdp_closure(
+                cdp, 0, ctx, [0] * 16, coprocessor, config, pid
+            )
+    saved: list[dict] = []
+    for op, *args in ops:
+        if op in ("map_hardware", "map_software"):
+            pid, cid, target = args
+            if op == "map_software":
+                target = CODE_BASE + 4 * target
+            assert getattr(dispatch, op)(key(pid, cid), target) == getattr(
+                model, op
+            )(key(pid, cid), target)
+        elif op == "unmap":
+            dispatch.unmap(key(*args))
+            model.unmap(key(*args))
+        elif op in ("unmap_pid", "unmap_pfu", "flush"):
+            assert getattr(dispatch, op)(*args) == getattr(model, op)(*args)
+        elif op == "snapshot":
+            saved.append(json.loads(json.dumps(dispatch.snapshot())))
+        elif saved:
+            state = saved[args[0] % len(saved)]
+            dispatch.restore(state)
+            model.restore(state)
+        for k, site in sites.items():
+            assert _resolution(dispatch.resolve(*k)) == model.resolve(k)
+            assert _site_outcome(site, k.cid, ctx, pfus) == model.resolve(k)
+        for tlb, reference in ((dispatch.hardware_tlb, model.hardware),
+                               (dispatch.software_tlb, model.software)):
+            assert (tlb.lookups, tlb.hits) == (reference.lookups,
+                                               reference.hits)
+        assert dispatch.trace.counters.dispatch == model.counts
