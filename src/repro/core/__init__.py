@@ -10,7 +10,8 @@ the processor datapath:
   per-PFU usage counters the OS reads for replacement decisions (§4.5);
 * :class:`~repro.core.tlb.DispatchTLB` — CAM+RAM translation buffers
   keyed by the globally unique (PID, CID) tuple, so nothing is flushed on
-  a context switch and many tuples can share one circuit (§4.2);
+  a context switch and many tuples can share one circuit; each holds its
+  CAM's keys itself, at most one valid entry per key (§4.2);
 * :class:`~repro.core.dispatch.DispatchUnit` — the decode-stage resolver
   of Figure 1: hardware PFU, software alternative, or OS fault;
 * :class:`~repro.core.operand_regs.OperandRegisters` — the special
@@ -19,7 +20,6 @@ the processor datapath:
 """
 
 from .circuit import CircuitBehaviour, CircuitInstance, CircuitSpec
-from .cam import CAM
 from .tlb import DispatchTLB, IDTuple
 from .dispatch import (
     DispatchKind,
@@ -35,7 +35,6 @@ __all__ = [
     "CircuitBehaviour",
     "CircuitInstance",
     "CircuitSpec",
-    "CAM",
     "DispatchTLB",
     "IDTuple",
     "DispatchKind",

@@ -7,6 +7,11 @@ central contrast with PRISC's per-PFU ID registers.  An ID tuple names a
 *mapping*, not a circuit: several tuples may map to the same PFU or
 software routine, which is how circuits are shared.
 
+Each TLB pairs a Content Addressable Memory of ID tuples with a RAM of
+targets.  The CAM answers "which entry holds this key?" in a single
+cycle, and at most one valid entry may match any key: a multi-match
+would be a wired-OR conflict in silicon.
+
 The TLB is finite, so a mapping can be pushed out while its circuit is
 still loaded in a PFU; the resulting fault is a *mapping fault* that the
 CIS repairs without any configuration transfer.
@@ -17,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ..errors import TLBError
+from ..errors import CheckpointError, TLBError
 from ..state import Snapshotable
-from .cam import CAM
 
 
 class IDTuple(NamedTuple):
@@ -34,17 +38,18 @@ class DispatchTLB(Snapshotable):
     """One translation buffer: CAM of ID tuples + RAM of integer targets.
 
     For the hardware TLB the target is a PFU number; for the software TLB
-    it is the memory address of the alternative routine.  Replacement of
-    TLB entries themselves is FIFO over the entry indices, standing in for
-    the simple hardware pointer a real implementation would use.
+    it is the memory address of the alternative routine.  A new mapping
+    takes the lowest free entry; in a full TLB, replacement is FIFO over
+    the entry indices, standing in for the simple hardware pointer a real
+    implementation would use.
     """
 
-    STATE = (
-        "cam", "ram", "_fifo_hand", "lookups", "hits", "insertions", "evictions",
-    )
+    STATE = ("ram", "_fifo_hand", "lookups", "hits", "insertions", "evictions")
 
     entries: int
-    cam: CAM[IDTuple] = field(init=False)
+    #: The CAM: each entry's ID tuple, ``None`` if free.  Saved under
+    #: ``cam`` as lists of fields.
+    keys: list[IDTuple | None] = field(init=False)
     ram: list[int] = field(init=False)
     _fifo_hand: int = 0
     #: Statistics for the evaluation harness.
@@ -53,17 +58,18 @@ class DispatchTLB(Snapshotable):
     insertions: int = 0
     evictions: int = 0
     #: Every live mapping, ID tuple -> RAM word: the CAM match and the
-    #: RAM read as one dict probe.  Derived from ``cam`` and ``ram`` and
+    #: RAM read as one dict probe.  Derived from ``keys`` and ``ram`` and
     #: kept by every mutator; :meth:`restore` refills it in place, since
     #: compiled CDP sites hold it by reference.
     targets: dict[IDTuple, int] = field(init=False, repr=False)
-    #: RAM word -> the valid entries holding it, so dropping every
-    #: mapping to one PFU is a lookup instead of a walk over the CAM.
-    #: Derived from ``cam`` and ``ram``; rebuilt by :meth:`restore`.
+    #: RAM word -> the valid entries holding it, so dropping every mapping
+    #: to one PFU is a lookup, not a walk.  Derived from ``keys`` and ``ram``.
     _holders: dict[int, set[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.cam = CAM(entries=self.entries, make_key=IDTuple._make)
+        if self.entries <= 0:
+            raise TLBError("DispatchTLB needs at least one entry")
+        self.keys = [None] * self.entries
         self.ram = [0] * self.entries
         self.targets = {}
         self._holders = {}
@@ -84,7 +90,7 @@ class DispatchTLB(Snapshotable):
         Re-inserting an existing key simply rewrites its RAM word.
         """
         self.insertions += 1
-        cam = self.cam
+        keys = self.keys
         ram = self.ram
         targets = self.targets
         holders = self._holders
@@ -93,19 +99,19 @@ class DispatchTLB(Snapshotable):
         if old is not None:
             if old == value:
                 return None
-            entry = cam.match(key)
+            entry = keys.index(key)
             holders[old].discard(entry)
         else:
-            entry = cam.free_entry()
-            if entry is None:
+            if len(targets) < self.entries:
+                entry = keys.index(None)
+            else:
                 entry = self._fifo_hand
                 self._fifo_hand = (entry + 1) % self.entries
-                evicted = cam.key_at(entry)
-                if evicted is not None:
-                    self.evictions += 1
-                    holders[ram[entry]].discard(entry)
-                    del targets[evicted]
-            cam.write(entry, key)
+                evicted = keys[entry]
+                self.evictions += 1
+                holders[ram[entry]].discard(entry)
+                del targets[evicted]
+            keys[entry] = key
         ram[entry] = value
         targets[key] = value
         held = holders.get(value)
@@ -117,24 +123,20 @@ class DispatchTLB(Snapshotable):
 
     def remove(self, key: IDTuple) -> bool:
         """Invalidate one mapping; True if it was present."""
-        if self.targets.pop(key, None) is None:
+        value = self.targets.pop(key, None)
+        if value is None:
             return False
-        entry = self.cam.match(key)
-        self.cam.invalidate_entry(entry)
-        self._holders[self.ram[entry]].discard(entry)
+        entry = self.keys.index(key)
+        self.keys[entry] = None
+        self._holders[value].discard(entry)
         return True
 
     def remove_pid(self, pid: int) -> int:
         """Invalidate every mapping belonging to ``pid`` (process exit)."""
-        cam = self.cam
-        removed = 0
-        for key, entry in cam.items():
-            if key.pid == pid:
-                cam.invalidate_entry(entry)
-                self._holders[self.ram[entry]].discard(entry)
-                del self.targets[key]
-                removed += 1
-        return removed
+        doomed = [key for key in self.targets if key.pid == pid]
+        for key in doomed:
+            self.remove(key)
+        return len(doomed)
 
     def remove_value(self, value: int) -> int:
         """Invalidate every mapping pointing at ``value``.
@@ -145,10 +147,10 @@ class DispatchTLB(Snapshotable):
         entries = self._holders.get(value)
         if not entries:
             return 0
-        invalidate = self.cam.invalidate_entry
-        targets = self.targets
         for entry in entries:
-            del targets[invalidate(entry)]
+            key = self.keys[entry]
+            self.keys[entry] = None
+            del self.targets[key]
         removed = len(entries)
         # Emptied, not dropped: the PFU's next mapping reuses the set.
         entries.clear()
@@ -156,24 +158,47 @@ class DispatchTLB(Snapshotable):
 
     def flush(self) -> int:
         """Invalidate everything (PRISC baseline behaviour, not Proteus)."""
-        cam = self.cam
-        items = cam.items()
-        for _key, entry in items:
-            cam.invalidate_entry(entry)
+        removed = len(self.targets)
+        self.keys[:] = [None] * self.entries
         self.targets.clear()
         self._holders.clear()
-        return len(items)
+        return removed
 
     # ---- machine-state protocol -------------------------------------------
+    def snapshot(self) -> dict:
+        keys = [None if key is None else list(key) for key in self.keys]
+        return {"cam": {"entries": self.entries, "keys": keys}, **super().snapshot()}
+
     def restore(self, state: dict) -> None:
+        """Reinstate a snapshot; a malformed CAM section or FIFO hand is a
+        :class:`CheckpointError`, raised before anything changes."""
+        entries = self.entries
+        cam = state["cam"]
+        saved = cam["keys"]
+        if cam["entries"] != entries or len(saved) != entries:
+            raise _refused("cam", f"{cam['entries']!r} entries and "
+                           f"{len(saved)} keys", f"{entries} of each")
+        keys: list[IDTuple | None] = []
+        for entry, fields in enumerate(saved):
+            if fields is not None and (
+                    type(fields) is not list
+                    or [type(f) for f in fields] != [int, int]
+                    or tuple(fields) in keys):
+                raise _refused(f"cam.keys[{entry}]", repr(fields),
+                               "a (PID, CID) pair valid in no other entry")
+            keys.append(None if fields is None else IDTuple._make(fields))
+        hand = state["fifo_hand"]
+        if type(hand) is not int or not 0 <= hand < entries:
+            raise _refused("fifo_hand", repr(hand), f"0..{entries - 1}")
         super().restore(state)
-        ram = self.ram
+        self.keys = keys
         targets = self.targets
         targets.clear()
         holders = self._holders = {}
-        for key, entry in self.cam.items():
-            targets[key] = ram[entry]
-            holders.setdefault(ram[entry], set()).add(entry)
+        for entry, key in enumerate(keys):
+            if key is not None:
+                targets[key] = value = self.ram[entry]
+                holders.setdefault(value, set()).add(entry)
 
     # ---- introspection ----------------------------------------------------
     def contents(self) -> dict[IDTuple, int]:
@@ -182,8 +207,13 @@ class DispatchTLB(Snapshotable):
 
     @property
     def occupied(self) -> int:
-        return self.cam.occupied
+        return len(self.targets)
 
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
+
+
+def _refused(field: str, saved: str, expected: str) -> CheckpointError:
+    return CheckpointError(f"DispatchTLB.{field}: checkpoint holds {saved}, "
+                           f"expected {expected}")

@@ -27,7 +27,8 @@ only for what the rules cannot express:
   circuit instance in each PFU (re-attached from the registrations that
   own it), the process table and the last-running process;
 * bytes (:class:`~repro.cpu.memory.Memory`) and packed words (a circuit
-  instance's state section, the operand registers' context layout);
+  instance's state section, the operand registers' context layout, a
+  TLB's CAM keys as lists of fields);
 * int-keyed maps, which JSON stringifies (:func:`encode_int_keys`):
   fault bookkeeping, the transition model, LRU/second-chance history
   and the per-pid counters;
@@ -37,8 +38,9 @@ only for what the rules cannot express:
   the counters' ``faults``/``prefetch`` and a registration's
   ``synth``/``prefetched``;
 * side effects: a dispatch-unit restore bumps its ``generation`` so
-  jit traces re-record, and a TLB restore refills its ``targets`` in
-  place and rebuilds its reverse index.
+  jit traces re-record, and a TLB restore checks its CAM section (one
+  valid entry per key), refills its ``targets`` in place and rebuilds
+  its key and holder indexes.
 
 The paper's state-section mechanism (§4.4) is the hardware seed of this
 idea — circuit state is explicitly save/restorable so the OS can manage

@@ -20,8 +20,9 @@ regions' resident-image recipes and every circuit instance's state
 words, which warm-start and job checkpoints are rebuilt from.  The
 section table extends it to every optional section (fault injector,
 prefetch model and transfer engine, their counters, synthesised and
-prefetched registrations) and to each replacement policy's state, and
-requires a resumed machine to write each document back unchanged.
+prefetched registrations), to each replacement policy's state and to a
+TLB whose FIFO hand has wrapped, and requires a resumed machine to write
+each document back unchanged.
 
 The thrash table pins the three points of the ``thrash_1ms`` benchmark
 workload, where nearly every quantum swaps a circuit: their makespans
@@ -572,17 +573,21 @@ def test_compiled_cdp_sites_probe_the_tlbs_inline(tier, monkeypatch):
 
 
 #: The extra points of the section table: custom-instruction synthesis
-#: (registrations carry a ``synth`` window) and the PRISC baseline.
+#: (registrations carry a ``synth`` window), the PRISC baseline, and a
+#: two-entry TLB that evicts its own mappings FIFO (121 hardware-TLB
+#: evictions by quantum 150, where the hand stands at entry 1).
 CHECKPOINT_EXTRA_POINTS = {
     "synth": ExperimentSpec(workload="hash", instances=3, quantum_ms=1.0,
                             scale=SCALE, synthesis=SYNTH),
     "prisc": ExperimentSpec(workload="alpha", instances=5, quantum_ms=1.0,
                             scale=SCALE, architecture="prisc"),
+    "small_tlb": ExperimentSpec(workload="twofish", instances=3,
+                                quantum_ms=1.0, scale=SCALE, tlb_entries=2),
 }
 
 #: Every section of the checkpoint document: name -> {quanta run ->
 #: sha256 of the sorted-key JSON of ``Machine.checkpoint()``}, for each
-#: event-stream point and the two extra points, at quantum 150 and at
+#: event-stream point and each extra point, at quantum 150 and at
 #: the end of the run (``None``).  The prefetch point adds the quanta at
 #: which its counters (2172), an in-flight speculative transfer (2176)
 #: and a prefetched registration (2177) first appear in the document.
@@ -665,6 +670,12 @@ CHECKPOINT_SECTION_DIGESTS = {
         None:
             "aba128b241d6f64b251731caabb422d925ace7b500af2a86ee86e841be23ffda",
     },
+    "small_tlb": {
+        150:
+            "aba702934f79fc03690b843f131778ca04d09e0a46ab40316ce4f977554e7622",
+        None:
+            "ef83a40a8403220700e3e3382c975418615aa3617a8b944c21a49119ea82d3c6",
+    },
 }
 
 #: Sections the pinned documents must reach between them, so the
@@ -672,6 +683,7 @@ CHECKPOINT_SECTION_DIGESTS = {
 CHECKPOINT_COVERAGE = {
     "kernel.faults", "kernel.prefetch.engine", "counters.faults",
     "counters.prefetch", "registration.synth", "registration.prefetched",
+    "tlb.evictions",
 }
 
 
@@ -684,6 +696,10 @@ def _document_sections(document: dict) -> set[str]:
         seen.add("kernel.faults")
     if "prefetch" in kernel and kernel["prefetch"]["engine"]["entry"]:
         seen.add("kernel.prefetch.engine")
+    dispatch = kernel["coprocessor"]["dispatch"]
+    if any(dispatch[tlb]["evictions"] for tlb in ("hardware_tlb",
+                                                    "software_tlb")):
+        seen.add("tlb.evictions")
     for process in kernel["processes"].values():
         for registration in process["registrations"]:
             seen.update(f"registration.{key}" for key in ("synth", "prefetched")
@@ -727,3 +743,19 @@ def test_checkpoint_sections_coverage():
     for name in CHECKPOINT_SECTION_DIGESTS:
         seen |= _checkpoint_sections(name)[2]
     assert CHECKPOINT_COVERAGE <= seen, CHECKPOINT_COVERAGE - seen
+
+
+def test_small_tlb_point_equal_on_every_tier(monkeypatch):
+    """The evicting TLB point ends with one outcome and one checkpoint
+    document on step, block and jit."""
+    ends = []
+    for tier in ("step", "block", "jit"):
+        monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+        machine = Machine.from_spec(CHECKPOINT_EXTRA_POINTS["small_tlb"])
+        machine.spawn_instances()
+        machine.run()
+        outcome = machine.outcome(verify=True)
+        assert outcome.verified
+        ends.append((outcome, _checkpoint_digest(machine)))
+    assert ends[0] == ends[1] == ends[2]
+    assert ends[0][1] == CHECKPOINT_SECTION_DIGESTS["small_tlb"][None]

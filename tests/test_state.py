@@ -19,7 +19,6 @@ from collections import deque
 import pytest
 
 import repro
-from repro.core.cam import CAM
 from repro.core.circuit import CircuitInstance
 from repro.core.coprocessor import ProteusCoprocessor
 from repro.core.dispatch import DispatchUnit
@@ -160,6 +159,35 @@ class TestMalformedCheckpoint:
         with pytest.raises(CheckpointError, match=r"OperandRegisters\.regs"):
             _resumed_with(mutate)
 
+    @pytest.mark.parametrize("case", [
+        "keys_longer", "keys_shorter", "one_field_key", "entries",
+        "duplicate_key", "fifo_hand",
+    ])
+    def test_tlb_section(self, case):
+        """A malformed CAM section or FIFO hand is refused by name, not
+        a bare ``IndexError``/``TypeError``, a ``TLBError``, or a
+        resumed TLB that matches one key in two entries."""
+        def mutate(kernel):
+            tlb = kernel["coprocessor"]["dispatch"]["hardware_tlb"]
+            keys = tlb["cam"]["keys"]
+            valid = next(fields for fields in keys if fields is not None)
+            if case == "keys_longer":
+                keys.append(None)
+            elif case == "keys_shorter":
+                keys.pop()
+            elif case == "one_field_key":
+                valid.pop()
+            elif case == "entries":
+                tlb["cam"]["entries"] += 1
+            elif case == "duplicate_key":
+                keys[keys.index(None)] = list(valid)
+            else:
+                tlb["fifo_hand"] = 999
+
+        field = "fifo_hand" if case == "fifo_hand" else "cam"
+        with pytest.raises(CheckpointError, match=rf"DispatchTLB\.{field}"):
+            _resumed_with(mutate)
+
     def test_pfu_bank(self):
         def mutate(kernel):
             kernel["coprocessor"]["pfus"]["pfus"].pop()
@@ -287,10 +315,8 @@ UNSAVED = {
     (PFURegion, "index"): CONFIG,
     (PFURegion, "clb_capacity"): CONFIG,
     (PFURegion, "seed"): CONFIG,
-    (CAM, "_valid"): "derived from the saved keys",
-    (CAM, "_index"): "derived from the saved keys",
-    (CAM, "make_key"): CONFIG,
     (DispatchTLB, "entries"): CONFIG,
+    (DispatchTLB, "keys"): "saved under 'cam' as lists of fields",
     (DispatchTLB, "targets"): "derived from the saved keys and RAM words; "
                               "refilled in place by restore",
     (DispatchTLB, "_holders"): "derived from the saved keys and RAM words",
