@@ -508,6 +508,24 @@ class Porsche(Snapshotable):
                     )
                 pfus[index].instance = registration.instance
                 owners[index] = registration
+        # Every hardware tuple must name a live process's registration
+        # loaded on the PFU its RAM word names: any other word would
+        # steer that process's CDPs to a circuit it never loaded.
+        hardware = self.coprocessor.dispatch.hardware_tlb.targets
+        for (pid, cid), index in hardware.items():
+            process = self.processes.get(pid)
+            if process is None or not process.alive:
+                raise CheckpointError(
+                    f"hardware_tlb.cam: tuple ({pid}, {cid}) names no live "
+                    "process"
+                )
+            registration = process.registrations.get(cid)
+            held = None if registration is None else registration.pfu_index
+            if type(index) is not int or index != held:
+                raise CheckpointError(
+                    f"hardware_tlb.ram: tuple ({pid}, {cid}) maps to PFU "
+                    f"{index!r}, but its registration holds PFU {held!r}"
+                )
         if self.injector is not None:
             self.injector.restore(state["faults"])
         if self.predictor is not None:

@@ -45,7 +45,10 @@ and dispatches.  Shared helpers keep the rows small: ``_add_common``
 --quantum-ms --policy --soft [--architecture]``), ``_run_sweep``
 (runner → sweep → summary line → close), ``_figure`` (a fig2-style
 sweep, printed) and ``_off_on`` (one point with its optional feature
-plan cleared and set — see :mod:`repro.plans`).
+plan cleared and set — see :mod:`repro.plans`).  The service layer
+(runner, scheduler, journal, daemon, client, campaign) is imported by
+the handlers that use it, so ``repro run`` and ``--help`` load only the
+simulator, the renderers and the store's paths.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from ..apps.registry import WORKLOADS
 from ..errors import ExperimentError
@@ -64,8 +68,6 @@ from ..synth.plan import SynthesisPlan
 from ..trace.counters import PrefetchStats
 from ..trace.sinks import JsonlSink, RingBufferSink
 from ..trace.timeline import TimelineAggregator
-from .campaign import CampaignConfig, render_campaign, run_campaign
-from .client import ServeClient
 from .experiment import (
     ARCHITECTURES,
     ExperimentSpec,
@@ -79,18 +81,19 @@ from .figures import (
     plan_sweep,
     speedup_table,
 )
-from .jobs import DEFAULT_TENANT, Scheduler
-from .journal import Journal
 from .report import render_figure, render_speedup, render_table, render_trace
-from .runner import (
-    CheckpointStore,
-    ResultCache,
-    SweepRunner,
+from .scaling import DEFAULT_SCALE
+from .store import (
+    CHECKPOINT,
+    DEFAULT_TENANT,
+    JOB_CHECKPOINT,
+    RESULT,
+    Store,
     default_cache_dir,
 )
-from .scaling import DEFAULT_SCALE
-from .serve import ServeDaemon, daemon_available
-from .store import CHECKPOINT, JOB_CHECKPOINT, RESULT, Store
+
+if TYPE_CHECKING:
+    from .runner import CheckpointStore, ResultCache, SweepRunner
 
 #: Every registered workload, in stable (sorted) order, for argparse.
 WORKLOAD_CHOICES = tuple(sorted(WORKLOADS))
@@ -205,6 +208,8 @@ def _knobs(args, **fields: str) -> dict:
 def _stores(args) -> tuple[ResultCache | None, CheckpointStore | None]:
     """The result cache and checkpoint store that ``--no-cache`` and
     ``--warm-start`` select, both in the default cache directory."""
+    from .runner import CheckpointStore, ResultCache
+
     root = default_cache_dir()
     return (
         None if args.no_cache else ResultCache(root),
@@ -213,6 +218,10 @@ def _stores(args) -> tuple[ResultCache | None, CheckpointStore | None]:
 
 
 def _make_runner(args) -> SweepRunner:
+    from .client import ServeClient
+    from .runner import SweepRunner
+    from .serve import daemon_available
+
     cache, checkpoints = _stores(args)
     scheduler = None
     if not args.no_daemon and daemon_available(args.socket):
@@ -233,8 +242,10 @@ def _make_runner(args) -> SweepRunner:
     )
 
 
-def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
-    """One summary line after a sweep: point count, cache hits, timing."""
+def _report_sweep(runner: SweepRunner, args, via: str,
+                  stream=sys.stderr) -> None:
+    """One summary line after a sweep: point count, cache hits, timing,
+    and ``via`` (where the points ran)."""
     if args.quiet:
         return
     stats = runner.stats
@@ -255,10 +266,6 @@ def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
     preempted = (
         f"preempted {stats.preemptions} | " if stats.preemptions else ""
     )
-    via = (
-        "daemon" if isinstance(runner.scheduler, ServeClient)
-        else f"jobs {runner.jobs}"
-    )
     print(file=stream)
     print(
         f"sweep: {stats.points} points | cache hits {stats.cache_hits} | "
@@ -272,10 +279,13 @@ def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
 def _run_sweep(args, sweep, **kwargs):
     """``sweep(runner=..., **kwargs)`` on the runner the options ask
     for; prints the summary line and releases the runner."""
+    from .client import ServeClient
+
     runner = _make_runner(args)
     result = sweep(runner=runner, **kwargs)
-    _report_sweep(runner, args)
-    if isinstance(runner.scheduler, ServeClient):
+    daemon = isinstance(runner.scheduler, ServeClient)
+    _report_sweep(runner, args, "daemon" if daemon else f"jobs {runner.jobs}")
+    if daemon:
         runner.scheduler.close()
     return result
 
@@ -452,6 +462,8 @@ def _args_inject(parser) -> None:
 
 
 def _cmd_inject(args) -> None:
+    from .campaign import CampaignConfig, render_campaign, run_campaign
+
     config = CampaignConfig(
         workload=args.workload,
         instances=args.instances,
@@ -736,6 +748,10 @@ def _args_serve(parser) -> None:
 
 
 def _cmd_serve(args) -> None:
+    from .jobs import Scheduler
+    from .journal import Journal
+    from .serve import ServeDaemon
+
     cache, checkpoints = _stores(args)
     journal = None if args.no_journal else Journal(
         default_cache_dir(), sync=args.journal_sync
@@ -807,6 +823,8 @@ def _cmd_serve(args) -> None:
 
 
 def _cmd_submit(args) -> None:
+    from .client import ServeClient
+
     with ServeClient(args.socket) as client:
         job = client.submit(
             _spec_from_args(args), tenant=args.tenant, verify=args.verify

@@ -10,15 +10,17 @@ size matters — are the reproduction targets recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..apps.registry import get_workload
 from ..apps.workloads import WorkloadVariant
 from ..plans import PLANS
 from .experiment import ExperimentSpec
-from .runner import SweepRunner
 from .scaling import DEFAULT_SCALE
 from .series import FigureData, Series
+
+if TYPE_CHECKING:
+    from .runner import SweepRunner
 
 #: Paper legend naming.
 _POLICY_LABEL = {"round_robin": "Round Robin", "random": "Random",
@@ -37,6 +39,16 @@ _CONTENTION_AXES = dict(
 )
 
 ProgressFn = Callable[[str, int, int], None]
+
+
+def _runner_or_default(runner: SweepRunner | None) -> SweepRunner:
+    """``runner``, or a default serial one: the service layer (runner,
+    scheduler, store) is imported only when a sweep needs it."""
+    if runner is not None:
+        return runner
+    from .runner import SweepRunner
+
+    return SweepRunner()
 
 
 def _points(
@@ -68,7 +80,7 @@ def _sweep(
     progress: ProgressFn | None,
     runner: SweepRunner | None = None,
 ) -> FigureData:
-    runner = runner if runner is not None else SweepRunner()
+    runner = _runner_or_default(runner)
     labels = [label for label, _ in specs]
     outcomes = runner.run(
         [spec for _, spec in specs],
@@ -193,7 +205,7 @@ def speedup_table(
                     seed=seed,
                 )
             )
-    runner = runner if runner is not None else SweepRunner()
+    runner = _runner_or_default(runner)
     outcomes = runner.run(
         specs, verify=verify, progress=_adapt_progress(progress, labels)
     )

@@ -57,13 +57,10 @@ from __future__ import annotations
 
 import collections
 import itertools
-import multiprocessing
 import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -75,7 +72,7 @@ from .experiment import (
     run_experiment_capturing,
     start_machine,
 )
-from .store import validate_namespace
+from .store import DEFAULT_TENANT, validate_namespace
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -86,9 +83,6 @@ __all__ = [
     "SchedulerStats",
     "TERMINAL_STATES",
 ]
-
-#: Namespace used when a submission names no tenant.
-DEFAULT_TENANT = "default"
 
 #: Pool rebuilds tolerated per job before it runs inline in the parent.
 MAX_WORKER_RETRIES = 2
@@ -445,7 +439,7 @@ class Scheduler:
         #: Slices currently on a worker: job id -> (job, deadline,
         #: pool generation).  Feeds the watchdog and drain().
         self._active: dict[int, tuple[Job, float, int]] = {}
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool = None  # a ProcessPoolExecutor once a slice needs one
         self._pool_lock = threading.Lock()
         self._pool_generation = 0
         self._slots = threading.BoundedSemaphore(max(workers, 1))
@@ -763,6 +757,8 @@ class Scheduler:
             )
 
     def _on_slice_done(self, job: Job, future, generation: int) -> None:
+        from concurrent.futures.process import BrokenProcessPool
+
         self._slots.release()
         with self._lock:
             self._active.pop(job.id, None)
@@ -876,8 +872,13 @@ class Scheduler:
             self._journal_state(follower, state.value, error=error)
 
     # -- pool management ---------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self):
+        # The pool's modules load here, so a ``workers=0`` scheduler
+        # never imports multiprocessing or concurrent.futures.
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # Fork is markedly cheaper than spawn and inherits the
             # already-imported simulator; fall back to the platform
             # default where fork is unavailable.

@@ -42,7 +42,6 @@ to the scheduler, which is the single writer.
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import queue as _queue
 import time
@@ -54,8 +53,15 @@ from typing import Callable, Sequence
 from ..errors import DaemonLostError, ExperimentError
 from ..machine import CHECKPOINT_VERSION, decode_checkpoint
 from .experiment import ExperimentSpec, RunOutcome
-from .jobs import DEFAULT_TENANT, Job, JobState, Scheduler
-from .store import CHECKPOINT, RESULT, Store, validate_namespace
+from .jobs import Job, JobState, Scheduler
+from .store import (
+    CHECKPOINT,
+    DEFAULT_TENANT,
+    RESULT,
+    Store,
+    default_cache_dir,  # re-exported: callers import it from here too
+    validate_namespace,
+)
 
 #: Bump when the semantics of :class:`RunOutcome` (or of running an
 #: experiment point) change in a way that stales previously cached
@@ -66,22 +72,6 @@ RESULTS_VERSION = 1
 #: is the position of the just-finished point in the submitted spec list
 #: and ``cached`` is True when it was served from the result cache.
 SweepProgressFn = Callable[[int, int, int, bool], None]
-
-
-def default_cache_dir() -> Path:
-    """Resolve the on-disk cache location.
-
-    ``REPRO_CACHE_DIR`` wins; otherwise ``benchmarks/results/cache/``
-    under the repository root when running from a checkout, falling back
-    to ``.repro-cache/`` in the working directory for installed copies.
-    """
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    root = Path(__file__).resolve().parents[3]
-    if (root / "benchmarks").is_dir():
-        return root / "benchmarks" / "results" / "cache"
-    return Path.cwd() / ".repro-cache"
 
 
 class ResultCache:

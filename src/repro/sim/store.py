@@ -49,7 +49,26 @@ _CORRUPT = (
 #: Tenant namespaces become directory names; keep them boring.
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
+#: Namespace used when a submission names no tenant.
+DEFAULT_TENANT = "default"
+
 T = TypeVar("T")
+
+
+def default_cache_dir() -> Path:
+    """Resolve the on-disk cache location.
+
+    ``REPRO_CACHE_DIR`` wins; otherwise ``benchmarks/results/cache/``
+    under the repository root when running from a checkout, falling back
+    to ``.repro-cache/`` in the working directory for installed copies.
+    """
+    env = os.environ.get("REPRO_CACHE_DIR")
+    if env:
+        return Path(env)
+    root = Path(__file__).resolve().parents[3]
+    if (root / "benchmarks").is_dir():
+        return root / "benchmarks" / "results" / "cache"
+    return Path.cwd() / ".repro-cache"
 
 
 def validate_namespace(namespace: str) -> str:

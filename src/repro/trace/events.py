@@ -3,8 +3,10 @@ trace surface.
 
 Every accounting-relevant moment in the simulated machine — quanta,
 context switches, traps, dispatch resolutions, configuration movement,
-process termination — is modelled as one small frozen dataclass, and
-:data:`EVENTS` lists them all.  Each class's ``kind`` names both its
+process termination — is modelled as one small slotted dataclass, and
+:data:`EVENTS` lists them all.  Events are records: nothing mutates one
+once emitted, but they are not ``frozen`` (a frozen dataclass pass costs
+about twice as much at import, paid by every run).  Each class's ``kind`` names both its
 emitter on the :class:`~repro.trace.bus.TraceBus` (``bus.<kind>(...)``)
 and its counter callback (``CounterSink.on_<kind>``), and its fields
 after ``cycle`` are, in order, the arguments both take.  So adding an
@@ -66,7 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     """Base class: every event is cycle-stamped and PID-attributed."""
 
@@ -89,21 +91,21 @@ class TraceEvent:
 # kernel scheduling
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class QuantumStart(TraceEvent):
     """A process was handed a fresh scheduling quantum."""
 
     kind = "quantum_start"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TimerInterrupt(TraceEvent):
     """The quantum budget expired and the timer pre-empted the process."""
 
     kind = "timer_interrupt"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ContextSwitch(TraceEvent):
     """The coprocessor context was switched to ``pid``."""
 
@@ -114,7 +116,7 @@ class ContextSwitch(TraceEvent):
 # traps
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SyscallEvent(TraceEvent):
     """A SWI trap entered the kernel."""
 
@@ -122,7 +124,7 @@ class SyscallEvent(TraceEvent):
     kind = "syscall"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FaultEvent(TraceEvent):
     """A custom-instruction fault was resolved by the CIS.
 
@@ -137,7 +139,7 @@ class FaultEvent(TraceEvent):
     kind = "fault"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DispatchResolved(TraceEvent):
     """Decode-stage resolution of an execute instruction (Figure 1).
 
@@ -154,7 +156,7 @@ class DispatchResolved(TraceEvent):
 # CIS management
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Registered(TraceEvent):
     """A circuit (or alias) registration was accepted."""
 
@@ -162,7 +164,7 @@ class Registered(TraceEvent):
     kind = "registered"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RegistrationRejected(TraceEvent):
     """A bitstream failed security validation."""
 
@@ -170,7 +172,7 @@ class RegistrationRejected(TraceEvent):
     kind = "registration_rejected"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MappingFault(TraceEvent):
     """Circuit still loaded; only its TLB tuple needed reinstalling."""
 
@@ -178,7 +180,7 @@ class MappingFault(TraceEvent):
     kind = "mapping_fault"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LoadFault(TraceEvent):
     """A fault that required moving configuration data (load or swap)."""
 
@@ -186,7 +188,7 @@ class LoadFault(TraceEvent):
     kind = "load_fault"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SoftDefer(TraceEvent):
     """The CIS mapped a software alternative instead of loading."""
 
@@ -196,7 +198,7 @@ class SoftDefer(TraceEvent):
     kind = "soft_defer"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CircuitLoad(TraceEvent):
     """A circuit was transferred onto a PFU."""
 
@@ -208,7 +210,7 @@ class CircuitLoad(TraceEvent):
     kind = "circuit_load"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CircuitEvict(TraceEvent):
     """A victim circuit's state section was saved off the array."""
 
@@ -218,7 +220,7 @@ class CircuitEvict(TraceEvent):
     kind = "circuit_evict"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CircuitUnload(TraceEvent):
     """A dead process's circuit left the array (no state saved)."""
 
@@ -227,7 +229,7 @@ class CircuitUnload(TraceEvent):
     kind = "circuit_unload"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CircuitPromote(TraceEvent):
     """A software-deferred circuit was promoted into a freed PFU."""
 
@@ -236,7 +238,7 @@ class CircuitPromote(TraceEvent):
     kind = "circuit_promote"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StateSwap(TraceEvent):
     """Only a state section moved to hand a shared PFU to another PID."""
 
@@ -249,7 +251,7 @@ class StateSwap(TraceEvent):
 # cycle charges and termination
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CpuBurst(TraceEvent):
     """One bounded user-mode execution burst."""
 
@@ -258,7 +260,7 @@ class CpuBurst(TraceEvent):
     kind = "cpu_burst"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class KernelCharge(TraceEvent):
     """Kernel-mode cycles charged while handling ``pid``.
 
@@ -271,7 +273,7 @@ class KernelCharge(TraceEvent):
     kind = "kernel_charge"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CisCharge(TraceEvent):
     """Cycles attributed to the Custom Instruction Scheduler itself.
 
@@ -282,14 +284,14 @@ class CisCharge(TraceEvent):
     kind = "cis_charge"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CisKill(TraceEvent):
     """The CIS condemned a process (illegal CID, hostile bitstream...)."""
 
     kind = "cis_kill"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessExit(TraceEvent):
     """A process left the machine."""
 
@@ -299,7 +301,7 @@ class ProcessExit(TraceEvent):
     kind = "process_exit"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FaultInjected(TraceEvent):
     """The fault injector corrupted fabric state (see :mod:`repro.faults`).
 
@@ -313,7 +315,7 @@ class FaultInjected(TraceEvent):
     kind = "fault_injected"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FaultDetected(TraceEvent):
     """A fabric fault was caught (``via`` parity, scrub, or checksum)."""
 
@@ -323,7 +325,7 @@ class FaultDetected(TraceEvent):
     kind = "fault_detected"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FaultRecovered(TraceEvent):
     """The kernel repaired a detected fault.
 
@@ -338,7 +340,7 @@ class FaultRecovered(TraceEvent):
     kind = "fault_recovered"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PfuQuarantined(TraceEvent):
     """A PFU was retired from service after repeated faults."""
 
@@ -350,7 +352,7 @@ class PfuQuarantined(TraceEvent):
 # speculative configuration prefetch (see repro.prefetch)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrefetchIssued(TraceEvent):
     """A predicted-next bitstream started streaming into ``pfu``.
 
@@ -364,7 +366,7 @@ class PrefetchIssued(TraceEvent):
     kind = "prefetch_issued"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrefetchHit(TraceEvent):
     """A fault found its circuit prefetched (fully or partially).
 
@@ -379,7 +381,7 @@ class PrefetchHit(TraceEvent):
     kind = "prefetch_hit"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrefetchWasted(TraceEvent):
     """A completed prefetch was evicted or discarded before any use."""
 
@@ -388,7 +390,7 @@ class PrefetchWasted(TraceEvent):
     kind = "prefetch_wasted"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrefetchCancelled(TraceEvent):
     """An in-flight prefetch was abandoned deterministically.
 

@@ -1,9 +1,13 @@
 """The public API surface: what ``import repro`` promises."""
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import repro
+import repro.sim
 
 
 class TestExports:
@@ -58,6 +62,82 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert "fig2" in result.stdout and "fig3" in result.stdout
+
+
+#: ``repro.sim.__all__`` before the service layer loaded on first use.
+SIM_NAMES = (
+    "DEFAULT_SCALE", "scaled_config", "ExperimentSpec", "RunOutcome",
+    "run_experiment", "Job", "JobQueue", "JobState", "Scheduler", "Journal",
+    "RecoveredJob", "recovered_jobs", "CheckpointStore", "ResultCache",
+    "SweepRunner", "default_cache_dir", "FigureData", "Series",
+    "SeriesPoint", "figure2", "figure3", "speedup_table", "render_figure",
+    "render_table",
+)
+
+#: The service layer: loaded by the code that uses it, never by a run.
+SERVICE = ("repro.sim.jobs", "repro.sim.runner", "repro.sim.store",
+           "repro.sim.journal")
+
+#: Prints ``sys.modules`` after ``import repro``, after an alpha x2 run
+#: and after a ``Scheduler(workers=0)`` job of the same point.
+IMPORT_PROBE = """
+import json, sys
+import repro
+seen = [sorted(sys.modules)]
+from repro.sim import ExperimentSpec, run_experiment
+spec = ExperimentSpec(workload="alpha", instances=2, quantum_ms=1.0,
+                      scale=1 / 8000)
+run_experiment(spec, verify=True)
+seen.append(sorted(sys.modules))
+from repro.sim.jobs import Scheduler
+scheduler = Scheduler(workers=0)
+try:
+    scheduler.submit(spec, verify=True).result()
+finally:
+    scheduler.shutdown()
+seen.append(sorted(sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def _modules(code: str) -> list:
+    """``code``'s JSON output, run in a fresh interpreter (pytest itself
+    has loaded multiprocessing)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def _pool_modules(modules) -> set:
+    return {name for name in modules
+            if name.partition(".")[0] == "multiprocessing"
+            or name.startswith("concurrent.futures")}
+
+
+class TestImportSurface:
+    """``import repro`` loads the simulator; the service layer and the
+    worker pool load on first use."""
+
+    def test_old_sim_names_resolve(self):
+        for name in SIM_NAMES:
+            assert getattr(repro.sim, name) is not None, name
+        assert set(SIM_NAMES) <= set(repro.sim.__all__)
+
+    def test_simulation_loads_no_service_layer_or_pool(self):
+        baseline = _pool_modules(_modules(
+            "import json, sys; print(json.dumps(sorted(sys.modules)))"
+        ))
+        imported, ran, scheduled = _modules(IMPORT_PROBE)
+        for stage, modules in (("import", imported), ("run", ran)):
+            loaded = set(modules)
+            assert not loaded & set(SERVICE), (stage, loaded & set(SERVICE))
+            assert _pool_modules(modules) <= baseline, stage
+        assert "repro.sim.jobs" in scheduled
+        assert _pool_modules(scheduled) <= baseline
 
 
 class TestErrorHierarchy:

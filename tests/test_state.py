@@ -195,6 +195,30 @@ class TestMalformedCheckpoint:
         with pytest.raises(CheckpointError, match=r"PFUBank\.pfus"):
             _resumed_with(mutate)
 
+    @pytest.mark.parametrize("case,field", [
+        ("no_such_pfu", "ram"), ("swapped_pfus", "ram"),
+        ("float_pfu", "ram"), ("unknown_pid", "cam"),
+    ])
+    def test_hardware_tlb_word(self, case, field):
+        """A hardware tuple whose RAM word is not its registration's PFU
+        is refused at resume, not by a bare ``IndexError`` at the first
+        CDP or by CDPs silently issued to another process's circuit."""
+        def mutate(kernel):
+            tlb = kernel["coprocessor"]["dispatch"]["hardware_tlb"]
+            keys, ram = tlb["cam"]["keys"], tlb["ram"]
+            assert None not in keys[:2] and ram[0] != ram[1]
+            if case == "no_such_pfu":
+                ram[0] = 9
+            elif case == "swapped_pfus":
+                ram[0], ram[1] = ram[1], ram[0]
+            elif case == "float_pfu":
+                ram[0] = float(ram[0])
+            else:
+                keys[0][0] = 9
+
+        with pytest.raises(CheckpointError, match=rf"hardware_tlb\.{field}"):
+            _resumed_with(mutate)
+
     @pytest.mark.parametrize("index", [9, -1, 1.0])
     def test_registration_names_no_pfu(self, index):
         def mutate(kernel):
